@@ -28,8 +28,7 @@ from math import comb
 from typing import Optional, Union
 
 from . import keyspace
-from .keyspace import (KeyCollection, KeyConfig, entropy_of,
-                       normalize_labels, set_of)
+from .keyspace import KeyConfig, normalize_labels, set_of
 
 Number = Union[int, Fraction]
 
@@ -98,15 +97,60 @@ class BoundsReport:
     gap: bool
 
 
+def _eavesdropper_tables(config: KeyConfig):
+    """Yield (e, w, a) for each eavesdropper e, ascending.
+
+    The qualified receivers q_1 < ... < q_N are renumbered as local bits
+    0..N-1.  w[t] is the total size of the keys U that e does not hold
+    with U cap qualified = t (in local bits); keys held by no qualified
+    receiver are left out.  a[i] = sum over t containing i of w[t], which
+    is H(z_{q_i} | z_e) by key independence.  One pass over the keys per
+    eavesdropper.
+    """
+    qualified = sorted(config.qualified)
+    n = len(qualified)
+    renumbered: dict[int, int] = {}    # qualified part of a key -> local bits
+    binned = []                        # (mask, size, local bits)
+    for m, size in config.keys.items():
+        hit = m & config.qualified_mask
+        if not hit:
+            continue
+        t = renumbered.get(hit)
+        if t is None:
+            t = renumbered[hit] = sum(1 << i for i, q in enumerate(qualified)
+                                      if hit >> (q - 1) & 1)
+        binned.append((m, size, t))
+    for e in sorted(config.eavesdroppers):
+        ebit = 1 << (e - 1)
+        w = [0] * (1 << n)
+        for m, size, t in binned:
+            if not m & ebit:
+                w[t] += size
+        a = [0] * n
+        for t, wt in enumerate(w):
+            if wt:
+                while t:
+                    low = t & -t
+                    a[low.bit_length() - 1] += wt
+                    t ^= low
+        yield e, w, a
+
+
+def _subset_sums(w: list[int]) -> list[int]:
+    """Zeta transform: f[S] = sum of w[t] over t subset of S."""
+    f = list(w)
+    bit = 1
+    while bit < len(f):
+        for s in range(len(f)):
+            if s & bit:
+                f[s] += f[s ^ bit]
+        bit <<= 1
+    return f
+
+
 def rate_converse(config: KeyConfig) -> int:
     """min over qualified q, eavesdropper e of H(z_q | z_e), in symbols."""
-    best = None
-    for e in sorted(config.eavesdroppers):
-        given = KeyCollection.of_receiver(config, e)
-        for q in sorted(config.qualified):
-            h = entropy_of(config, {q}, given)
-            if best is None or h < best:
-                best = h
+    best = min((min(a) for _, _, a in _eavesdropper_tables(config)), default=None)
     if best is None:
         raise ValueError("need at least one qualified and one eavesdropping receiver")
     return best
@@ -120,39 +164,60 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
     e's keys.  For independent combinatorial keys the subtracted term is
     sum_U (|U cap Q| - 1) * (residual symbols of U), each term nonnegative
     and shrinking as more of e's symbols enter u, so conditioning on all
-    of e's keys dominates every sub-collection: the search over u is
-    exact without enumeration.  Never returns less than R for R > 0
-    (singleton groups give |Q| R - 0) and never less than 0.
+    of e's keys (u = z_e) dominates every sub-collection and the search
+    over u is exact without enumeration.
+
+    With e fixed, the subtracted term is the penalty
+    sum_{U not containing e} max(|U cap Q| - 1, 0) * l_U.  In the terms of
+    the per-eavesdropper table (w, a, W = sum w) it reads
+    penalty(Q) = sum_{i in Q} a[i] - W + f[~Q], where f is the subset-sum
+    transform of w: the keys missing Q contribute f[~Q] to make up for
+    the -1 they do not owe.  So every group costs O(1) after an
+    O(N 2^N) transform, and one eavesdropper costs O(#keys + N 2^N).
+    Only the least penalty of each group size |Q| can win.
+
+    The witness is the first maximizer in the order e ascending, then Q
+    descending as a mask, with ties kept by the earlier one.  Never
+    returns less than R for R > 0 (singleton groups give |Q| R - 0) and
+    never less than 0.  All arithmetic is exact (int and Fraction).
     """
     if rate < 0:
         raise ValueError("rate must be nonnegative")
     rate = Fraction(rate)
     best = Fraction(0)
-    best_witness = None
-    qmask = config.qualified_mask
-    for e in sorted(config.eavesdroppers):
-        given = KeyCollection.of_receiver(config, e)
-        chosen = tuple(set_of(m) for m in config.receiver_key_masks(e))
-        sub = qmask
-        while sub:
-            members = set_of(sub)
-            singles = sum(entropy_of(config, {q}, given) for q in members)
-            joint = entropy_of(config, sub, given)
-            value = len(members) * rate - (singles - joint)
-            if value > best:
-                best = value
-                best_witness = (e, members, chosen)
-            sub = (sub - 1) & qmask
-    return BwBound(value=_as_number(best), heuristic=False, witness=best_witness)
+    best_at = None
+    qualified = sorted(config.qualified)
+    for e, w, a in _eavesdropper_tables(config):
+        full = len(w) - 1
+        f = _subset_sums(w)
+        sums = [0] * len(w)            # sums[Q] = sum_{i in Q} a[i]
+        least: dict[int, tuple[int, int]] = {}   # |Q| -> (least penalty + W, largest Q)
+        for q in range(1, full + 1):
+            low = q & -q
+            s = sums[q] = sums[q ^ low] + a[low.bit_length() - 1]
+            pen = s + f[full ^ q]
+            size = q.bit_count()
+            seen = least.get(size)
+            if seen is None or pen <= seen[0]:
+                least[size] = (pen, q)
+        total = f[full]
+        value, q = max((size * rate - (pen - total), q)
+                       for size, (pen, q) in least.items())
+        if value > best:
+            best = value
+            best_at = (e, frozenset(qualified[i] for i in range(len(a)) if q >> i & 1))
+    witness = None
+    if best_at is not None:
+        e, members = best_at
+        witness = (e, members, tuple(set_of(m) for m in config.receiver_key_masks(e)))
+    return BwBound(value=_as_number(best), heuristic=False, witness=witness)
 
 
 # -- closed-form capacities ----------------------------------------------
 
 def _multicast_beta_star(config: KeyConfig) -> Optional[Number]:
     """Minimum bandwidth at capacity for the single-eavesdropper setting."""
-    (e,) = config.eavesdroppers
-    given = KeyCollection.of_receiver(config, e)
-    conds = [entropy_of(config, {q}, given) for q in sorted(config.qualified)]
+    ((e, _, conds),) = _eavesdropper_tables(config)
     if len(set(conds)) == 1:
         return sum(size for m, size in config.key_items() if not m & (1 << (e - 1)))
     if config.K == 4:

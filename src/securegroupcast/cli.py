@@ -139,7 +139,7 @@ def scheme_from_obj(obj: Any) -> LinearScheme:
         raise
     except KeyError as exc:
         raise ConfigError(f"scheme missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scheme: {exc}") from exc
     if scheme.L_W != lw or scheme.L_X != lx:
         raise ConfigError(f"scheme dims (Lw={scheme.L_W}, Lx={scheme.L_X}) "

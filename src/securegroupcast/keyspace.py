@@ -65,12 +65,15 @@ class KeyConfig:
             m = mask_of(subset)
             if m == 0 or m & ~full:
                 raise ValueError(f"key subset {subset!r} outside [1..K]")
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise ValueError(f"key size for {subset!r} must be an integer, "
+                                 f"got {size!r}")
             if size < 0:
                 raise ValueError(f"key size for {subset!r} is negative")
             if m in norm:
                 raise ValueError(f"duplicate key subset {sorted(set_of(m))}")
             if size > 0:
-                norm[m] = int(size)
+                norm[m] = size
         return cls(K=K, qualified_mask=q, keys=dict(sorted(norm.items())))
 
     # -- views ------------------------------------------------------------

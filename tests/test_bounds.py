@@ -1,9 +1,54 @@
 import random
 from fractions import Fraction
 
-from securegroupcast import (KeyConfig, aligned_2of5_key_size, bw_converse,
-                             exact_capacity, priority_check, rate_converse,
-                             report, set_of)
+from hypothesis import given, settings, strategies as st
+
+from securegroupcast import (KeyCollection, KeyConfig, aligned_2of5_key_size,
+                             bw_converse, entropy_of, exact_capacity,
+                             priority_check, rate_converse, report, set_of)
+from securegroupcast.bounds import BwBound
+
+
+# -- reference converses: the group-by-group loops, one entropy_of per term ------
+
+def _rate_converse_loop(config):
+    best = None
+    for e in sorted(config.eavesdroppers):
+        given = KeyCollection.of_receiver(config, e)
+        for q in sorted(config.qualified):
+            h = entropy_of(config, {q}, given)
+            if best is None or h < best:
+                best = h
+    return best
+
+
+def _bw_converse_loop(config, rate):
+    rate = Fraction(rate)
+    best = Fraction(0)
+    best_witness = None
+    qmask = config.qualified_mask
+    for e in sorted(config.eavesdroppers):
+        given = KeyCollection.of_receiver(config, e)
+        chosen = tuple(set_of(m) for m in config.receiver_key_masks(e))
+        sub = qmask
+        while sub:
+            members = set_of(sub)
+            singles = sum(entropy_of(config, {q}, given) for q in members)
+            joint = entropy_of(config, sub, given)
+            value = len(members) * rate - (singles - joint)
+            if value > best:
+                best = value
+                best_witness = (e, members, chosen)
+            sub = (sub - 1) & qmask
+    value = int(best) if best.denominator == 1 else best
+    return BwBound(value=value, heuristic=False, witness=best_witness)
+
+
+def _penalty(config, e, group):
+    """sum over keys U without e of max(|U cap Q| - 1, 0) * l_U."""
+    q = sum(1 << (k - 1) for k in group)
+    return sum(max((m & q).bit_count() - 1, 0) * size
+               for m, size in config.keys.items() if not m >> (e - 1) & 1)
 
 
 # -- rate converse ---------------------------------------------------------
@@ -32,7 +77,7 @@ def test_bw_converse_symmetric_example(ex4):
 
 
 def test_bw_converse_zero_rate(ex3):
-    assert bw_converse(ex3, 0).value == 0
+    assert bw_converse(ex3, 0) == BwBound(value=0, heuristic=False, witness=None)
 
 
 def test_bw_converse_multicast_example(ex2):
@@ -48,6 +93,100 @@ def test_bw_converse_at_least_rate_for_positive_rate(ex1, ex2, ex3, ex4, fig4):
         r = rate_converse(config)
         if r > 0:
             assert bw_converse(config, r).value >= r
+
+
+def test_bw_converse_private_keys_full_group_wins():
+    # No key reaches two qualified receivers, so no group pays a penalty.
+    config = KeyConfig.of(5, [1, 2, 4], {(1,): 2, (2,): 3, (4,): 2, (3, 5): 7})
+    rate = rate_converse(config)
+    got = bw_converse(config, rate)
+    assert rate == 2 and got.value == 6
+    assert got.witness[:2] == (3, frozenset({1, 2, 4}))
+    assert got == _bw_converse_loop(config, rate)
+
+
+def test_bw_converse_witness_tie_order():
+    # Every group of one eavesdropper ties with the first eavesdropper's;
+    # the witness is the first maximizer: e ascending, Q descending.
+    config = KeyConfig.of(4, [1, 2], {(1,): 1, (2,): 1})
+    got = bw_converse(config, 1)
+    assert got.value == 2
+    assert got.witness == (3, frozenset({1, 2}), ())
+    assert got == _bw_converse_loop(config, 1)
+
+
+@st.composite
+def configs_and_rates(draw):
+    k = draw(st.integers(2, 8))
+    qualified = draw(st.sets(st.integers(1, k), min_size=1, max_size=k - 1))
+    qmask = sum(1 << (q - 1) for q in qualified)
+    full = (1 << k) - 1
+    if draw(st.booleans()):
+        masks = st.integers(1, full)
+    else:
+        # private keys: at most one qualified holder, so larger groups win
+        masks = st.tuples(st.sampled_from([0] + [1 << (q - 1) for q in qualified]),
+                          st.integers(0, full & ~qmask)).map(sum).filter(bool)
+    sizes = st.one_of(st.integers(0, 3), st.integers(0, 10**30), st.just(10**30))
+    keys = draw(st.dictionaries(masks, sizes, max_size=12))
+    config = KeyConfig.of(k, qualified, keys)
+    upper = rate_converse(config)
+    rate = draw(st.one_of(
+        st.just(0), st.just(upper), st.integers(0, 6),
+        st.fractions(0, 10, max_denominator=7),
+        st.fractions(0, 10**30, max_denominator=3)))
+    return config, rate
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs_and_rates())
+def test_converses_match_reference_loops(case):
+    config, rate = case
+    assert rate_converse(config) == _rate_converse_loop(config)
+    assert bw_converse(config, rate) == _bw_converse_loop(config, rate)
+
+
+def test_converses_match_reference_loops_where_larger_groups_win():
+    rng = random.Random(2007)
+    larger, huge = 0, 0
+    for _ in range(300):
+        k = rng.randint(3, 8)
+        qualified = rng.sample(range(1, k + 1), rng.randint(2, k - 1))
+        scale = rng.choice([1, 10**30])
+        keys = {}
+        for m in rng.sample(range(1, 1 << k), min(rng.randint(1, 10), (1 << k) - 1)):
+            if rng.random() < 0.6 and len(set_of(m) & set(qualified)) > 1:
+                continue  # lean towards keys private to one qualified receiver
+            keys[m] = rng.randint(1, 3) * scale
+        config = KeyConfig.of(k, qualified, keys)
+        rate = rng.choice([rate_converse(config),
+                           Fraction(rng.randint(1, 9), rng.randint(1, 4)) * scale])
+        assert rate_converse(config) == _rate_converse_loop(config)
+        got = bw_converse(config, rate)
+        assert got == _bw_converse_loop(config, rate)
+        if got.witness is not None and len(got.witness[1]) > 1:
+            larger += 1
+            huge += scale > 1
+    assert larger > 100 and huge > 30
+
+
+def test_report_k20_n10():
+    rng = random.Random(20)
+    qualified = list(range(1, 11))
+    masks = rng.sample(range(1, 1 << 20), 2011)
+    config = KeyConfig.of(20, qualified, {m: rng.randint(1, 3) for m in masks})
+    rep = report(config)
+    assert rep.rate_upper == _rate_converse_loop(config)
+    assert rep.exact is None
+    got = bw_converse(config, rep.rate_upper)
+    assert got.value == rep.bw_lower >= rep.rate_upper
+    e, group, chosen = got.witness
+    assert chosen == tuple(set_of(m) for m in config.receiver_key_masks(e))
+    assert got.value == len(group) * rep.rate_upper - _penalty(config, e, group)
+    for _ in range(50):  # no sampled group beats the witness
+        e = rng.choice(sorted(config.eavesdroppers))
+        group = rng.sample(qualified, rng.randint(1, 10))
+        assert len(group) * rep.rate_upper - _penalty(config, e, group) <= got.value
 
 
 # -- exact capacity dispatch -------------------------------------------------------

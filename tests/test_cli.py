@@ -80,6 +80,15 @@ def test_bounds_semantic_error(tmp_path):
     assert main(["bounds", path]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("symbols", [1.5, 2.0, True, "2"])
+def test_bounds_non_integer_key_size_exit_code(tmp_path, capsys, symbols):
+    obj = ex3_obj()
+    obj["keys"][0]["symbols"] = symbols
+    path = write(tmp_path, "bad.json", obj)
+    assert main(["bounds", path]) == EXIT_PARSE
+    assert "error" in capsys.readouterr().err
+
+
 # -- synth command ----------------------------------------------------------------
 
 def test_synth_writes_verifiable_scheme(tmp_path, capsys):
@@ -152,6 +161,18 @@ def test_verify_rejects_corrupted_scheme(tmp_path, capsys):
     assert main(["verify", broken]) == EXIT_REJECTED
     rep = json.loads(capsys.readouterr().out)
     assert not rep["ok"]
+
+
+def test_verify_entry_overflow_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", ex3_obj())
+    out_path = str(tmp_path / "scheme.json")
+    main(["synth", cfg, "-o", out_path])
+    capsys.readouterr()
+    obj = json.loads(open(out_path).read())
+    obj["A"][0][0] = 2**63
+    huge = write(tmp_path, "huge.json", obj)
+    assert main(["verify", huge]) == EXIT_PARSE
+    assert "invalid scheme" in capsys.readouterr().err
 
 
 def test_verify_oversized_oracle_falls_back(tmp_path, capsys, monkeypatch):

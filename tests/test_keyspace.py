@@ -186,3 +186,9 @@ def test_config_validation():
         KeyConfig.of(3, [1], {(4,): 1})  # subset outside [1..K]
     with pytest.raises(ValueError):
         KeyConfig.of(3, [1], {(1,): -2})
+
+
+@pytest.mark.parametrize("size", [1.5, 2.0, True, "2", None])
+def test_config_rejects_non_integer_key_size(size):
+    with pytest.raises(ValueError):
+        KeyConfig.of(3, [1], {(1, 2): size})
