@@ -25,7 +25,8 @@ from . import synth as synth_mod
 from .fmatrix import FMatrix
 from .gf import Field
 from .keyspace import KeyConfig
-from .scheme import LinearScheme, TooLargeError, oracle_verify, simulate, verify
+from .scheme import (LinearScheme, TooLargeError, oracle_cap, oracle_verify, simulate,
+                     verify)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -207,6 +208,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _oracle_cap() -> int:
+    """The oracle cap from SGC_ORACLE_CAP; a malformed value is a ConfigError."""
+    try:
+        return oracle_cap()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def verify_report_obj(scheme: LinearScheme, want_oracle: bool) -> tuple[dict, bool]:
     rep = verify(scheme)
     out = {
@@ -216,8 +225,9 @@ def verify_report_obj(scheme: LinearScheme, want_oracle: bool) -> tuple[dict, bo
         "oracle": None,
     }
     if want_oracle:
+        cap = _oracle_cap()
         try:
-            orep = oracle_verify(scheme)
+            orep = oracle_verify(scheme, cap)
             out["oracle"] = {
                 "states": orep.states,
                 "correct": {str(k): v for k, v in orep.correct.items()},
@@ -289,6 +299,7 @@ def _demo_instance(name: str, config: KeyConfig) -> int:
 
 
 def _demo_region() -> int:
+    cap = _oracle_cap()
     print("== region: three messages, two keyed receivers, one blind eavesdropper ==")
     sizes = (1, 1, 1)
     print(f"key sizes (L1, L2, L12) = {sizes}")
@@ -306,7 +317,7 @@ def _demo_region() -> int:
     for rates in boundary:
         ms = synth_mod.multimessage(sizes, rates)
         rep = synth_mod.verify_multimessage(ms)
-        orep = synth_mod.oracle_multimessage(ms)
+        orep = synth_mod.oracle_multimessage(ms, cap)
         ok = ok and rep.ok and orep.ok
         print(f"  rates {rates}: bandwidth {ms.bandwidth} "
               f"(= {synth_mod.min_bandwidth(sizes, rates)}), "

@@ -16,6 +16,8 @@ import numpy as np
 
 from .gf import Field
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class NoSolutionError(ValueError):
     """The right-hand side lies outside the column space."""
@@ -173,6 +175,12 @@ def vstack(parts: Sequence[FMatrix]) -> FMatrix:
 
 # -- elimination engines ------------------------------------------------
 
+def _work_copy(arr: np.ndarray, p: int) -> np.ndarray:
+    """A copy to eliminate on: int64 while a product of two residues fits,
+    Python integers (object dtype) beyond that."""
+    return arr.astype(object) if (p - 1) ** 2 > INT64_MAX else arr.copy()
+
+
 def _prefix_ranks_gf2(arr: np.ndarray, split: int) -> tuple[int, int]:
     """(rank of the first `split` columns, rank of all) over GF(2).
 
@@ -204,7 +212,7 @@ def _prefix_ranks_gf2(arr: np.ndarray, split: int) -> tuple[int, int]:
 
 def _prefix_ranks_generic(arr: np.ndarray, p: int, split: int) -> tuple[int, int]:
     """Left-to-right elimination over GF(p); returns (prefix rank, rank)."""
-    a = arr.copy()
+    a = _work_copy(arr, p)
     rows, cols = a.shape
     lead = 0
     prefix = total = 0
@@ -254,7 +262,7 @@ def rank(m: FMatrix) -> int:
 def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     p = m.field.p
-    a = m.array.copy()
+    a = _work_copy(m.array, p)
     rows, cols = a.shape
     pivots: list[int] = []
     lead = 0

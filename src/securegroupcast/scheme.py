@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import FMatrix, hstack, prefix_ranks, solve_right, vstack
+from .fmatrix import INT64_MAX, FMatrix, hstack, prefix_ranks, solve_right, vstack
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -319,15 +319,21 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
     """
     rng = random.Random(seed)
     p = scheme.p
-    w = np.array([rng.randrange(p) for _ in range(scheme.L_W)], dtype=np.int64)
-    s = np.array([rng.randrange(p) for _ in range(scheme.D)], dtype=np.int64)
-    x = (scheme.A.array @ w + scheme.B.array @ s) % p if scheme.L_X else np.zeros(0, np.int64)
+    # int64 sums of products are exact while the longest one fits
+    terms = max(scheme.L_W + scheme.D, scheme.L_X + scheme.D, 1)
+    dtype = object if terms * (p - 1) ** 2 > INT64_MAX else np.int64
+    w = np.array([rng.randrange(p) for _ in range(scheme.L_W)], dtype=dtype)
+    s = np.array([rng.randrange(p) for _ in range(scheme.D)], dtype=dtype)
+    x = ((scheme.A.array.astype(dtype, copy=False) @ w
+          + scheme.B.array.astype(dtype, copy=False) @ s) % p
+         if scheme.L_X else np.zeros(0, dtype))
     decoded = {}
     for k in sorted(scheme.qualified):
         m = decoder_for(scheme, k)
         known = list(scheme.known_columns(k))
         inp = np.concatenate([x, s[known]])
-        w_hat = m.array @ inp % p if m.cols else np.zeros(scheme.L_W, np.int64)
+        w_hat = (m.array.astype(dtype, copy=False) @ inp % p if m.cols
+                 else np.zeros(scheme.L_W, dtype))
         if not np.array_equal(w_hat, w):
             raise DecodeFailureError(f"receiver {k} decoded {w_hat.tolist()} != {w.tolist()}")
         decoded[k] = tuple(int(v) for v in w_hat)
@@ -341,10 +347,13 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # -- exhaustive counting oracle -------------------------------------------
 #
 # The oracle never looks at ranks.  It enumerates all p^(L_W + D_used)
-# joint states (unused all-zero key columns are dropped first: a key that
-# never enters X is independent of everything and cannot change any
-# receiver's information), evaluates X per state, groups states by what a
-# receiver sees, and reads entropies off the counts.
+# joint states s = sum_j d_j p^j, message digits lowest (unused all-zero key
+# columns are dropped first: a key that never enters X is independent of
+# everything and cannot change any receiver's information).  For each
+# receiver it builds one int64 code per state that holds what the receiver
+# sees above the message digits; one sort of that code counts the states
+# per (view, message) and per view, and entropies and verdicts are read off
+# those counts.
 
 
 def oracle_cap() -> int:
@@ -352,168 +361,164 @@ def oracle_cap() -> int:
     raw = os.environ.get(ORACLE_CAP_ENV)
     if raw is None:
         return DEFAULT_ORACLE_CAP
-    cap = int(raw)
+    cap = int(raw) if raw.strip().isdecimal() else 0
     if cap < 1 or cap & (cap - 1):
-        raise ValueError(f"{ORACLE_CAP_ENV} must be a power of two, got {raw}")
+        raise ValueError(f"{ORACLE_CAP_ENV} must be a power of two, got {raw!r}")
     return cap
 
 
-class _StateSpace:
-    """All p^m joint states of m base-p digits, vectorized."""
-
-    def __init__(self, p: int, m: int):
-        self.p = p
-        self.m = m
-        self.n = p ** m
-        self._idx = np.arange(self.n, dtype=np.int64)
-        if p == 2:
-            self._digits = None
-        else:
-            dtype = np.int16 if p <= (1 << 15) else np.int64
-            d = np.empty((m, self.n), dtype=dtype)
-            for j in range(m):
-                d[j] = (self._idx // (p ** j)) % p
-            self._digits = d
-
-    def digit(self, j: int) -> np.ndarray:
-        if self.p == 2:
-            return (self._idx >> j) & 1
-        return self._digits[j].astype(np.int64)
-
-    def row_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Value of one linear form (coeff vector of length m) per state."""
-        if self.p == 2:
-            mask = 0
-            for j in range(self.m):
-                if coeffs[j] & 1:
-                    mask |= 1 << j
-            return (np.bitwise_count(self._idx & np.int64(mask)) & 1).astype(np.int64)
-        return (np.asarray(coeffs, dtype=np.int64) @ self._digits) % self.p
-
-    def pack(self, value_rows: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Pack base-p value rows into int64 words for exact grouping."""
-        per_word = max(1, int(63 // math.log2(self.p)))
-        words: list[np.ndarray] = []
-        cur = None
-        count = 0
-        for v in value_rows:
-            cur = v.copy() if cur is None else cur * self.p + v
-            count += 1
-            if count == per_word:
-                words.append(cur)
-                cur = None
-                count = 0
-        if cur is not None:
-            words.append(cur)
-        return words
-
-    def digit_codes(self, positions: Sequence[int]) -> list[np.ndarray]:
-        return self.pack([self.digit(j) for j in positions])
+_CODE_BITS = 62   # state codes stay below 2^62
 
 
-def _fold_words(keys: Sequence[np.ndarray]) -> list[tuple[np.ndarray, int]]:
-    """Merge per-symbol value arrays into as few int64 words as possible.
+def _slot_bits(p: int) -> int:
+    """Bits per packed residue: one over GF(2), else room for a sum of two."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
 
-    Returns (word, bound) pairs with all word values in [0, bound); words
-    are combined while the mixed radix stays below 2^62.  Constant arrays
-    carry no information and are dropped.
+
+def _expand(p: int, m: int, forms: np.ndarray) -> np.ndarray:
+    """Values of the linear forms (rows of `forms`, one coefficient per
+    state digit) on all p^m states, packed one residue per slot of
+    _slot_bits(p) bits, first form lowest.
+
+    The states with digit j equal to d are the states below p^j plus
+    d * e_j, so the code is built digit by digit from its values on unit
+    states.  Over GF(2) that is one XOR per state.  Over GF(p) every slot is
+    reduced mod p by one compare-and-subtract, done on all slots at once:
+    adding 2^g - p to a slot sets its guard bit g exactly when the slot
+    holds p or more.  Nothing divides.
     """
-    out: list[tuple[np.ndarray, int]] = []
-    cur = None
-    bound = 1
-    for k in keys:
-        b = int(k.max()) + 1 if k.size else 1
-        if b <= 1:
-            continue
-        if cur is None:
-            cur, bound = k, b
-        elif bound <= (1 << 62) // b:
-            cur = cur * b + k
-            bound *= b
+    code = np.zeros(p ** m, dtype=np.int64)
+    w = _slot_bits(p)
+    shifts = np.arange(len(forms), dtype=np.int64) * w
+    g = w - 1
+    lift = int(np.sum(((1 << g) - p) << shifts))
+    guards = int(np.sum(1 << (shifts + g)))
+    h = 1
+    for j in range(m):
+        # the code's values on d * e_j for d = 1 .. p-1
+        units = ((np.arange(1, p)[:, None] * forms[:, j]) % p << shifts).sum(axis=1)
+        block = code[h:p * h].reshape(p - 1, h)
+        if p == 2:
+            np.bitwise_xor(code[:h], units[:, None], out=block)
         else:
-            out.append((cur, bound))
-            cur, bound = k, b
-    if cur is not None:
-        out.append((cur, bound))
-    return out
+            np.add(code[:h], units[:, None], out=block)
+            over = block + lift
+            over &= guards
+            over >>= g
+            over *= p
+            block -= over
+        h *= p
+    return code
 
 
-def _run_lengths(sorted_arr: np.ndarray) -> np.ndarray:
-    n = sorted_arr.shape[0]
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    return np.diff(starts, append=n)
+def _renumber(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense order-preserving renumbering of a code, and its bit width."""
+    values, dense = np.unique(code, return_inverse=True)
+    return dense, (len(values) - 1).bit_length()
 
 
-def _group_counts(keys: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Sizes of the groups of equal key tuples over n states."""
-    folded = _fold_words(keys)
-    if not folded:
-        return np.array([n], dtype=np.int64)
-    if len(folded) == 1:
-        return _run_lengths(np.sort(folded[0][0]))
-    order = np.lexsort(tuple(w for w, _ in folded))
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for w, _ in folded:
-        ws = w[order]
-        change[1:] |= ws[1:] != ws[:-1]
-    starts = np.flatnonzero(change)
-    return np.diff(np.append(starts, n))
+def state_code(p: int, m: int, forms: np.ndarray) -> tuple[np.ndarray, int]:
+    """(code, bits): an int64 code below 2^bits on all p^m states, equal on
+    two states exactly when every linear form (row of `forms`) takes equal
+    values on them, and 0 exactly where every form vanishes.
+
+    Form i's value sits in bits [i*w, (i+1)*w), w = 1 over GF(2) and
+    bit_length(p - 1) + 1 otherwise, while all forms fit in 62 bits.  Past
+    that, the code so far is renumbered densely (below the state count)
+    and packing goes on; renumbering keeps 0, the code of state 0.
+    """
+    w = _slot_bits(p)
+    take = _CODE_BITS // w
+    code, bits = _expand(p, m, forms[:take]), w * len(forms[:take])
+    forms = forms[take:]
+    while len(forms):
+        code, bits = _renumber(code)
+        head = forms[:(_CODE_BITS - bits) // w]
+        code = (code << (w * len(head))) | _expand(p, m, head)
+        bits += w * len(head)
+        forms = forms[len(head):]
+    return code, bits
 
 
-def group_stats(view_keys: Sequence[np.ndarray], extra_keys: Sequence[np.ndarray],
-                n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group sizes of `view` and of `(view, extra)` jointly, in one sort
-    whenever everything folds into a single word."""
-    vf = _fold_words(view_keys)
-    ef = _fold_words(extra_keys)
-    if len(vf) <= 1 and len(ef) <= 1:
-        if not vf and not ef:
-            one = np.array([n], dtype=np.int64)
-            return one, one
-        if not ef:
-            counts = _run_lengths(np.sort(vf[0][0]))
-            return counts, counts
-        if not vf:
-            return np.array([n], dtype=np.int64), _run_lengths(np.sort(ef[0][0]))
-        (v, vb), (e, eb) = vf[0], ef[0]
-        if vb <= (1 << 62) // eb:
-            s = np.sort(v * eb + e)
-            return _run_lengths(s // eb), _run_lengths(s)
-    return (_group_counts(view_keys, n),
-            _group_counts(list(view_keys) + list(extra_keys), n))
+def group_stats(joint: np.ndarray, msg_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(view group sizes, joint group sizes) from one in-place sort of the
+    joint code, whose low `msg_bits` bits hold the message and the rest
+    the view.  Joint groups come in view order, each view's consecutively."""
+    joint.sort()
+    n = joint.shape[0]
+    step = joint[1:] ^ joint[:-1]
+    starts = np.empty(n + 1, dtype=bool)   # a group starts at i; i = n closes the last
+    starts[0] = starts[n] = True
+    np.not_equal(step, 0, out=starts[1:n])
+    edges = np.flatnonzero(starts)
+    joint_counts = edges[1:] - edges[:-1]
+    np.greater_equal(step, 1 << msg_bits, out=starts[1:n])
+    edges = np.flatnonzero(starts)
+    return edges[1:] - edges[:-1], joint_counts
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
+def _entropy_bits(counts: np.ndarray, n: int) -> float:
     return math.log2(n) - float(np.sum(counts * np.log2(counts))) / n
 
 
-def counting_entropy_bits(keys: Sequence[np.ndarray], n: int) -> float:
-    """Shannon entropy (bits) of the empirical distribution of key tuples
-    over the n equally likely states."""
-    return _entropy_from_counts(_group_counts(keys, n), n)
+@dataclass(frozen=True)
+class GroupCounts:
+    """State counts per view and per (view, message) over equally likely
+    states, messages uniform over `messages` values."""
+
+    view: np.ndarray
+    joint: np.ndarray
+    messages: int
+
+    def decodes(self) -> bool:
+        """Every view determines the message."""
+        return len(self.joint) == len(self.view)
+
+    def independent(self) -> bool:
+        """The view tells nothing about the message, decided on integers:
+        every view group splits into one equal group per message value."""
+        q = self.messages
+        return (len(self.joint) == q * len(self.view)
+                and bool(np.all(self.joint.reshape(-1, q) * q == self.view[:, None])))
+
+    def leakage_bits(self) -> float:
+        """Mutual information of view and message in bits (display only)."""
+        n = int(self.view.sum())
+        return (math.log2(self.messages) + _entropy_bits(self.view, n)
+                - _entropy_bits(self.joint, n))
 
 
-def counting_distinct(keys: Sequence[np.ndarray], n: int) -> int:
-    return len(_group_counts(keys, n))
+def message_groups(p: int, m: int, view_forms: np.ndarray, lo: int, hi: int) -> GroupCounts:
+    """Group counts of a view given by linear forms over the p^m states
+    against the message held in state digits lo..hi-1."""
+    q = p ** (hi - lo)
+    msg_bits = (q - 1).bit_length()
+    code, bits = state_code(p, m, view_forms)
+    if bits + msg_bits > _CODE_BITS:
+        code, bits = _renumber(code)
+    code <<= msg_bits
+    by_digits = code.reshape(p ** (m - hi), q, p ** lo)   # a view of code
+    by_digits |= np.arange(q, dtype=np.int64)[:, None]
+    view_counts, joint_counts = group_stats(code, msg_bits)
+    return GroupCounts(view=view_counts, joint=joint_counts, messages=q)
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Brute-force verdicts: counting entropies, no algebraic shortcuts."""
+    """Brute-force verdicts: counting entropies, no algebraic shortcuts.
+
+    `secure` is the exact zero-leakage verdict per eavesdropper, decided on
+    integer counts; `leakage_bits` is for display."""
 
     correct: Mapping[int, bool]
     decode_success: Mapping[int, float]
     leakage_bits: Mapping[int, float]
+    secure: Mapping[int, bool]
     states: int
 
     @property
     def ok(self) -> bool:
-        return (all(self.correct.values())
-                and all(abs(v) < 1e-9 for v in self.leakage_bits.values()))
+        return all(self.correct.values()) and all(self.secure.values())
 
 
 def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleReport:
@@ -533,56 +538,40 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
     if states > cap:
         raise TooLargeError(
             f"p^(L_W + D_used) = {p}^{m} = {states} exceeds the oracle cap {cap}")
-    space = _StateSpace(p, m)
-    coeffs = np.concatenate([scheme.A.array, b[:, used]], axis=1) if scheme.L_X \
-        else np.zeros((0, m), dtype=np.int64)
-    xvals = [space.row_values(coeffs[r]) for r in range(scheme.L_X)]
-    x_words = space.pack(xvals)
-    w_positions = list(range(scheme.L_W))
-    w_words = space.digit_codes(w_positions)
-    h_w = counting_entropy_bits(w_words, space.n)
-
-    col_pos = {col: scheme.L_W + i for i, col in enumerate(used)}
+    x_forms = np.concatenate([scheme.A.array, b[:, used]], axis=1)
+    digit = {col: scheme.L_W + i for i, col in enumerate(used)}
+    unit = np.eye(m + 1, m, dtype=np.int64)   # row m is the zero form
     correct: dict[int, bool] = {}
     success: dict[int, float] = {}
     leakage: dict[int, float] = {}
+    secure: dict[int, bool] = {}
     for k in sorted(scheme.qualified) + sorted(scheme.eavesdroppers):
-        known = [col_pos[c] for c in scheme.known_columns(k) if c in col_pos]
-        view = x_words + space.digit_codes(known)
-        view_counts, joint_counts = group_stats(view, w_words, space.n)
+        # one form per entry of what k holds, [X; S_known]; an unused key
+        # column is zero in B, so the decoder's coefficient on it (a column
+        # of -M1 @ B_known) is zero too and its zero form is exact
+        held = np.concatenate([x_forms, unit[[digit.get(c, m) for c in scheme.known_columns(k)]]])
+        groups = message_groups(p, m, held[held.any(axis=1)], 0, scheme.L_W)
         if k in scheme.qualified:
-            correct[k] = len(joint_counts) == len(view_counts)
-            success[k] = _decode_fraction(scheme, k, space, xvals, col_pos)
+            correct[k] = groups.decodes()
+            success[k] = _decode_success(scheme, k, held)
         else:
-            leakage[k] = (h_w + _entropy_from_counts(view_counts, space.n)
-                          - _entropy_from_counts(joint_counts, space.n))
+            secure[k] = groups.independent()
+            leakage[k] = groups.leakage_bits()
     return OracleReport(correct=correct, decode_success=success,
-                        leakage_bits=leakage, states=states)
+                        leakage_bits=leakage, secure=secure, states=states)
 
 
-def _decode_fraction(scheme: LinearScheme, k: int, space: _StateSpace,
-                     xvals: Sequence[np.ndarray], col_pos: Mapping[int, int]) -> float:
-    """Fraction of states where k's constructed decoder returns W exactly."""
+def _decode_success(scheme: LinearScheme, k: int, held: np.ndarray) -> float:
+    """Fraction of states where k's constructed decoder returns W exactly.
+
+    The decoder's output minus W is linear in the state, so it is evaluated
+    on every state by expanding its values on the unit states.
+    """
     try:
-        m = decoder_for(scheme, k)
+        dec = decoder_for(scheme, k)
     except NotDecodableError:
         return 0.0
-    known = list(scheme.known_columns(k))
-    marr = m.array
-    p = scheme.p
-    match = np.ones(space.n, dtype=bool)
-    for i in range(scheme.L_W):
-        acc = np.zeros(space.n, dtype=np.int64)
-        for r in range(scheme.L_X):
-            c = int(marr[i, r])
-            if c:
-                acc += c * xvals[r]
-        for j, col in enumerate(known):
-            c = int(marr[i, scheme.L_X + j])
-            if not c:
-                continue
-            # a nonzero coefficient cannot touch an unused key column:
-            # those columns of B are zero, so M2 = -M1 @ B_known is too
-            acc += c * space.digit(col_pos[col])
-        match &= (acc % p) == space.digit(i)
-    return float(match.mean())
+    f, m = scheme.field, held.shape[1]
+    error = dec @ FMatrix(f, held) - FMatrix(f, np.eye(scheme.L_W, m, dtype=np.int64))
+    code, _ = state_code(scheme.p, m, error.array)
+    return np.count_nonzero(code == 0) / code.shape[0]

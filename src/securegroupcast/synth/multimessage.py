@@ -28,8 +28,7 @@ import numpy as np
 
 from ..fmatrix import FMatrix, hstack, prefix_ranks
 from ..gf import Field
-from ..scheme import (TooLargeError, _StateSpace, _entropy_from_counts,
-                      counting_entropy_bits, group_stats, oracle_cap)
+from ..scheme import TooLargeError, message_groups, oracle_cap
 
 _F2 = Field(2)
 
@@ -144,16 +143,17 @@ def multimessage(sizes: tuple[int, int, int],
 @dataclass(frozen=True)
 class MultiMessageReport:
     """Per-receiver decode verdicts and per-constraint leakage in symbols
-    (algebraic) or bits (oracle)."""
+    (algebraic) or bits (oracle); `secure` holds the exact zero-leakage
+    verdicts."""
 
     correct: Mapping[int, bool]
     leakage: Mapping[str, float]
+    secure: Mapping[str, bool]
     states: Optional[int] = None
 
     @property
     def ok(self) -> bool:
-        return (all(self.correct.values())
-                and all(abs(v) < 1e-9 for v in self.leakage.values()))
+        return all(self.correct.values()) and all(self.secure.values())
 
 
 def _cols(ms: MultiMessageScheme, which: list[int]) -> FMatrix:
@@ -185,7 +185,8 @@ def verify_multimessage(ms: MultiMessageScheme) -> MultiMessageReport:
     together = hstack([ms.A1, ms.A2, ms.A12])
     base, total = prefix_ranks(hstack([ms.B, together]), ms.B.cols)
     leakage["W1W2W12->3"] = total - base
-    return MultiMessageReport(correct=correct, leakage=leakage)
+    return MultiMessageReport(correct=correct, leakage=leakage,
+                              secure={key: v == 0 for key, v in leakage.items()})
 
 
 def oracle_multimessage(ms: MultiMessageScheme,
@@ -199,45 +200,30 @@ def oracle_multimessage(ms: MultiMessageScheme,
     if cap is None:
         cap = oracle_cap()
     r1, r2, r12 = ms.rates
-    l1, l2, l12 = ms.sizes
-    m = r1 + r2 + r12 + l1 + l2 + l12
+    m = r1 + r2 + r12 + sum(ms.sizes)
     states = 1 << m
     if states > cap:
         raise TooLargeError(f"2^{m} states exceeds the oracle cap {cap}")
-    space = _StateSpace(2, m)
-    # digit positions: W1, W2, W12, s1, s2, s12 in order
-    pos_w1 = list(range(0, r1))
-    pos_w2 = list(range(r1, r1 + r2))
-    pos_w12 = list(range(r1 + r2, r1 + r2 + r12))
-    key_base = r1 + r2 + r12
-    coeffs = np.concatenate(
-        [ms.A1.array, ms.A2.array, ms.A12.array, ms.B.array], axis=1)
-    xvals = [space.row_values(coeffs[r]) for r in range(ms.L_X)]
-    x_words = space.pack(xvals)
-    z1 = space.digit_codes([key_base + c for c in ms.key_columns(1)])
-    z2 = space.digit_codes([key_base + c for c in ms.key_columns(2)])
-    w1 = space.digit_codes(pos_w1)
-    w2 = space.digit_codes(pos_w2)
-    w12 = space.digit_codes(pos_w12)
-    n = space.n
+    # state digits W1, W12, W2, then s1, s2, s12: every message set below
+    # is one run of digits
+    x_forms = np.concatenate(
+        [ms.A1.array, ms.A12.array, ms.A2.array, ms.B.array], axis=1)
+    keys = np.eye(m, dtype=np.int64)[r1 + r12 + r2:]
 
-    def mi_bits(msg_words, view_words):
-        hm = counting_entropy_bits(msg_words, n)
-        view_counts, joint_counts = group_stats(view_words, msg_words, n)
-        return (hm + _entropy_from_counts(view_counts, n)
-                - _entropy_from_counts(joint_counts, n))
-
-    def decodes(view_words, msg_words):
-        view_counts, joint_counts = group_stats(view_words, msg_words, n)
-        return len(joint_counts) == len(view_counts)
+    def view(receiver):
+        return np.concatenate([x_forms, keys[ms.key_columns(receiver)]])
 
     correct = {
-        1: decodes(x_words + z1, w1 + w12),
-        2: decodes(x_words + z2, w2 + w12),
+        1: message_groups(2, m, view(1), 0, r1 + r12).decodes(),
+        2: message_groups(2, m, view(2), r1, r1 + r12 + r2).decodes(),
     }
-    leakage = {
-        "W2->1": mi_bits(w2, x_words + z1),
-        "W1->2": mi_bits(w1, x_words + z2),
-        "W1W2W12->3": mi_bits(w1 + w2 + w12, x_words),
+    eavesdropping = {
+        "W2->1": message_groups(2, m, view(1), r1 + r12, r1 + r12 + r2),
+        "W1->2": message_groups(2, m, view(2), 0, r1),
+        "W1W2W12->3": message_groups(2, m, x_forms, 0, r1 + r12 + r2),
     }
-    return MultiMessageReport(correct=correct, leakage=leakage, states=states)
+    return MultiMessageReport(
+        correct=correct,
+        leakage={key: g.leakage_bits() for key, g in eavesdropping.items()},
+        secure={key: g.independent() for key, g in eavesdropping.items()},
+        states=states)

@@ -175,6 +175,32 @@ def test_verify_entry_overflow_exit_code(tmp_path, capsys):
     assert "invalid scheme" in capsys.readouterr().err
 
 
+def test_verify_large_prime_leak_rejected(tmp_path, capsys):
+    # X = [W + a s1 + c a s2 ; b s1 + c b s2]: B's columns are proportional,
+    # so receiver 2, who holds no key, recovers W; int64 products of
+    # residues overflow at this p
+    p, a, b, c = 1099511627791, 987654321987, 123456789123, 555555555555
+    obj = {"p": p, "L": 1, "Lw": 1, "Lx": 2, "K": 2, "qualified": [1],
+           "layout": [{"subset": [1], "width": 2}], "A": [[1], [0]],
+           "B": [[a, c * a % p], [b, c * b % p]], "meta": {}}
+    path = write(tmp_path, "leak.json", obj)
+    assert main(["verify", path]) == EXIT_REJECTED
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["leakage_symbols"] == {"2": 1} and rep["correct"] == {"1": True}
+
+
+@pytest.mark.parametrize("raw", ["abc", "3"])
+def test_verify_bad_oracle_cap_exit_code(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("SGC_ORACLE_CAP", raw)
+    cfg = write(tmp_path, "c.json", ex3_obj())
+    out_path = str(tmp_path / "scheme.json")
+    main(["synth", cfg, "-o", out_path])
+    capsys.readouterr()
+    assert main(["verify", out_path, "--oracle"]) == EXIT_PARSE
+    assert "SGC_ORACLE_CAP must be a power of two" in capsys.readouterr().err
+    assert main(["demo", "region"]) == EXIT_PARSE
+
+
 def test_verify_oversized_oracle_falls_back(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SGC_ORACLE_CAP", "4")
     cfg = write(tmp_path, "c.json", ex3_obj())

@@ -10,6 +10,7 @@ from securegroupcast import (Field, FieldTooSmallError, FMatrix, NoSolutionError
 
 F2 = Field(2)
 F5 = Field(5)
+LARGE_P = 1099511627791   # (p - 1)^2 > 2^63 - 1
 
 
 def M(field, rows):
@@ -24,6 +25,22 @@ def test_rank_empty():
 
 def test_rank_identity():
     assert rank(FMatrix.identity(F2, 3)) == 3
+
+
+def test_rank_large_prime_rank_two_products():
+    # a 3x2 times 2x4 product, built in Python integers, has rank 2 (almost
+    # surely 2, never more); int64 products of these residues overflow
+    rng = np.random.default_rng(5)
+    field = Field(LARGE_P)
+    for _ in range(200):
+        u = [[int(v) for v in rng.integers(1, LARGE_P, 2)] for _ in range(3)]
+        v = [[int(x) for x in rng.integers(1, LARGE_P, 4)] for _ in range(2)]
+        prod = [[sum(u[i][t] * v[t][j] for t in range(2)) % LARGE_P for j in range(4)]
+                for i in range(3)]
+        m = FMatrix(field, prod)
+        assert rank(m) == 2
+        reduced, pivots = rref(m)
+        assert len(pivots) == 2 and not reduced.array[2].any()
 
 
 def test_rank_equal_rows():

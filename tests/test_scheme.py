@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from securegroupcast import (DecodeFailureError, Field, FieldMismatchError,
                              decoder_for, merge_layout, oracle_verify,
                              simulate, verify, verify_correctness,
                              verify_security)
+from securegroupcast.scheme import state_code
 from securegroupcast.synth import component_instance
 
 F2 = Field(2)
 F3 = Field(3)
+LARGE_P = 1099511627791   # (p - 1)^2 > 2^63 - 1
 
 
 def otp(field=F2, key_subset=frozenset({1}), k=2, qualified=frozenset({1})):
@@ -230,6 +234,156 @@ def test_leakage_monotone_in_eavesdropper_knowledge():
         assert verify_security(richer, e) >= verify_security(scheme, e)
 
 
+# -- oracle against a state-by-state reference ----------------------------------
+#
+# The reference walks every (W, S) state, unused key columns included, and
+# evaluates X, each receiver's view and the constructed decoder in Python
+# integers.  It shares no code with the oracle.
+
+
+def digits(s, p, m):
+    return [s // p ** j % p for j in range(m)]
+
+
+def form_values(forms, p, m):
+    return [tuple(sum(c * d for c, d in zip(row, digits(s, p, m))) % p for row in forms)
+            for s in range(p ** m)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 0), (2, 3), (2, 10), (3, 4), (3, 6), (5, 4), (7, 3)])
+def test_state_code_matches_direct_evaluation(p, m):
+    rng = random.Random(p * 1000 + m)
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    for rows in (0, 1, 4, 62 // w, 62 // w + 3, 2 * (62 // w) + 1):
+        forms = np.array([[rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(m)]
+                          for _ in range(rows)], dtype=np.int64).reshape(rows, m)
+        code, bits = state_code(p, m, forms)
+        values = form_values(forms.tolist(), p, m)
+        got = code.tolist()
+        assert len(got) == p ** m and all(0 <= c < 1 << bits for c in got)
+        if rows * w <= 62:
+            assert got == [sum(v << (i * w) for i, v in enumerate(vals)) for vals in values]
+        else:
+            # renumbered: still one code per distinct value tuple
+            assert len(set(zip(got, values))) == len(set(got)) == len(set(values))
+        assert [c == 0 for c in got] == [not any(vals) for vals in values]
+
+
+def group_by_view(n_digits, p, observe):
+    """view -> Counter of messages over all states; observe(state) gives
+    the (view, message) pair seen in one state."""
+    groups = {}
+    for state in product(range(p), repeat=n_digits):
+        view, msg = observe(state)
+        groups.setdefault(view, Counter())[msg] += 1
+    return groups
+
+
+def reference_verdicts(groups, q):
+    """(decodes, independent, leakage bits) from exact per-view counts."""
+    n = sum(sum(c.values()) for c in groups.values())
+    decodes = all(len(c) == 1 for c in groups.values())
+    independent = all(len(c) == q and len(set(c.values())) == 1 for c in groups.values())
+    h_view = -sum(sum(c.values()) / n * math.log2(sum(c.values()) / n)
+                  for c in groups.values())
+    h_joint = -sum(v / n * math.log2(v / n) for c in groups.values() for v in c.values())
+    return decodes, independent, math.log2(q) + h_view - h_joint
+
+
+def reference_oracle(scheme):
+    p, lw = scheme.p, scheme.L_W
+    a, b = scheme.A.tolist(), scheme.B.tolist()
+
+    def evaluate(state):
+        w, s = state[:lw], state[lw:]
+        x = tuple((sum(c * v for c, v in zip(ar, w)) + sum(c * v for c, v in zip(br, s))) % p
+                  for ar, br in zip(a, b))
+        return w, s, x
+
+    correct, success, leakage, secure = {}, {}, {}, {}
+    for k in sorted(scheme.qualified | scheme.eavesdroppers):
+        known = scheme.known_columns(k)
+
+        def observe(state):
+            w, s, x = evaluate(state)
+            return x + tuple(s[c] for c in known), w
+
+        decodes, independent, bits = reference_verdicts(
+            group_by_view(lw + scheme.D, p, observe), p ** lw)
+        if k in scheme.qualified:
+            correct[k] = decodes
+            try:
+                dec = decoder_for(scheme, k).tolist()
+            except NotDecodableError:
+                success[k] = 0.0
+                continue
+            hits = 0
+            for state in product(range(p), repeat=lw + scheme.D):
+                w, s, x = evaluate(state)
+                inp = x + tuple(s[c] for c in known)
+                hits += tuple(sum(c * v for c, v in zip(row, inp)) % p for row in dec) == w
+            success[k] = hits / p ** (lw + scheme.D)
+        else:
+            secure[k], leakage[k] = independent, bits
+    return correct, success, leakage, secure
+
+
+def cross_check_scheme(rng, p):
+    """A random scheme of at most 1024 states; some key columns unused."""
+    field = Field(p)
+    k = rng.randint(2, 4)
+    qualified = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k - 1)))
+    lw, lx = rng.randint(0, 2), rng.randint(0, 3)
+    layout, d = [], 0
+    for _ in range(rng.randint(0, 3)):
+        width = rng.randint(1, 2)
+        if p ** (lw + d + width) > 1024:
+            break
+        layout.append((frozenset(rng.sample(range(1, k + 1), rng.randint(1, k))), width))
+        d += width
+    a = [[rng.randrange(p) for _ in range(lw)] for _ in range(lx)]
+    b = [[rng.randrange(p) for _ in range(d)] for _ in range(lx)]
+    for j in range(d):
+        if rng.random() < 0.2:
+            for row in b:
+                row[j] = 0
+    return LinearScheme(field=field, L=1, K=k, qualified=qualified, layout=tuple(layout),
+                        A=FMatrix(field, np.array(a, dtype=np.int64).reshape(lx, lw)),
+                        B=FMatrix(field, np.array(b, dtype=np.int64).reshape(lx, d)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_oracle_matches_state_by_state_reference(p):
+    rng = random.Random(p * 7919)
+    seen = Counter()
+    for _ in range(40):
+        scheme = cross_check_scheme(rng, p)
+        orc = oracle_verify(scheme)
+        correct, success, leakage, secure = reference_oracle(scheme)
+        used = sum(1 for j in range(scheme.D) if scheme.B.array[:, j].any())
+        assert orc.states == p ** (scheme.L_W + used)
+        assert orc.correct == correct
+        assert orc.decode_success == success
+        assert orc.secure == secure
+        assert orc.leakage_bits.keys() == leakage.keys()
+        for e, bits in leakage.items():
+            assert abs(orc.leakage_bits[e] - bits) < 1e-12
+        assert orc.ok == (all(correct.values()) and all(secure.values()))
+        alg = verify(scheme)
+        assert alg.correct == orc.correct
+        assert {e: v == 0 for e, v in alg.leakage.items()} == orc.secure
+        for e, symbols in alg.leakage.items():
+            assert abs(symbols * math.log2(p) - orc.leakage_bits[e]) < 1e-9
+        seen["no X"] += scheme.L_X == 0
+        seen["no W"] += scheme.L_W == 0
+        seen["unused key"] += used < scheme.D
+        seen["leaks"] += not all(orc.secure.values())
+        seen["undecodable"] += not all(orc.correct.values())
+        seen["ok"] += orc.ok
+    assert all(seen[key] for key in ("no X", "no W", "unused key", "leaks", "undecodable",
+                                     "ok")), seen
+
+
 # -- concatenation -------------------------------------------------------------
 
 def test_concat_two_one_time_pads():
@@ -284,6 +438,20 @@ def test_simulate_empty_message():
     empty = LinearScheme.empty(K=3, qualified={1, 2})
     t = simulate(empty, seed=0)
     assert t.w == () and t.x == ()
+
+
+def test_simulate_large_prime():
+    # products of residues overflow int64 at this p
+    field = Field(LARGE_P)
+    a_, b_, c_ = LARGE_P - 2, LARGE_P // 3, LARGE_P // 5
+    scheme = LinearScheme(
+        field=field, L=1, K=2, qualified=frozenset({1}),
+        layout=((frozenset({1}), 2),), A=FMatrix(field, [[1], [0]]),
+        B=FMatrix(field, [[a_, c_ * a_ % LARGE_P], [b_, c_ * b_ % LARGE_P]]))
+    assert verify(scheme).correct == {1: True}
+    for seed in range(5):
+        t = simulate(scheme, seed=seed)
+        assert t.decoded[1] == t.w
 
 
 def test_simulate_flags_broken_decoder(monkeypatch):
