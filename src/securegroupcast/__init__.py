@@ -11,9 +11,9 @@ exhaustive enumeration.
 """
 
 from .gf import Field, NotPrimeError, field_new, is_prime, least_prime_at_least
-from .fmatrix import (FMatrix, FieldTooSmallError, NoSolutionError, cauchy,
-                      col_space_contains, hstack, prefix_ranks, rank, rref,
-                      solve_right, vstack)
+from .fmatrix import (ColumnRanks, FMatrix, FieldTooSmallError, NoSolutionError,
+                      cauchy, col_space_contains, hstack, prefix_ranks, rank,
+                      rref, solve_right, vstack)
 from .keyspace import (KeyCollection, KeyConfig, WrongShapeError,
                        canonical_relabel, entropy_of, invert_perm,
                        is_symmetric, mask_of, mutual_info, normalize_labels,

@@ -2,14 +2,17 @@
 column-space membership, and Cauchy matrix construction.
 
 Matrices are immutable; numpy supplies storage and elementwise ops while
-all arithmetic stays exact (integer residues mod p).  Gaussian elimination
-uses first-nonzero pivoting, which is all that is needed at desk scale.
-A packed-bitset fast path handles the p = 2 rank computations that
-dominate scheme verification sweeps.
+all arithmetic stays exact (integer residues mod p).  One Gaussian
+elimination loop with first-nonzero pivoting, which is all that is needed
+at desk scale, serves ranks and reduced echelon forms.  A packed-bitset
+fast path handles the p = 2 rank computations that dominate scheme
+verification sweeps, and ColumnRanks answers many column-subset rank
+queries on one matrix from a single echelon form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,7 +119,8 @@ class FMatrix:
         self._check_field(other)
         if other._a.shape != self._a.shape:
             raise ValueError("shape mismatch in add")
-        return FMatrix(self.field, (self._a + other._a) % self.field.p)
+        # a - (p - b) lies in (-p, p), so it cannot wrap in int64 as a + b can
+        return FMatrix(self.field, (self._a - (self.field.p - other._a)) % self.field.p)
 
     def __sub__(self, other: "FMatrix") -> "FMatrix":
         self._check_field(other)
@@ -181,64 +185,78 @@ def _work_copy(arr: np.ndarray, p: int) -> np.ndarray:
     return arr.astype(object) if (p - 1) ** 2 > INT64_MAX else arr.copy()
 
 
-def _prefix_ranks_gf2(arr: np.ndarray, split: int) -> tuple[int, int]:
-    """(rank of the first `split` columns, rank of all) over GF(2).
+def _eliminate(a: np.ndarray, p: int, reduce: bool) -> list[int]:
+    """Gaussian elimination of `a` in place over GF(p); returns the pivot
+    columns.
 
-    Rows are packed into Python ints (bit j = column j) and reduced
-    left-to-right, so pivots in columns < split count the prefix rank.
+    Each column pivots on its first nonzero entry at or below the next
+    free row.  Every pivot row is scaled to a leading 1 and cleared from the
+    rows below it, and with `reduce` from the rows above it too, which
+    leaves the reduced row echelon form.  The pivot row and the rows below
+    it are zero left of the current column, so swaps and updates touch
+    only columns col onwards.
     """
-    rows, cols = arr.shape
-    if rows == 0 or cols == 0:
-        return 0, 0
-    packed = []
+    rows, cols = a.shape
+    pivots: list[int] = []
+    lead = 0
+    for col in range(cols):
+        if lead == rows:
+            break
+        nonzero = a[lead:, col].nonzero()[0]
+        if not nonzero.size:
+            continue
+        piv = lead + int(nonzero[0])
+        if piv != lead:
+            top = a[lead, col:].copy()
+            a[lead, col:] = a[piv, col:]
+            a[piv, col:] = top
+        row = a[lead, col:]
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        if reduce:
+            block = a[:, col:]
+            factors = block[:, :1].copy()
+            factors[lead] = 0   # the pivot row stays
+        else:
+            block = a[lead + 1:, col:]
+            factors = block[:, :1]
+        block -= factors * row
+        block %= p
+        pivots.append(col)
+        lead += 1
+    return pivots
+
+
+def _pack_rows(arr: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as Python ints, bit j = column j."""
     bits = np.packbits(arr.astype(np.uint8), axis=1, bitorder="little")
-    for i in range(rows):
-        packed.append(int.from_bytes(bits[i].tobytes(), "little"))
-    pivots: dict[int, int] = {}  # pivot bit index -> row value
-    prefix = total = 0
-    for v in packed:
+    return [int.from_bytes(r.tobytes(), "little") for r in bits]
+
+
+def _gf2_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Packed GF(2) rows reduced to a basis keyed by distinct lowest set
+    bits: pivot column -> row."""
+    basis: dict[int, int] = {}
+    for v in rows:
         while v:
             low = (v & -v).bit_length() - 1
-            piv = pivots.get(low)
+            piv = basis.get(low)
             if piv is None:
-                pivots[low] = v
-                total += 1
-                if low < split:
-                    prefix += 1
+                basis[low] = v
                 break
             v ^= piv
-    return prefix, total
+    return basis
 
 
-def _prefix_ranks_generic(arr: np.ndarray, p: int, split: int) -> tuple[int, int]:
-    """Left-to-right elimination over GF(p); returns (prefix rank, rank)."""
-    a = _work_copy(arr, p)
-    rows, cols = a.shape
-    lead = 0
-    prefix = total = 0
-    for col in range(cols):
-        if lead >= rows:
-            break
-        piv = None
-        for i in range(lead, rows):
-            if a[i, col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != lead:
-            a[[lead, piv]] = a[[piv, lead]]
-        inv = pow(int(a[lead, col]), p - 2, p)
-        a[lead] = a[lead] * inv % p
-        below = a[lead + 1:, col] != 0
-        if below.any():
-            rows_b = a[lead + 1:][below]
-            a[lead + 1:][below] = (rows_b - np.outer(rows_b[:, col], a[lead])) % p
-        total += 1
-        if col < split:
-            prefix += 1
-        lead += 1
-    return prefix, total
+def _gf2_prefix_ranks(rows: Iterable[int], split: int) -> tuple[int, int]:
+    """(rank of the bits below `split`, rank of all) of packed GF(2) rows.
+
+    Basis rows with a pivot at or past split are zero below it, and the
+    others stay independent below it, so pivots below split count the
+    prefix rank.
+    """
+    basis = _gf2_echelon(rows)
+    return sum(c < split for c in basis), len(basis)
 
 
 def prefix_ranks(m: FMatrix, split: int) -> tuple[int, int]:
@@ -249,9 +267,11 @@ def prefix_ranks(m: FMatrix, split: int) -> tuple[int, int]:
     """
     if not 0 <= split <= m.cols:
         raise ValueError(f"split {split} outside [0, {m.cols}]")
-    if m.field.p == 2:
-        return _prefix_ranks_gf2(m.array, split)
-    return _prefix_ranks_generic(m.array, m.field.p, split)
+    p = m.field.p
+    if p == 2:
+        return _gf2_prefix_ranks(_pack_rows(m.array), split)
+    pivots = _eliminate(_work_copy(m.array, p), p, reduce=False)
+    return bisect_left(pivots, split), len(pivots)
 
 
 def rank(m: FMatrix) -> int:
@@ -261,33 +281,74 @@ def rank(m: FMatrix) -> int:
 
 def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    p = m.field.p
-    a = _work_copy(m.array, p)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    lead = 0
-    for col in range(cols):
-        if lead >= rows:
-            break
-        piv = None
-        for i in range(lead, rows):
-            if a[i, col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != lead:
-            a[[lead, piv]] = a[[piv, lead]]
-        inv = pow(int(a[lead, col]), p - 2, p)
-        a[lead] = a[lead] * inv % p
-        others = a[:, col] != 0
-        others[lead] = False
-        if others.any():
-            rows_o = a[others]
-            a[others] = (rows_o - np.outer(rows_o[:, col], a[lead])) % p
-        pivots.append(col)
-        lead += 1
+    a = _work_copy(m.array, m.field.p)
+    pivots = _eliminate(a, m.field.p, reduce=True)
     return FMatrix(m.field, a), tuple(pivots)
+
+
+class ColumnRanks:
+    """Ranks of column subsets of one matrix M, read off a single echelon
+    form of M.
+
+    Row operations keep the rank of every column subset, so M is reduced
+    once to its reduced row echelon form R with pivot columns P.  For
+    columns S, let I be the pivot rows of the columns in S ∩ P: those
+    columns of R are unit vectors on I and zero elsewhere, so
+    rank(M[:, S]) = |I| + rank(R[not I, S minus P]).  `ranks` applies this
+    to S = left and to S = left + right with the same I, and reads both
+    residual ranks from one prefix-rank pass.
+
+    Over GF(p) the echelon rows are a numpy array.  Over GF(2) they are
+    packed Python ints (bit j = column j); a residual row is then
+    `row & mask`, since R is zero on P outside the pivot rows.
+    """
+
+    def __init__(self, m: FMatrix):
+        self.field = m.field
+        if m.field.p == 2:
+            basis = _gf2_echelon(_pack_rows(m.array))
+            done: list[int] = []   # pivots whose rows are zero on the other pivots
+            for c in sorted(basis, reverse=True):
+                v = basis[c]
+                for later in done:
+                    if v >> later & 1:
+                        v ^= basis[later]
+                basis[c] = v
+                done.append(c)
+            self._rows = basis
+        else:
+            reduced, pivots = rref(m)
+            self._rows = reduced.array[:len(pivots)]
+            self._pivot_row = {c: i for i, c in enumerate(pivots)}
+
+    def ranks(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, int]:
+        """(rank of M[:, left], rank of M[:, left + right]) for disjoint
+        column lists."""
+        if self.field.p == 2:
+            return self._gf2_ranks(left, right)
+        held = [self._pivot_row[c] for c in left if c in self._pivot_row]
+        free = [c for c in left if c not in self._pivot_row]
+        rest = np.delete(self._rows, held, axis=0)
+        block = FMatrix(self.field, rest[:, free + list(right)])
+        base, total = prefix_ranks(block, len(free))
+        return len(held) + base, len(held) + total
+
+    def _gf2_ranks(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, int]:
+        if left and right and max(left) > min(right):
+            # the prefix count needs every left bit below every right bit
+            return (self._gf2_ranks(left, ())[0],
+                    self._gf2_ranks(list(left) + list(right), ())[1])
+        left_mask = right_mask = 0
+        for c in left:
+            left_mask |= 1 << c
+        for c in right:
+            right_mask |= 1 << c
+        held = sum(1 for c in self._rows if left_mask >> c & 1)
+        mask = left_mask | right_mask
+        base, total = _gf2_prefix_ranks(
+            (v & mask for c, v in self._rows.items() if not left_mask >> c & 1),
+            left_mask.bit_length())
+        return held + base, held + total
 
 
 def solve_right(a: FMatrix, b: FMatrix) -> FMatrix:
@@ -327,7 +388,9 @@ def cauchy(rows: int, cols: int, field: Field) -> FMatrix:
     Evaluation points are fixed as a_i = i and b_j = rows + j, so the
     construction is deterministic; rows + cols <= p guarantees all points
     are distinct.  Every square submatrix of the result is nonsingular,
-    which is the MDS property the scheme builders rely on.
+    which is the MDS property the scheme builders rely on.  An entry
+    depends only on i - j, so each of the rows + cols - 1 distinct
+    inverses is computed once.
     """
     if rows < 0 or cols < 0:
         raise ValueError("negative dimensions")
@@ -335,8 +398,7 @@ def cauchy(rows: int, cols: int, field: Field) -> FMatrix:
         raise FieldTooSmallError(
             f"need {rows + cols} distinct points but GF({field.p}) has only {field.p}")
     p = field.p
-    a = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            a[i, j] = pow((i - rows - j) % p, p - 2, p)
-    return FMatrix(field, a)
+    # inverse of (i - rows - j) mod p, stored at i - j + cols - 1
+    inverses = np.array([pow(d % p, p - 2, p) for d in range(-rows - cols + 1, 0)],
+                        dtype=np.int64)
+    return FMatrix(field, inverses[np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1])

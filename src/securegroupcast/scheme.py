@@ -11,7 +11,13 @@ Verification is exact, never statistical:
   independent keys and a linear map, receiver k's residual view is
   A @ W + B_unk @ S_unk, so k decodes iff the columns of A are independent
   modulo the column space of B_unk, and an eavesdropper's information
-  about W is exactly rank([B_unk | A]) - rank(B_unk) symbols;
+  about W is exactly rank([B_unk | A]) - rank(B_unk) symbols.  All these
+  ranks are of column subsets of one matrix M = [B | A], so M is reduced
+  once per scheme to its reduced echelon form R with pivot columns P.  With
+  U receiver k's unknown key columns and I the pivot rows of U ∩ P,
+  rank(B_unk) = |I| + rank(R[not I, U minus P]) and
+  rank([B_unk | A]) = |I| + rank(R[not I, (U minus P) + A]), both read from
+  one prefix-rank pass over that small residual block;
 * an independent brute-force oracle enumerates every (W, S) state, counts
   the joint distributions and reports mutual information in bits and
   decode success directly, with no linear-algebra shortcuts.
@@ -24,11 +30,12 @@ import os
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import INT64_MAX, FMatrix, hstack, prefix_ranks, solve_right, vstack
+from .fmatrix import INT64_MAX, ColumnRanks, FMatrix, hstack, solve_right, vstack
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -121,6 +128,11 @@ class LinearScheme:
     def eavesdroppers(self) -> frozenset[int]:
         return frozenset(range(1, self.K + 1)) - self.qualified
 
+    @cached_property
+    def column_ranks(self) -> ColumnRanks:
+        """The echelon form of [B | A] that every receiver's rank test reads."""
+        return ColumnRanks(hstack([self.B, self.A]))
+
     # -- key layout ------------------------------------------------------
 
     def segments(self) -> list[tuple[frozenset[int], int, int]]:
@@ -134,17 +146,16 @@ class LinearScheme:
 
     def known_columns(self, k: int) -> tuple[int, ...]:
         """Columns of B (key symbols) held by receiver k."""
-        if not 1 <= k <= self.K:
-            raise ValueError(f"receiver {k} outside [1..{self.K}]")
-        cols = []
-        for subset, start, width in self.segments():
-            if k in subset:
-                cols.extend(range(start, start + width))
-        return tuple(cols)
+        return self._columns(k, True)
 
     def unknown_columns(self, k: int) -> tuple[int, ...]:
-        known = set(self.known_columns(k))
-        return tuple(j for j in range(self.D) if j not in known)
+        return self._columns(k, False)
+
+    def _columns(self, k: int, known: bool) -> tuple[int, ...]:
+        if not 1 <= k <= self.K:
+            raise ValueError(f"receiver {k} outside [1..{self.K}]")
+        return tuple(c for subset, start, width in self.segments() if (k in subset) == known
+                     for c in range(start, start + width))
 
     def relabeled(self, perm: Mapping[int, int]) -> "LinearScheme":
         """Apply a receiver permutation (old label -> new label)."""
@@ -179,11 +190,9 @@ class VerifyReport:
 
 
 def _residual_ranks(scheme: LinearScheme, k: int) -> tuple[int, int]:
-    """(rank of B_unk, rank of [B_unk | A]) for receiver k, in one pass."""
-    unk = scheme.unknown_columns(k)
-    b_unk = FMatrix(scheme.field, scheme.B.array[:, list(unk)]
-                    if unk else np.zeros((scheme.L_X, 0), dtype=np.int64))
-    return prefix_ranks(hstack([b_unk, scheme.A]), b_unk.cols)
+    """(rank of B_unk, rank of [B_unk | A]) for receiver k."""
+    return scheme.column_ranks.ranks(scheme.unknown_columns(k),
+                                     range(scheme.D, scheme.D + scheme.L_W))
 
 
 def verify_correctness(scheme: LinearScheme, k: int) -> bool:

@@ -1,12 +1,13 @@
+import random
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securegroupcast import (Field, FieldTooSmallError, FMatrix, NoSolutionError,
-                             cauchy, col_space_contains, hstack, prefix_ranks,
-                             rank, rref, solve_right, vstack)
+from securegroupcast import (ColumnRanks, Field, FieldTooSmallError, FMatrix,
+                             NoSolutionError, cauchy, col_space_contains, hstack,
+                             prefix_ranks, rank, rref, solve_right, vstack)
 
 F2 = Field(2)
 F5 = Field(5)
@@ -43,6 +44,17 @@ def test_rank_large_prime_rank_two_products():
         assert len(pivots) == 2 and not reduced.array[2].any()
 
 
+def test_add_large_prime_does_not_wrap():
+    # p > 2^62: (p - 1) + (p - 2) wraps in int64 if added before reducing
+    p = (1 << 63) - 25
+    field = Field(p)
+    assert (FMatrix(field, [[p - 1]]) + FMatrix(field, [[p - 2]])).entry(0, 0) == p - 3
+    rng = np.random.default_rng(11)
+    a, b = rng.integers(0, p, (2, 4, 5), dtype=np.int64)
+    got = (FMatrix(field, a) + FMatrix(field, b)).tolist()
+    assert got == [[(int(x) + int(y)) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def test_rank_equal_rows():
     assert rank(M(F2, [[1, 1], [1, 1]])) == 1
 
@@ -69,6 +81,74 @@ def test_prefix_ranks_match_independent_ranks(p, r, c1, c2, data):
     left = FMatrix(f, m.array[:, :c1])
     got = prefix_ranks(m, c1)
     assert got == (rank(left), rank(m))
+
+
+# -- elimination against a Python-int reference ---------------------------------
+
+def reference_rref(rows, cols, p):
+    """Gauss-Jordan elimination on lists of Python ints: (reduced rows, pivots)."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(cols):
+        lead = len(pivots)
+        piv = next((i for i in range(lead, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[lead], a[piv] = a[piv], a[lead]
+        inv = pow(a[lead][col], p - 2, p)
+        a[lead] = [v * inv % p for v in a[lead]]
+        for i in range(len(a)):
+            if i != lead and a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[lead])]
+        pivots.append(col)
+    return a, pivots
+
+
+def low_rank_rows(rng, p, rows, cols, r):
+    """A rows x cols matrix of rank at most r, multiplied out in Python ints."""
+    u = [[rng.randrange(p) for _ in range(r)] for _ in range(rows)]
+    v = [[rng.randrange(p) for _ in range(cols)] for _ in range(r)]
+    return [[sum(x * y for x, y in zip(ur, vc)) % p for vc in zip(*v)] if r else [0] * cols
+            for ur in u]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 173, LARGE_P])
+def test_elimination_matches_python_int_reference(p):
+    rng = random.Random(p)
+    field = Field(p)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        entries = low_rank_rows(rng, p, rows, cols, rng.randint(0, min(rows, cols)))
+        for j in range(cols):
+            if rng.random() < 0.2:
+                for row in entries:
+                    row[j] = 0
+        m = FMatrix(field, np.array(entries, dtype=np.int64).reshape(rows, cols))
+        reduced, pivots = reference_rref(entries, cols, p)
+        got, got_pivots = rref(m)
+        assert got.tolist() == reduced and list(got_pivots) == pivots
+        for split in range(cols + 1):
+            left = len(reference_rref([r[:split] for r in entries], split, p)[1])
+            assert prefix_ranks(m, split) == (left, len(pivots))
+
+
+# -- ranks of column subsets from one echelon form ------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 173, LARGE_P]), st.integers(0, 5), st.integers(0, 7),
+       st.data())
+def test_column_ranks_match_gathered_ranks(p, r, c, data):
+    f = Field(p)
+    entries = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
+                                 min_size=r * c, max_size=r * c))
+    m = FMatrix(f, np.array(entries, dtype=np.int64).reshape(r, c))
+    cols = data.draw(st.permutations(range(c)))
+    cut = data.draw(st.integers(0, c))
+    end = data.draw(st.integers(cut, c))
+    left, right = list(cols[:cut]), list(cols[cut:end])
+    got = ColumnRanks(m).ranks(left, right)
+    assert got == (rank(FMatrix(f, m.array[:, left])), rank(FMatrix(f, m.array[:, left + right])))
 
 
 # -- rref / solve ------------------------------------------------------------
@@ -168,6 +248,18 @@ def test_cauchy_2x2_gf5_all_submatrices_nonsingular():
     for i, j in product(range(2), repeat=2):
         assert m.entry(i, j) != 0
     assert rank(m) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 173, LARGE_P])
+def test_cauchy_matches_entry_definition(p):
+    f = Field(p)
+    for r, c in [(0, 0), (0, 2), (2, 0), (1, 1), (1, 4), (4, 1), (3, 5), (6, 6), (9, 4)]:
+        if r + c > p:
+            continue
+        m = cauchy(r, c, f)
+        assert (m.rows, m.cols) == (r, c)
+        assert m.tolist() == [[pow((i - r - j) % p, p - 2, p) for j in range(c)]
+                              for i in range(r)]
 
 
 def test_cauchy_field_too_small():

@@ -6,12 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from securegroupcast import (DecodeFailureError, Field, FieldMismatchError,
                              FMatrix, LinearScheme, NotDecodableError,
                              ShapeMismatchError, TooLargeError, concat,
-                             decoder_for, merge_layout, oracle_verify,
-                             simulate, verify, verify_correctness,
-                             verify_security)
+                             decoder_for, hstack, merge_layout, oracle_verify,
+                             prefix_ranks, rank, rref, simulate, verify,
+                             verify_correctness, verify_security)
 from securegroupcast.scheme import state_code
 from securegroupcast.synth import component_instance
 
@@ -232,6 +234,103 @@ def test_leakage_monotone_in_eavesdropper_knowledge():
                               qualified=scheme.qualified, layout=tuple(grown),
                               A=scheme.A, B=scheme.B)
         assert verify_security(richer, e) >= verify_security(scheme, e)
+
+
+# -- shared echelon form against one elimination per receiver --------------------
+#
+# verify reads every receiver's (rank B_unk, rank [B_unk | A]) off one echelon
+# form of [B | A]; the direct way gathers [B_unk | A] and eliminates it.
+
+ECHELON_PRIMES = [2, 3, 5, 173, LARGE_P]
+
+
+def direct_ranks(scheme, k):
+    unk = list(scheme.unknown_columns(k))
+    gathered = hstack([FMatrix(scheme.field, scheme.B.array[:, unk]), scheme.A])
+    return prefix_ranks(gathered, len(unk))
+
+
+def echelon_scheme(rng, p):
+    """A random scheme whose B is often rank-deficient (a low-rank product,
+    some zero columns) and whose A may or may not lie in B's column space."""
+    field = Field(p)
+    k = rng.randint(2, 5)
+    qualified = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k - 1)))
+    layout = tuple((frozenset(rng.sample(range(1, k + 1), rng.randint(1, k))), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 4)))
+    d = sum(w for _, w in layout)
+    lx, lw = rng.randint(0, 6), rng.randint(0, 3)
+    r = rng.randint(0, min(lx, d))
+    u = [[rng.randrange(p) for _ in range(r)] for _ in range(lx)]
+    v = [[rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(d)] for _ in range(r)]
+    b = [[sum(x * y for x, y in zip(ur, vc)) % p for vc in zip(*v)] if r else [0] * d
+         for ur in u]
+    if rng.random() < 0.5:   # A inside the column space of B
+        mix = [[rng.randrange(p) for _ in range(lw)] for _ in range(d)]
+        a = [[sum(x * y for x, y in zip(br, mc)) % p for mc in zip(*mix)] if d else [0] * lw
+             for br in b]
+    else:
+        a = [[rng.randrange(p) for _ in range(lw)] for _ in range(lx)]
+    return LinearScheme(field=field, L=1, K=k, qualified=qualified, layout=layout,
+                        A=FMatrix(field, np.array(a, dtype=np.int64).reshape(lx, lw)),
+                        B=FMatrix(field, np.array(b, dtype=np.int64).reshape(lx, d)))
+
+
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
+def test_shared_echelon_ranks_match_direct_ranks(p):
+    rng = random.Random(p * 31)
+    seen = Counter()
+    for _ in range(120):
+        scheme = echelon_scheme(rng, p)
+        pivots = set(rref(hstack([scheme.B, scheme.A]))[1])
+        for k in range(1, scheme.K + 1):
+            unk = scheme.unknown_columns(k)
+            expect = direct_ranks(scheme, k)
+            assert scheme.column_ranks.ranks(unk, range(scheme.D, scheme.D + scheme.L_W)) == expect
+            if k in scheme.qualified:
+                assert verify_correctness(scheme, k) == (expect[1] - expect[0] == scheme.L_W)
+            else:
+                assert verify_security(scheme, k) == expect[1] - expect[0]
+            seen["empty unknown set"] += not unk
+            # a nonzero B whose pivots all lie in key columns k holds
+            seen["unknown set without pivots"] += (bool(unk) and not pivots & set(unk)
+                                                   and bool(scheme.B.array.any()))
+        seen["rank-deficient B"] += rank(scheme.B) < min(scheme.L_X, scheme.D)
+        seen["pivot inside A"] += any(c >= scheme.D for c in pivots)
+        seen["L_W = 0"] += scheme.L_W == 0
+    assert all(seen[key] >= 10 for key in (
+        "empty unknown set", "unknown set without pivots", "rank-deficient B",
+        "pivot inside A", "L_W = 0")), seen
+
+
+@st.composite
+def drawn_schemes(draw):
+    p = draw(st.sampled_from(ECHELON_PRIMES))
+    field = Field(p)
+    k = draw(st.integers(2, 5))
+    members = st.sampled_from(range(1, k + 1))
+    qualified = draw(st.frozensets(members, min_size=1, max_size=k - 1))
+    layout = tuple(draw(st.lists(st.tuples(st.frozensets(members, min_size=1), st.integers(1, 3)),
+                                 max_size=4)))
+    d = sum(w for _, w in layout)
+    lx, lw = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    a, b = (draw(st.lists(entry, min_size=lx * n, max_size=lx * n)) for n in (lw, d))
+    return LinearScheme(field=field, L=1, K=k, qualified=qualified, layout=layout,
+                        A=FMatrix(field, np.array(a, dtype=np.int64).reshape(lx, lw)),
+                        B=FMatrix(field, np.array(b, dtype=np.int64).reshape(lx, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_schemes())
+def test_shared_echelon_ranks_match_direct_ranks_drawn(scheme):
+    report = verify(scheme)
+    for k in range(1, scheme.K + 1):
+        base, total = direct_ranks(scheme, k)
+        if k in scheme.qualified:
+            assert report.correct[k] == (total - base == scheme.L_W)
+        else:
+            assert report.leakage[k] == total - base
 
 
 # -- oracle against a state-by-state reference ----------------------------------
