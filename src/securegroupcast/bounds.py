@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb
+from operator import add
 from typing import Optional, Union
 
 from . import keyspace
@@ -97,60 +99,35 @@ class BoundsReport:
     gap: bool
 
 
-def _eavesdropper_tables(config: KeyConfig):
-    """Yield (e, w, a) for each eavesdropper e, ascending.
+def _subset_sums(w: tuple[int, ...], n: int) -> list[int]:
+    """Zeta transform: f[S] = sum of w[t] over t subset of S, len(w) = 2^n.
 
-    The qualified receivers q_1 < ... < q_N are renumbered as local bits
-    0..N-1.  w[t] is the total size of the keys U that e does not hold
-    with U cap qualified = t (in local bits); keys held by no qualified
-    receiver are left out.  a[i] = sum over t containing i of w[t], which
-    is H(z_{q_i} | z_e) by key independence.  One pass over the keys per
-    eavesdropper.
+    Each round adds the even entries into the odd ones (the transform
+    over the lowest index bit) and moves the odd entries to the back,
+    which rotates the index bits; after n rounds they are back in place.
     """
-    qualified = sorted(config.qualified)
-    n = len(qualified)
-    renumbered: dict[int, int] = {}    # qualified part of a key -> local bits
-    binned = []                        # (mask, size, local bits)
-    for m, size in config.keys.items():
-        hit = m & config.qualified_mask
-        if not hit:
-            continue
-        t = renumbered.get(hit)
-        if t is None:
-            t = renumbered[hit] = sum(1 << i for i, q in enumerate(qualified)
-                                      if hit >> (q - 1) & 1)
-        binned.append((m, size, t))
-    for e in sorted(config.eavesdroppers):
-        ebit = 1 << (e - 1)
-        w = [0] * (1 << n)
-        for m, size, t in binned:
-            if not m & ebit:
-                w[t] += size
-        a = [0] * n
-        for t, wt in enumerate(w):
-            if wt:
-                while t:
-                    low = t & -t
-                    a[low.bit_length() - 1] += wt
-                    t ^= low
-        yield e, w, a
-
-
-def _subset_sums(w: list[int]) -> list[int]:
-    """Zeta transform: f[S] = sum of w[t] over t subset of S."""
     f = list(w)
-    bit = 1
-    while bit < len(f):
-        for s in range(len(f)):
-            if s & bit:
-                f[s] += f[s ^ bit]
-        bit <<= 1
+    for _ in range(n):
+        even = f[0::2]
+        f = even + list(map(add, even, f[1::2]))
     return f
+
+
+@lru_cache(maxsize=None)
+def _groups_by_size(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(size, nonempty masks of that popcount below 2^n) for size 1..n.
+
+    One entry per qualified count n < MAX_RECEIVERS, kept for the process.
+    """
+    by_size: dict[int, list[int]] = {}
+    for q in range(1, 1 << n):
+        by_size.setdefault(q.bit_count(), []).append(q)
+    return tuple((size, tuple(qs)) for size, qs in sorted(by_size.items()))
 
 
 def rate_converse(config: KeyConfig) -> int:
     """min over qualified q, eavesdropper e of H(z_q | z_e), in symbols."""
-    best = min((min(a) for _, _, a in _eavesdropper_tables(config)), default=None)
+    best = min((min(a) for _, _, a in config.eavesdropper_tables), default=None)
     if best is None:
         raise ValueError("need at least one qualified and one eavesdropping receiver")
     return best
@@ -174,7 +151,9 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
     transform of w: the keys missing Q contribute f[~Q] to make up for
     the -1 they do not owe.  So every group costs O(1) after an
     O(N 2^N) transform, and one eavesdropper costs O(#keys + N 2^N).
-    Only the least penalty of each group size |Q| can win.
+    Only the least penalty of each group size |Q| can win.  With
+    R = num/den the search compares the integers |Q| num - penalty(Q) den
+    and builds one Fraction at the end.
 
     The witness is the first maximizer in the order e ascending, then Q
     descending as a mask, with ties kept by the earlier one.  Never
@@ -184,40 +163,37 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
     if rate < 0:
         raise ValueError("rate must be nonnegative")
     rate = Fraction(rate)
-    best = Fraction(0)
-    best_at = None
-    qualified = sorted(config.qualified)
-    for e, w, a in _eavesdropper_tables(config):
-        full = len(w) - 1
-        f = _subset_sums(w)
-        sums = [0] * len(w)            # sums[Q] = sum_{i in Q} a[i]
-        least: dict[int, tuple[int, int]] = {}   # |Q| -> (least penalty + W, largest Q)
-        for q in range(1, full + 1):
-            low = q & -q
-            s = sums[q] = sums[q ^ low] + a[low.bit_length() - 1]
-            pen = s + f[full ^ q]
-            size = q.bit_count()
-            seen = least.get(size)
-            if seen is None or pen <= seen[0]:
-                least[size] = (pen, q)
-        total = f[full]
-        value, q = max((size * rate - (pen - total), q)
-                       for size, (pen, q) in least.items())
+    num, den = rate.numerator, rate.denominator
+    best = 0                           # best value times den
+    best_at = None                     # (e, penalty + W per group mask, W)
+    for e, w, a in config.eavesdropper_tables:
+        n = len(a)
+        f = _subset_sums(w, n)
+        sums = [0]                     # sums[Q] = sum_{i in Q} a[i]
+        for ai in a:
+            sums = sums + list(map(ai.__add__, sums))
+        pens = list(map(add, sums, reversed(f)))   # f[~Q] = f[full - Q]
+        total = f[-1]
+        value = max(size * num - (min(map(pens.__getitem__, qs)) - total) * den
+                    for size, qs in _groups_by_size(n))
         if value > best:
-            best = value
-            best_at = (e, frozenset(qualified[i] for i in range(len(a)) if q >> i & 1))
+            best, best_at = value, (e, pens, total)
     witness = None
     if best_at is not None:
-        e, members = best_at
+        e, pens, total = best_at
+        q = next(q for q in range(len(pens) - 1, 0, -1)
+                 if q.bit_count() * num - (pens[q] - total) * den == best)
+        qualified = sorted(config.qualified)
+        members = frozenset(qualified[i] for i in range(len(qualified)) if q >> i & 1)
         witness = (e, members, tuple(set_of(m) for m in config.receiver_key_masks(e)))
-    return BwBound(value=_as_number(best), heuristic=False, witness=witness)
+    return BwBound(value=_as_number(Fraction(best, den)), heuristic=False, witness=witness)
 
 
 # -- closed-form capacities ----------------------------------------------
 
 def _multicast_beta_star(config: KeyConfig) -> Optional[Number]:
     """Minimum bandwidth at capacity for the single-eavesdropper setting."""
-    ((e, _, conds),) = _eavesdropper_tables(config)
+    ((e, _, conds),) = config.eavesdropper_tables
     if len(set(conds)) == 1:
         return sum(size for m, size in config.key_items() if not m & (1 << (e - 1)))
     if config.K == 4:

@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import synth as synth_mod
 from .fmatrix import FMatrix
 from .gf import Field
-from .keyspace import KeyConfig
+from .keyspace import MAX_RECEIVERS, KeyConfig, set_of
 from .scheme import (LinearScheme, TooLargeError, oracle_cap, oracle_verify, simulate,
                      verify)
 
@@ -60,6 +60,18 @@ def _load_json(path: str) -> Any:
 
 # -- config files ----------------------------------------------------------
 
+def _receivers_mask(receivers: Any, K: int) -> int:
+    """Bitmask of a list of receiver labels, each an integer in [1..K]."""
+    if type(receivers) is not list and type(receivers) is not tuple:
+        raise ConfigError(f"expected a list of receivers in [1..{K}], got {receivers!r}")
+    m = 0
+    for k in receivers:
+        if type(k) is not int or not 0 < k <= K:
+            raise ConfigError(f"receiver {k!r} is not an integer in [1..{K}]")
+        m |= 1 << (k - 1)
+    return m
+
+
 def config_from_obj(obj: Any) -> KeyConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -69,26 +81,35 @@ def config_from_obj(obj: Any) -> KeyConfig:
         keys = obj["keys"]
     except KeyError as exc:
         raise ConfigError(f"config missing field {exc.args[0]!r}") from exc
+    if type(k) is not int or not 1 <= k <= MAX_RECEIVERS:
+        raise ConfigError(f"'K' must be an integer in [1, {MAX_RECEIVERS}], got {k!r}")
     if not isinstance(keys, list):
         raise ConfigError("'keys' must be a list of {subset, symbols} objects")
-    key_map = {}
+    try:
+        qualified_mask = _receivers_mask(qualified, k)
+    except ConfigError as exc:
+        raise ConfigError(f"'qualified': {exc}") from None
+    key_map: dict[int, Any] = {}
     for i, entry in enumerate(keys):
         try:
-            subset = frozenset(entry["subset"])
+            subset = entry["subset"]
             symbols = entry["symbols"]
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"keys[{i}] needs 'subset' and 'symbols'") from exc
-        if subset in key_map:
-            raise ConfigError(f"keys[{i}]: duplicate subset {sorted(subset)}")
-        key_map[subset] = symbols
+        try:
+            m = _receivers_mask(subset, k)
+        except ConfigError as exc:
+            raise ConfigError(f"keys[{i}].subset: {exc}") from None
+        if m in key_map:
+            raise ConfigError(f"keys[{i}]: duplicate subset {sorted(set_of(m))}")
+        key_map[m] = symbols
     try:
-        return KeyConfig.of(k, qualified, key_map)
+        return KeyConfig.of(k, qualified_mask, key_map)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def config_to_obj(config: KeyConfig) -> dict:
-    from .keyspace import set_of
     return {
         "K": config.K,
         "qualified": sorted(config.qualified),

@@ -145,9 +145,6 @@ class FMatrix:
             prod = (self._a.astype(object) @ other._a.astype(object)) % p
         return FMatrix(self.field, prod.astype(np.int64) if prod.dtype == object else prod)
 
-    def scale(self, c: int) -> "FMatrix":
-        return FMatrix(self.field, (self._a * (c % self.field.p)) % self.field.p)
-
 
 def hstack(parts: Sequence[FMatrix]) -> FMatrix:
     """Column-concatenate matrices with equal row counts."""

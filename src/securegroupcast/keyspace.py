@@ -10,14 +10,25 @@ log2(p) for bits.
 
 Receiver subsets are encoded as bitmasks (bit k-1 set <=> receiver k in
 the subset), which keeps the bound-search enumerations cheap.
+
+Both converses read one table per eavesdropper e: with the qualified
+receivers q_1 < ... < q_N renumbered as local bits 0..N-1, w[t] is the
+total size of the keys e lacks whose qualified part is t, and
+a[i] = H(z_{q_i} | z_e) is the sum of w[t] over t containing bit i.
+`KeyConfig.eavesdropper_tables` builds these once per configuration, in
+one pass over the keys per eavesdropper, and caches them as tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 MAX_RECEIVERS = 20
+
+# (e, w, a) for one eavesdropper; see the module docstring.
+EavesdropperTable = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 class WrongShapeError(ValueError):
@@ -35,14 +46,20 @@ def mask_of(receivers: Iterable[int] | int) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    return frozenset(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+    out = []
+    while mask > 0:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
 class KeyConfig:
     """K receivers, a qualified subset, and per-subset key sizes.
 
-    `keys` maps subset masks to symbol counts; absent subsets mean size 0.
+    `keys` maps subset masks to positive symbol counts in ascending mask
+    order; absent subsets mean size 0.
     """
 
     K: int
@@ -62,8 +79,8 @@ class KeyConfig:
             raise ValueError("qualified set must leave at least one eavesdropper")
         norm: dict[int, int] = {}
         for subset, size in keys.items():
-            m = mask_of(subset)
-            if m == 0 or m & ~full:
+            m = subset if type(subset) is int else mask_of(subset)
+            if not 0 < m <= full:
                 raise ValueError(f"key subset {subset!r} outside [1..K]")
             if isinstance(size, bool) or not isinstance(size, int):
                 raise ValueError(f"key size for {subset!r} must be an integer, "
@@ -72,9 +89,9 @@ class KeyConfig:
                 raise ValueError(f"key size for {subset!r} is negative")
             if m in norm:
                 raise ValueError(f"duplicate key subset {sorted(set_of(m))}")
-            if size > 0:
+            if size:
                 norm[m] = size
-        return cls(K=K, qualified_mask=q, keys=dict(sorted(norm.items())))
+        return cls(K=K, qualified_mask=q, keys={m: norm[m] for m in sorted(norm)})
 
     # -- views ------------------------------------------------------------
 
@@ -101,8 +118,43 @@ class KeyConfig:
         bit = 1 << (k - 1)
         return [m for m in self.keys if m & bit]
 
-    def total_symbols(self) -> int:
-        return sum(self.keys.values())
+    @cached_property
+    def eavesdropper_tables(self) -> tuple[EavesdropperTable, ...]:
+        """(e, w, a) for each eavesdropper e, ascending (module docstring).
+
+        Keys held by no qualified receiver are left out of w.  Built on
+        first use and shared by every bound computed from this config.
+        """
+        qualified = sorted(self.qualified)
+        n = len(qualified)
+        renumbered: dict[int, int] = {}    # qualified part of a key -> local bits
+        binned = []                        # (mask, size, local bits)
+        for m, size in self.keys.items():
+            hit = m & self.qualified_mask
+            if not hit:
+                continue
+            t = renumbered.get(hit)
+            if t is None:
+                t = renumbered[hit] = sum(1 << i for i, q in enumerate(qualified)
+                                          if hit >> (q - 1) & 1)
+            binned.append((m, size, t))
+        tables = []
+        for e in sorted(self.eavesdroppers):
+            ebit = 1 << (e - 1)
+            w = [0] * (1 << n)
+            for m, size, t in binned:
+                if not m & ebit:
+                    w[t] += size
+            # a[i] sums the odd entries once bit i is the lowest index bit;
+            # moving the odd entries to the back rotates the index bits.
+            a = []
+            rotated = w
+            for _ in range(n):
+                odd = rotated[1::2]
+                a.append(sum(odd))
+                rotated = rotated[0::2] + odd
+            tables.append((e, tuple(w), tuple(a)))
+        return tuple(tables)
 
     # -- transforms ---------------------------------------------------------
 
@@ -115,8 +167,15 @@ class KeyConfig:
 
     def relabeled(self, perm: Mapping[int, int]) -> "KeyConfig":
         """Apply a receiver permutation (old label -> new label)."""
+        bits = [1 << (perm[k] - 1) for k in range(1, self.K + 1)]
+
         def pm(mask: int) -> int:
-            return mask_of(perm[k] for k in set_of(mask))
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= bits[low.bit_length() - 1]
+                mask ^= low
+            return out
         return KeyConfig(self.K, pm(self.qualified_mask),
                          dict(sorted((pm(m), s) for m, s in self.keys.items())))
 
@@ -190,17 +249,42 @@ def is_symmetric(config: KeyConfig) -> tuple[bool, tuple[int, ...]]:
     u-subset keys (0 where no key exists).  Absent subsets count as size 0,
     so a cardinality class is symmetric only when either no u-subset has a
     key, or every one of the C(K, u) subsets has the same positive size.
-    """
-    from math import comb
+    On failure the profile holds the classes that passed before the first
+    failing one, in order of their first key.
 
-    profile = [0] * config.K
-    per_card: dict[int, list[int]] = {}
+    One pass over the keys in mask order.  A class is complete exactly
+    when its masks run through every u-subset in increasing order, so
+    each key either extends its class or fails it (a size differs or a
+    u-subset is missing).  The pass stops at the first failure that no
+    later key can change: every class met before the failing one is
+    already complete.
+    """
+    full = (1 << config.K) - 1
+    order: list[int] = []          # cardinalities in order of first key
+    size_of: dict[int, int] = {}   # cardinality -> size of its first key
+    expect: dict[int, int] = {}    # cardinality -> next mask it needs; 0 once failed
     for m, size in config.keys.items():
-        per_card.setdefault(bin(m).count("1"), []).append(size)
-    for u, sizes in per_card.items():
-        if len(set(sizes)) > 1 or len(sizes) != comb(config.K, u):
+        u = m.bit_count()
+        want = expect.get(u)
+        if want is None:
+            order.append(u)
+            size_of[u] = size
+            want = (1 << u) - 1
+        elif not want:
+            continue
+        if m != want or size != size_of[u]:
+            expect[u] = 0
+            if all(expect[v] > full for v in order[:order.index(u)]):
+                break
+            continue
+        low = m & -m                   # next mask of the same popcount
+        high = m + low
+        expect[u] = (((high ^ m) >> 2) // low) | high
+    profile = [0] * config.K
+    for u in order:
+        if expect[u] <= full:
             return False, tuple(profile)
-        profile[u - 1] = sizes[0]
+        profile[u - 1] = size_of[u]
     return True, tuple(profile)
 
 
@@ -219,17 +303,6 @@ def canonical_relabel(config: KeyConfig) -> tuple[KeyConfig, dict[int, int]]:
 
 def invert_perm(perm: Mapping[int, int]) -> dict[int, int]:
     return {new: old for old, new in perm.items()}
-
-
-def _wlog_perms_2of4() -> list[dict[int, int]]:
-    # Qualified pair {1,2} may swap; eavesdropper pair {3,4} may swap.
-    perms = []
-    for q_swap in (False, True):
-        for e_swap in (False, True):
-            p = {1: 2 if q_swap else 1, 2: 1 if q_swap else 2,
-                 3: 4 if e_swap else 3, 4: 3 if e_swap else 4}
-            perms.append(p)
-    return perms
 
 
 def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[int, int]]:
@@ -261,12 +334,12 @@ def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[i
     if setting == "groupcast_2of4":
         if config.K != 4 or config.N != 2:
             raise WrongShapeError(f"groupcast_2of4 needs K=4, N=2; got K={config.K}, N={config.N}")
-        base, perm0 = canonical_relabel(config)
-        for extra in _wlog_perms_2of4():
-            cand = base.relabeled(extra)
-            if (cand.key_size({1}) <= cand.key_size({2})
-                    and cand.key_size({1, 2, 4}) <= cand.key_size({1, 2, 3})):
-                perm = {old: extra[perm0[old]] for old in perm0}
-                return config.relabeled(perm), perm
-        raise AssertionError("unreachable: some swap always satisfies the ordering")
+        # Swap the qualified pair iff H(s_1) > H(s_2) in canonical labels,
+        # and the eavesdroppers iff H(s_124) > H(s_123).
+        q1, q2 = sorted(config.qualified)
+        e1, e2 = sorted(config.eavesdroppers)
+        q_swap = config.key_size({q1}) > config.key_size({q2})
+        e_swap = config.key_size({q1, q2, e2}) > config.key_size({q1, q2, e1})
+        perm = {q1: 1 + q_swap, q2: 2 - q_swap, e1: 3 + e_swap, e2: 4 - e_swap}
+        return config.relabeled(perm), perm
     raise ValueError(f"unknown setting {setting!r}")

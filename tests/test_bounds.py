@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from securegroupcast import (KeyCollection, KeyConfig, aligned_2of5_key_size,
                              bw_converse, entropy_of, exact_capacity,
                              priority_check, rate_converse, report, set_of)
-from securegroupcast.bounds import BwBound
+from securegroupcast.bounds import BoundsReport, BwBound
 
 
 # -- reference converses: the group-by-group loops, one entropy_of per term ------
@@ -187,6 +187,98 @@ def test_report_k20_n10():
         e = rng.choice(sorted(config.eavesdroppers))
         group = rng.sample(qualified, rng.randint(1, 10))
         assert len(group) * rep.rate_upper - _penalty(config, e, group) <= got.value
+
+
+# -- full reports against the reference loops -----------------------------------------
+
+def _fresh(config):
+    """An equal config whose cached tables have not been built."""
+    return KeyConfig.of(config.K, config.qualified_mask, dict(config.keys))
+
+
+def _report_from_loops(config):
+    """report() assembled from the reference loops, on an untouched copy."""
+    upper = _rate_converse_loop(config)
+    exact = exact_capacity(_fresh(config))
+    bw = _bw_converse_loop(config, exact.C if exact is not None else upper)
+    return BoundsReport(rate_upper=upper, bw_lower=bw.value, bw_heuristic=False,
+                        exact=exact, gap=exact is not None and exact.C < upper)
+
+
+@st.composite
+def report_configs(draw):
+    kind = draw(st.sampled_from(["drawn", "aligned", "blind"]))
+    if kind == "aligned":   # the aligned 2-of-5 topology: C = 5l/3, a Fraction
+        ell = draw(st.one_of(st.integers(1, 4), st.just(10**30)))
+        perm = draw(st.permutations(range(1, 6)))
+        base = KeyConfig.of(5, [1, 2], {(1,): ell, (1, 2, 3): ell, (1, 4, 5): ell,
+                                        (2, 4): ell, (2, 5): ell})
+        return base.relabeled(dict(zip(range(1, 6), perm)))
+    config, _ = draw(configs_and_rates())
+    if kind == "blind":     # receiver K holds every key: rate 0
+        config = KeyConfig.of(config.K + 1, config.qualified_mask,
+                              {m | 1 << config.K: s for m, s in config.keys.items()})
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_configs())
+def test_report_matches_reference_loops(config):
+    assert report(config) == _report_from_loops(config)
+
+
+def test_report_matches_reference_loops_seeded(fig4):
+    rng = random.Random(4409)
+    seen = {"fraction": 0, "zero": 0, "huge": 0, "larger group": 0}
+    configs = [fig4, fig4.scaled(10**30), fig4.relabeled({1: 2, 2: 1, 3: 5, 4: 3, 5: 4})]
+    for _ in range(150):
+        k = rng.randint(3, 8)
+        qualified = rng.sample(range(1, k + 1), rng.randint(1, k - 1))
+        qmask = sum(1 << (q - 1) for q in qualified)
+        scale = rng.choice([1, 10**30])
+        private = rng.random() < 0.5
+        keys = {}
+        for m in rng.sample(range(1, 1 << k), min(rng.randint(0, 12), (1 << k) - 1)):
+            if private and (m & qmask).bit_count() > 1:
+                continue
+            keys[m] = rng.randint(1, 3) * scale
+        config = KeyConfig.of(k, qualified, keys)
+        configs.append(config)
+        if rng.random() < 0.2:   # one eavesdropper learns every key: rate 0
+            e = rng.choice(sorted(config.eavesdroppers))
+            configs.append(KeyConfig.of(k, qualified,
+                                        {m | 1 << (e - 1): s for m, s in keys.items()}))
+    for config in configs:
+        got = report(config)
+        assert got == _report_from_loops(config)
+        seen["fraction"] += isinstance(got.bw_lower, Fraction)
+        seen["zero"] += got.rate_upper == 0
+        seen["huge"] += got.rate_upper >= 10**30
+        seen["larger group"] += got.bw_lower > got.rate_upper
+    assert min(seen.values()) >= 3, seen
+
+
+def test_call_order_does_not_change_answers(ex1, ex2, ex3, ex4, fig4):
+    """The cached tables give every call order the answers of fresh configs."""
+    from itertools import permutations
+    rng = random.Random(91)
+    configs = [ex1, ex2, ex3, ex4, fig4] + [random_config(rng, 6) for _ in range(6)]
+    calls = {
+        "rate": rate_converse,
+        "bw": lambda c: bw_converse(c, rate_converse(_fresh(c))),
+        "bw_half": lambda c: bw_converse(c, Fraction(1, 2)),
+        "exact": exact_capacity,
+        "priority": priority_check,
+        "report": report,
+    }
+    for config in configs:
+        expected = {name: call(_fresh(config)) for name, call in calls.items()}
+        for order in list(permutations(calls))[::37]:
+            once = _fresh(config)
+            for name in order:
+                assert calls[name](once) == expected[name], (config, order, name)
+            for name in order:   # and again, from the warm cache
+                assert calls[name](once) == expected[name], (config, order, name)
 
 
 # -- exact capacity dispatch -------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from securegroupcast import KeyConfig, synthesize
 from securegroupcast.cli import (EXIT_OK, EXIT_PARSE, EXIT_REJECTED,
@@ -87,6 +88,75 @@ def test_bounds_non_integer_key_size_exit_code(tmp_path, capsys, symbols):
     path = write(tmp_path, "bad.json", obj)
     assert main(["bounds", path]) == EXIT_PARSE
     assert "error" in capsys.readouterr().err
+
+
+def _with_subset(subset):
+    obj = ex3_obj()
+    obj["keys"][3]["subset"] = subset
+    return obj
+
+
+def _with_qualified(qualified):
+    obj = ex3_obj()
+    obj["qualified"] = qualified
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    # an integer is a receiver list of neither kind (nor a bitmask)
+    pytest.param(_with_qualified(3), id="qualified-int"),
+    pytest.param(_with_qualified([1, True]), id="qualified-true"),
+    pytest.param(_with_qualified([True, 2]), id="qualified-true-first"),
+    pytest.param(_with_qualified([1.0, 2]), id="qualified-float"),
+    pytest.param(_with_qualified("12"), id="qualified-string"),
+    pytest.param(_with_qualified(None), id="qualified-null"),
+    pytest.param(_with_qualified([0, 1]), id="qualified-receiver-0"),
+    pytest.param(_with_qualified([1, 5]), id="qualified-receiver-K+1"),
+    pytest.param(_with_subset(3), id="subset-int"),
+    pytest.param(_with_subset(None), id="subset-null"),
+    pytest.param(_with_subset("14"), id="subset-string"),
+    pytest.param(_with_subset({"1": 1}), id="subset-object"),
+    pytest.param(_with_subset([0, 4]), id="subset-receiver-0"),
+    pytest.param(_with_subset([1, 5]), id="subset-receiver-K+1"),
+    pytest.param(_with_subset([1.5, 4]), id="subset-receiver-1.5"),
+    pytest.param(_with_subset(["1", 4]), id="subset-receiver-string"),
+    pytest.param(_with_subset([True, 4]), id="subset-true"),
+    pytest.param(_with_subset([1, [4]]), id="subset-nested"),
+    pytest.param(_with_subset([]), id="subset-empty"),
+    pytest.param(_with_subset([4, 2]), id="subset-duplicate-reordered"),  # keys[5] is [2, 4]
+    pytest.param({**ex3_obj(), "K": True}, id="K-true"),
+    pytest.param({**ex3_obj(), "K": 4.0}, id="K-float"),
+    pytest.param({**ex3_obj(), "K": 10**9}, id="K-huge"),
+])
+def test_bounds_malformed_config_exit_code(tmp_path, capsys, obj):
+    path = write(tmp_path, "bad.json", obj)
+    assert main(["bounds", path]) == EXIT_PARSE
+    assert "error" in capsys.readouterr().err
+
+
+@st.composite
+def config_objects(draw):
+    k = draw(st.integers(2, 9))
+    receivers = st.integers(1, k)
+    qualified = draw(st.lists(receivers, min_size=1, max_size=k).filter(
+        lambda q: len(set(q)) < k))
+    subsets = draw(st.lists(st.lists(receivers, min_size=1, max_size=k), max_size=12,
+                            unique_by=frozenset))
+    sizes = draw(st.lists(st.one_of(st.integers(0, 5), st.just(10**30)),
+                          min_size=len(subsets), max_size=len(subsets)))
+    return {"K": k, "qualified": qualified,
+            "keys": [{"subset": s, "symbols": n} for s, n in zip(subsets, sizes)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_objects())
+def test_config_from_obj_matches_frozenset_config(obj):
+    """Subsets in any order, with repeated receivers, parse as their sets."""
+    expected = KeyConfig.of(obj["K"], frozenset(obj["qualified"]),
+                            {frozenset(e["subset"]): e["symbols"] for e in obj["keys"]})
+    got = config_from_obj(json.loads(json.dumps(obj)))
+    assert got == expected
+    assert list(got.keys) == list(expected.keys) == sorted(expected.keys)
 
 
 # -- synth command ----------------------------------------------------------------

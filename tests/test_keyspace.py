@@ -1,3 +1,7 @@
+import random
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +120,146 @@ def test_empty_config_is_symmetric():
     config = KeyConfig.of(3, [1], {})
     flag, profile = is_symmetric(config)
     assert flag and profile == (0, 0, 0)
+
+
+def _is_symmetric_by_class(config):
+    """The per-cardinality loop: bin every size by |U|, then check each class
+    (in order of its first key) for one size and all C(K, u) subsets."""
+    profile = [0] * config.K
+    per_card = {}
+    for m, size in config.keys.items():
+        per_card.setdefault(bin(m).count("1"), []).append(size)
+    for u, sizes in per_card.items():
+        if len(set(sizes)) > 1 or len(sizes) != comb(config.K, u):
+            return False, tuple(profile)
+        profile[u - 1] = sizes[0]
+    return True, tuple(profile)
+
+
+@st.composite
+def near_symmetric_configs(draw):
+    """Whole cardinality classes of one size each, then a few keys dropped,
+    resized or added, so that classes fail early, late or not at all."""
+    k = draw(st.integers(2, 6))
+    keys = {}
+    for u in draw(st.sets(st.integers(1, k))):
+        size = draw(st.integers(1, 3))
+        keys.update({sum(1 << (r - 1) for r in c): size
+                     for c in combinations(range(1, k + 1), u)})
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, (1 << k) - 1))
+        action = draw(st.sampled_from(["drop", "resize", "add"]))
+        if action == "drop":
+            keys.pop(m, None)
+        else:
+            keys[m] = draw(st.integers(1, 3))
+    return KeyConfig.of(k, [1], keys)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_symmetric_configs())
+def test_is_symmetric_matches_per_class_loop(config):
+    assert is_symmetric(config) == _is_symmetric_by_class(config)
+
+
+def test_is_symmetric_matches_per_class_loop_seeded():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(2, 7)
+        keys = {}
+        for u in rng.sample(range(1, k + 1), rng.randint(0, k)):
+            size = rng.randint(1, 2)
+            keys.update({m: size for m in range(1, 1 << k) if m.bit_count() == u})
+        for m in rng.sample(range(1, 1 << k), rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                keys.pop(m, None)
+            else:
+                keys[m] = rng.randint(1, 2)
+        config = KeyConfig.of(k, [1], keys)
+        expected = _is_symmetric_by_class(config)
+        assert is_symmetric(config) == expected
+        outcomes.add((expected[0], any(expected[1])))
+    # symmetric, failing at the first class, failing after a passed class
+    assert outcomes >= {(True, True), (False, False), (False, True)}
+
+
+# -- the per-eavesdropper tables ----------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_eavesdropper_tables_match_entropies(k, data):
+    keys = {m: data.draw(st.one_of(st.integers(0, 3), st.just(10**30)))
+            for m in all_subset_masks(k)}
+    qualified = data.draw(st.sets(st.integers(1, k), min_size=1, max_size=k - 1))
+    config = KeyConfig.of(k, qualified, keys)
+    tables = config.eavesdropper_tables
+    assert config.eavesdropper_tables is tables       # built once, then cached
+    assert isinstance(tables, tuple)
+    local = sorted(qualified)
+    assert [e for e, _, _ in tables] == sorted(config.eavesdroppers)
+    for e, w, a in tables:
+        assert isinstance(w, tuple) and isinstance(a, tuple)
+        given_e = KeyCollection.of_receiver(config, e)
+        assert a == tuple(entropy_of(config, {q}, given_e) for q in local)
+        for t, wt in enumerate(w):
+            part = sum(1 << (q - 1) for i, q in enumerate(local) if t >> i & 1)
+            assert wt == sum(size for m, size in config.keys.items()
+                             if m & config.qualified_mask == part and part
+                             and not m >> (e - 1) & 1)
+
+
+# -- relabelings against set-by-set and trial references ------------------------------
+
+def _relabel_by_sets(config, perm):
+    """Relabel each key through its receiver set."""
+    def pm(mask):
+        return mask_of(perm[k] for k in set_of(mask))
+    return KeyConfig(config.K, pm(config.qualified_mask),
+                     dict(sorted((pm(m), s) for m, s in config.keys.items())))
+
+
+def _normalize_2of4_by_trials(config):
+    """Try the four swaps of the qualified pair and the eavesdropper pair on
+    relabeled copies, in order; keep the first that meets both orderings."""
+    base, perm0 = canonical_relabel(config)
+    for q_swap in (False, True):
+        for e_swap in (False, True):
+            extra = {1: 2 if q_swap else 1, 2: 1 if q_swap else 2,
+                     3: 4 if e_swap else 3, 4: 3 if e_swap else 4}
+            cand = base.relabeled(extra)
+            if (cand.key_size({1}) <= cand.key_size({2})
+                    and cand.key_size({1, 2, 4}) <= cand.key_size({1, 2, 3})):
+                perm = {old: extra[perm0[old]] for old in perm0}
+                return config.relabeled(perm), perm
+
+
+def test_relabeled_matches_relabeling_by_sets():
+    rng = random.Random(8)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        keys = {m: rng.randint(1, 3) for m in rng.sample(range(1, 1 << k),
+                                                          min(6, (1 << k) - 1))}
+        config = KeyConfig(k, rng.randint(1, (1 << k) - 1), keys)
+        labels = list(range(1, k + 1))
+        rng.shuffle(labels)
+        perm = dict(zip(range(1, k + 1), labels))
+        got = config.relabeled(perm)
+        assert got == _relabel_by_sets(config, perm)
+        assert list(got.keys) == sorted(got.keys)
+
+
+def test_normalize_2of4_matches_trial_relabelings():
+    rng = random.Random(24)
+    sizes = [0, 0, 1, 2]
+    for qualified in combinations(range(1, 5), 2):
+        for _ in range(60):
+            keys = {m: rng.choice(sizes) for m in range(1, 16)}
+            config = KeyConfig.of(4, qualified, keys)
+            norm, perm = normalize_labels(config, "groupcast_2of4")
+            ref_norm, ref_perm = _normalize_2of4_by_trials(config)
+            assert norm == ref_norm
+            assert list(perm.items()) == list(ref_perm.items())
 
 
 # -- relabelings -----------------------------------------------------------------------
