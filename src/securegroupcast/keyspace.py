@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 MAX_RECEIVERS = 20
@@ -59,12 +60,16 @@ class KeyConfig:
     """K receivers, a qualified subset, and per-subset key sizes.
 
     `keys` maps subset masks to positive symbol counts in ascending mask
-    order; absent subsets mean size 0.
+    order; absent subsets mean size 0.  It is a read-only copy, so the
+    tables cached on a config never go stale.
     """
 
     K: int
     qualified_mask: int
     keys: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "keys", MappingProxyType(dict(self.keys)))
 
     @classmethod
     def of(cls, K: int, qualified: Iterable[int] | int,

@@ -359,10 +359,10 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # joint states s = sum_j d_j p^j, message digits lowest (unused all-zero key
 # columns are dropped first: a key that never enters X is independent of
 # everything and cannot change any receiver's information).  For each
-# receiver it builds one int64 code per state that holds what the receiver
-# sees above the message digits; one sort of that code counts the states
-# per (view, message) and per view, and entropies and verdicts are read off
-# those counts.
+# receiver it builds one code per state (int32 when it fits in 31 bits)
+# that holds what the receiver sees above the message digits; one sort of
+# it groups the states per (view, message) and per view.  Decoding is read
+# off two group counts; group sizes are built only for eavesdroppers.
 
 
 def oracle_cap() -> int:
@@ -384,10 +384,11 @@ def _slot_bits(p: int) -> int:
     return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _expand(p: int, m: int, forms: np.ndarray) -> np.ndarray:
+def _expand(p: int, m: int, forms: np.ndarray, low: int = 0) -> np.ndarray:
     """Values of the linear forms (rows of `forms`, one coefficient per
     state digit) on all p^m states, packed one residue per slot of
-    _slot_bits(p) bits, first form lowest.
+    _slot_bits(p) bits from bit `low` up, first form lowest; int32 when
+    every slot lies below bit 31, else int64.
 
     The states with digit j equal to d are the states below p^j plus
     d * e_j, so the code is built digit by digit from its values on unit
@@ -396,22 +397,24 @@ def _expand(p: int, m: int, forms: np.ndarray) -> np.ndarray:
     adding 2^g - p to a slot sets its guard bit g exactly when the slot
     holds p or more.  Nothing divides.
     """
-    code = np.zeros(p ** m, dtype=np.int64)
     w = _slot_bits(p)
-    shifts = np.arange(len(forms), dtype=np.int64) * w
+    dtype = np.int32 if low + w * len(forms) <= 31 else np.int64
+    code = np.zeros(p ** m, dtype=dtype)
+    spare = np.empty_like(code)   # scratch of the GF(p) reduction, shared by all digits
+    shifts = low + np.arange(len(forms), dtype=np.int64) * w
     g = w - 1
-    lift = int(np.sum(((1 << g) - p) << shifts))
-    guards = int(np.sum(1 << (shifts + g)))
+    lift = dtype(np.sum(((1 << g) - p) << shifts))
+    guards = dtype(np.sum(1 << (shifts + g)))
     h = 1
     for j in range(m):
         # the code's values on d * e_j for d = 1 .. p-1
-        units = ((np.arange(1, p)[:, None] * forms[:, j]) % p << shifts).sum(axis=1)
+        units = ((np.arange(1, p)[:, None] * forms[:, j]) % p << shifts).sum(axis=1).astype(dtype)
         block = code[h:p * h].reshape(p - 1, h)
         if p == 2:
             np.bitwise_xor(code[:h], units[:, None], out=block)
         else:
             np.add(code[:h], units[:, None], out=block)
-            over = block + lift
+            over = np.add(block, lift, out=spare[:block.size].reshape(block.shape))
             over &= guards
             over >>= g
             over *= p
@@ -426,17 +429,22 @@ def _renumber(code: np.ndarray) -> tuple[np.ndarray, int]:
     return dense, (len(values) - 1).bit_length()
 
 
-def state_code(p: int, m: int, forms: np.ndarray) -> tuple[np.ndarray, int]:
-    """(code, bits): an int64 code below 2^bits on all p^m states, equal on
-    two states exactly when every linear form (row of `forms`) takes equal
-    values on them, and 0 exactly where every form vanishes.
+def state_code(p: int, m: int, forms: np.ndarray, low: int = 0) -> tuple[np.ndarray, int]:
+    """(code, bits): a code below 2^bits on all p^m states with its low
+    `low` bits zero, equal on two states exactly when every linear form
+    (row of `forms`) takes equal values on them, and 0 exactly where every
+    form vanishes.  It is int32 when low + w * len(forms) <= 31 (w below),
+    else int64.
 
-    Form i's value sits in bits [i*w, (i+1)*w), w = 1 over GF(2) and
-    bit_length(p - 1) + 1 otherwise, while all forms fit in 62 bits.  Past
-    that, the code so far is renumbered densely (below the state count)
-    and packing goes on; renumbering keeps 0, the code of state 0.
+    Form i's value sits in bits [low + i*w, low + (i+1)*w), w = 1 over
+    GF(2) and bit_length(p - 1) + 1 otherwise, while all forms fit in 62
+    bits.  Past that, the code so far is renumbered densely (below the
+    state count) and packing goes on; renumbering keeps 0, the code of
+    state 0.
     """
     w = _slot_bits(p)
+    if low + w * len(forms) <= _CODE_BITS:
+        return _expand(p, m, forms, low), low + w * len(forms)
     take = _CODE_BITS // w
     code, bits = _expand(p, m, forms[:take]), w * len(forms[:take])
     forms = forms[take:]
@@ -446,42 +454,54 @@ def state_code(p: int, m: int, forms: np.ndarray) -> tuple[np.ndarray, int]:
         code = (code << (w * len(head))) | _expand(p, m, head)
         bits += w * len(head)
         forms = forms[len(head):]
-    return code, bits
+    if bits + low > _CODE_BITS:
+        code, bits = _renumber(code)
+    return code << low, bits + low
 
 
-def group_stats(joint: np.ndarray, msg_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(view group sizes, joint group sizes) from one in-place sort of the
-    joint code, whose low `msg_bits` bits hold the message and the rest
-    the view.  Joint groups come in view order, each view's consecutively."""
+def group_stats(joint: np.ndarray, msg_bits: int, messages: int) -> GroupCounts:
+    """Groups of one in-place sort of the joint code, whose low `msg_bits`
+    bits hold the message and the rest the view."""
     joint.sort()
-    n = joint.shape[0]
-    step = joint[1:] ^ joint[:-1]
-    starts = np.empty(n + 1, dtype=bool)   # a group starts at i; i = n closes the last
-    starts[0] = starts[n] = True
-    np.not_equal(step, 0, out=starts[1:n])
-    edges = np.flatnonzero(starts)
-    joint_counts = edges[1:] - edges[:-1]
-    np.greater_equal(step, 1 << msg_bits, out=starts[1:n])
-    edges = np.flatnonzero(starts)
-    return edges[1:] - edges[:-1], joint_counts
+    return GroupCounts(joint[1:] ^ joint[:-1], (1 << msg_bits) - 1, messages)
 
 
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
     return math.log2(n) - float(np.sum(counts * np.log2(counts))) / n
 
 
+def _sizes(starts: np.ndarray) -> np.ndarray:
+    """Group sizes from a mask of where, between neighbours, a new group starts."""
+    return np.diff(np.flatnonzero(np.concatenate(([True], starts, [True]))))
+
+
 @dataclass(frozen=True)
 class GroupCounts:
-    """State counts per view and per (view, message) over equally likely
-    states, messages uniform over `messages` values."""
+    """States grouped by view and by (view, message) over equally likely
+    states, messages uniform over `messages` values.  `step` is the XOR of
+    neighbours in the sorted joint code: a nonzero step starts a joint
+    group, and a step above `msg_mask`, the message bits, starts a view
+    group too.  The group sizes are built on first use; decodes() needs
+    only counts."""
 
-    view: np.ndarray
-    joint: np.ndarray
+    step: np.ndarray
+    msg_mask: int
     messages: int
 
+    @cached_property
+    def view(self) -> np.ndarray:
+        """State count per view, in code order."""
+        return _sizes(self.step > self.msg_mask)
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """State count per (view, message), each view's consecutively."""
+        return _sizes(self.step != 0)
+
     def decodes(self) -> bool:
-        """Every view determines the message."""
-        return len(self.joint) == len(self.view)
+        """Every view determines the message: every step that starts a
+        joint group starts a view group too."""
+        return bool(np.count_nonzero(self.step) == np.count_nonzero(self.step > self.msg_mask))
 
     def independent(self) -> bool:
         """The view tells nothing about the message, decided on integers:
@@ -492,7 +512,7 @@ class GroupCounts:
 
     def leakage_bits(self) -> float:
         """Mutual information of view and message in bits (display only)."""
-        n = int(self.view.sum())
+        n = len(self.step) + 1
         return (math.log2(self.messages) + _entropy_bits(self.view, n)
                 - _entropy_bits(self.joint, n))
 
@@ -502,14 +522,10 @@ def message_groups(p: int, m: int, view_forms: np.ndarray, lo: int, hi: int) -> 
     against the message held in state digits lo..hi-1."""
     q = p ** (hi - lo)
     msg_bits = (q - 1).bit_length()
-    code, bits = state_code(p, m, view_forms)
-    if bits + msg_bits > _CODE_BITS:
-        code, bits = _renumber(code)
-    code <<= msg_bits
+    code, _ = state_code(p, m, view_forms, msg_bits)
     by_digits = code.reshape(p ** (m - hi), q, p ** lo)   # a view of code
-    by_digits |= np.arange(q, dtype=np.int64)[:, None]
-    view_counts, joint_counts = group_stats(code, msg_bits)
-    return GroupCounts(view=view_counts, joint=joint_counts, messages=q)
+    by_digits |= np.arange(q, dtype=code.dtype)[:, None]
+    return group_stats(code, msg_bits, q)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,21 @@ def test_relabeled_matches_relabeling_by_sets():
         assert list(got.keys) == sorted(got.keys)
 
 
+def test_keys_are_read_only():
+    keys = {1: 2}
+    direct = KeyConfig(3, 1, keys)
+    keys[1] = 7                        # the caller's dict is copied, not wrapped
+    assert direct.keys[1] == 2
+    for config in (KeyConfig.of(3, [1], {(1,): 2}), direct, direct.scaled(1),
+                   direct.relabeled({1: 1, 2: 3, 3: 2})):
+        assert config.eavesdropper_tables[0][1] == (0, 2)
+        with pytest.raises(TypeError):
+            config.keys[1] = 7
+        assert config.eavesdropper_tables[0][1] == (0, 2)
+    assert KeyConfig.of(3, [1], {(1,): 2}) == KeyConfig(3, 1, {1: 2}) == direct
+    assert KeyConfig(3, 1, {1: 2}) != KeyConfig(3, 1, {1: 3})
+
+
 def test_normalize_2of4_matches_trial_relabelings():
     rng = random.Random(24)
     sizes = [0, 0, 1, 2]

@@ -14,7 +14,7 @@ from securegroupcast import (DecodeFailureError, Field, FieldMismatchError,
                              decoder_for, hstack, merge_layout, oracle_verify,
                              prefix_ranks, rank, rref, simulate, verify,
                              verify_correctness, verify_security)
-from securegroupcast.scheme import state_code
+from securegroupcast.scheme import message_groups, state_code
 from securegroupcast.synth import component_instance
 
 F2 = Field(2)
@@ -353,13 +353,14 @@ def form_values(forms, p, m):
 def test_state_code_matches_direct_evaluation(p, m):
     rng = random.Random(p * 1000 + m)
     w = 1 if p == 2 else (p - 1).bit_length() + 1
-    for rows in (0, 1, 4, 62 // w, 62 // w + 3, 2 * (62 // w) + 1):
+    for rows in (0, 1, 4, 31 // w, 31 // w + 1, 62 // w, 62 // w + 3, 2 * (62 // w) + 1):
         forms = np.array([[rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(m)]
                           for _ in range(rows)], dtype=np.int64).reshape(rows, m)
         code, bits = state_code(p, m, forms)
         values = form_values(forms.tolist(), p, m)
         got = code.tolist()
         assert len(got) == p ** m and all(0 <= c < 1 << bits for c in got)
+        assert code.dtype == (np.int32 if rows * w <= 31 else np.int64)
         if rows * w <= 62:
             assert got == [sum(v << (i * w) for i, v in enumerate(vals)) for vals in values]
         else:
@@ -387,6 +388,90 @@ def reference_verdicts(groups, q):
                   for c in groups.values())
     h_joint = -sum(v / n * math.log2(v / n) for c in groups.values() for v in c.values())
     return decodes, independent, math.log2(q) + h_view - h_joint
+
+
+def reference_groups(p, m, forms, lo, hi):
+    def observe(state):
+        return tuple(sum(c * d for c, d in zip(row, state)) % p for row in forms), state[lo:hi]
+
+    return group_by_view(m, p, observe)
+
+
+def spanned_forms(rng, p, m, rows, rank):
+    """`rows` forms over m digits spanning at most `rank` dimensions, so that
+    views range from blind to all-seeing."""
+    base = [[rng.randrange(p) for _ in range(m)] for _ in range(rank)]
+    out = [[sum(rng.randrange(p) * b[j] for b in base) % p for j in range(m)]
+           for _ in range(rows)]
+    return np.array(out, dtype=np.int64).reshape(rows, m)
+
+
+# (p, m, view form count, message digits lo..hi, joint code width): widths
+# of exactly 31 bits (int32), 32 bits (int64) and past 62 (renumbered)
+WIDTH_CASES = [
+    (2, 8, 29, 1, 3, 31), (2, 8, 30, 1, 3, 32), (2, 8, 62, 0, 2, 64),
+    (3, 6, 9, 1, 3, 31), (3, 6, 10, 2, 3, 32), (3, 6, 21, 0, 2, 67),
+    (5, 5, 7, 0, 1, 31), (5, 5, 5, 0, 5, 32), (5, 5, 15, 1, 2, 63),
+]
+
+
+@pytest.mark.parametrize("p,m,rows,lo,hi,width", WIDTH_CASES)
+def test_message_groups_across_code_widths(p, m, rows, lo, hi, width):
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    msg_bits = (p ** (hi - lo) - 1).bit_length()
+    assert w * rows + msg_bits == width
+    rng = random.Random(width * 100 + p)
+    seen = Counter()
+    for rank in range(m + 1):
+        forms = spanned_forms(rng, p, m, rows, rank)
+        code, bits = state_code(p, m, forms, msg_bits)
+        assert code.dtype == (np.int32 if width <= 31 else np.int64)
+        assert bits <= 62 and not (code & ((1 << msg_bits) - 1)).any()
+        values = form_values(forms.tolist(), p, m)
+        assert len(set(zip(code.tolist(), values))) == len(set(code.tolist())) == len(set(values))
+        if width <= 62:   # one slot per form: the same code as without the spare bits
+            narrow, _ = state_code(p, m, forms)
+            assert (code == narrow.astype(np.int64) << msg_bits).all()
+
+        groups = message_groups(p, m, forms, lo, hi)
+        assert groups.step.dtype == code.dtype
+        decodes, independent = groups.decodes(), groups.independent()
+        ref = reference_groups(p, m, forms.tolist(), lo, hi)
+        want_decodes, want_independent, want_bits = reference_verdicts(ref, p ** (hi - lo))
+        assert (decodes, independent) == (want_decodes, want_independent)
+        assert sorted(groups.view.tolist()) == sorted(sum(c.values()) for c in ref.values())
+        assert sorted(groups.joint.tolist()) == sorted(v for c in ref.values()
+                                                       for v in c.values())
+        assert abs(groups.leakage_bits() - want_bits) < 1e-9
+        seen[decodes, independent] += 1
+    assert seen[True, False] and seen[False, True], seen
+
+
+@st.composite
+def view_and_message(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, {2: 9, 3: 5, 5: 4, 7: 3}[p]))
+    lo = draw(st.integers(0, m))
+    hi = draw(st.integers(lo, m))
+    rows = draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 1]) | st.integers(0, p - 1)
+    forms = draw(st.lists(entry, min_size=rows * m, max_size=rows * m))
+    return p, m, np.array(forms, dtype=np.int64).reshape(rows, m), lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(view_and_message())
+def test_group_counts_match_brute_force_grouping(case):
+    p, m, forms, lo, hi = case
+    groups = message_groups(p, m, forms, lo, hi)
+    decodes = groups.decodes()        # from counts alone: no size array built yet
+    assert "view" not in vars(groups) and "joint" not in vars(groups)
+    assert decodes == (len(groups.joint) == len(groups.view))
+    ref = reference_groups(p, m, forms.tolist(), lo, hi)
+    want_decodes, want_independent, want_bits = reference_verdicts(ref, p ** (hi - lo))
+    assert decodes == want_decodes
+    assert groups.independent() == want_independent
+    assert abs(groups.leakage_bits() - want_bits) < 1e-9
 
 
 def reference_oracle(scheme):
