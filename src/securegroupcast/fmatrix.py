@@ -57,14 +57,6 @@ class FMatrix:
     def identity(cls, field: Field, n: int) -> "FMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[int]],
-                  cols: int | None = None) -> "FMatrix":
-        """Build from a list of rows; `cols` disambiguates zero-row shapes."""
-        if len(rows) == 0:
-            return cls.zeros(field, 0, 0 if cols is None else cols)
-        return cls(field, np.array(rows, dtype=np.int64))
-
     # -- basic structure ------------------------------------------------
 
     @property
@@ -82,9 +74,6 @@ class FMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return int(self._a[i, j])
-
-    def row(self, i: int) -> tuple:
-        return tuple(int(x) for x in self._a[i])
 
     def tolist(self) -> list:
         return [[int(x) for x in r] for r in self._a]

@@ -81,14 +81,8 @@ class Field:
     def __repr__(self):
         return f"Field({self.p})"
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -102,9 +96,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
 
 
 def field_new(p: int) -> Field:

@@ -35,7 +35,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import INT64_MAX, ColumnRanks, FMatrix, hstack, solve_right, vstack
+from .fmatrix import (INT64_MAX, ColumnRanks, FMatrix, NoSolutionError, hstack,
+                      solve_right, vstack)
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -240,7 +241,7 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
                   FMatrix.zeros(f, len(unk), scheme.L_W)])
     try:
         m1 = solve_right(g.transpose(), rhs).transpose()
-    except Exception as exc:
+    except NoSolutionError as exc:
         raise NotDecodableError(f"receiver {k} cannot decode") from exc
     b_known = FMatrix(f, scheme.B.array[:, known] if known
                       else np.zeros((scheme.L_X, 0), dtype=np.int64))

@@ -1,7 +1,9 @@
 """Capacity-achieving scheme builders for every solved groupcast setting.
 
-Every builder verifies its own output before returning it; the dispatch
-below maps a key configuration onto the most specific solved shape.
+Every builder constructs its scheme once and passes it through
+build_verified, which returns it only if the exact verifier accepts it
+and raises SynthesisError (exit 4) otherwise; the dispatch below maps a
+key configuration onto the most specific solved shape.
 """
 
 from __future__ import annotations

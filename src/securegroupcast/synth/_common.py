@@ -1,29 +1,24 @@
 """Shared synthesis machinery: budgeted key-column allocation and the
-verify-then-escalate construction loop.
+single verification gate every builder passes.
 
-Builders first try a deterministic Cauchy-based draw at the smallest prime
-the construction needs.  Cauchy matrices make every correctness and
-security rank provable, so the verifier accepts on the first attempt in
-practice; the escalation loop (next prime, seeded random redraw, at most 8
-times) exists as a safety net because the mixed message/key genericity
-conditions are stated, not field-quantified.
+Every builder constructs its scheme once.  The Cauchy builders (unicast,
+multicast, symmetric) work over GF(least_prime_at_least(rows + cols)) of
+the largest Cauchy matrix they draw, a field in which every square
+submatrix of it is invertible, so each correctness and security rank is
+provable; the GF(2) builders (2-of-4, aligned 2-of-5) compose fixed bit
+patterns.  build_verified checks the result all the same: a rejected
+scheme is a builder bug and raises SynthesisError (exit 4).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import replace
-from typing import Callable, Iterable
+from typing import Iterable
 
-import numpy as np
-
-from ..fmatrix import FMatrix
-from ..gf import Field, least_prime_at_least
 from ..scheme import LinearScheme, verify
 
 
 class SynthesisError(RuntimeError):
-    """A builder's output failed verification even after escalations."""
+    """A builder's output failed verification."""
 
 
 class UnsolvedSettingError(ValueError):
@@ -34,37 +29,18 @@ class NotSymmetricError(ValueError):
     """The symmetric builder needs equal key sizes per subset cardinality."""
 
 
-MAX_ESCALATIONS = 8
+def build_verified(scheme: LinearScheme) -> LinearScheme:
+    """Return the scheme if the verifier accepts it; raise SynthesisError
+    otherwise.
 
-
-def random_matrix(field: Field, rng: random.Random, rows: int, cols: int) -> FMatrix:
-    a = np.array([[rng.randrange(field.p) for _ in range(cols)]
-                  for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
-    return FMatrix(field, a)
-
-
-def build_verified(p_floor: int,
-                   make: Callable[[Field, random.Random, bool], LinearScheme],
-                   seed: int = 0,
-                   max_escalations: int = MAX_ESCALATIONS) -> LinearScheme:
-    """Run make() at increasing primes until the verifier accepts.
-
-    make(field, rng, generic) returns a candidate; generic=False on the
-    first (deterministic Cauchy) attempt, True on seeded random redraws.
-    The accepted scheme's meta records the escalation count and seed.
+    Builders write the final meta themselves, `escalations` (always 0, as
+    nothing is redrawn) and `seed` (which labels the file) included.
     """
-    p = least_prime_at_least(max(2, p_floor))
-    for attempt in range(max_escalations + 1):
-        rng = random.Random(f"sgc:{seed}:{attempt}")
-        candidate = make(Field(p), rng, attempt > 0)
-        if verify(candidate).ok:
-            meta = dict(candidate.meta)
-            meta["escalations"] = attempt
-            meta.setdefault("seed", seed)
-            return replace(candidate, meta=meta)
-        p = least_prime_at_least(p + 1)
-    raise SynthesisError(
-        f"construction still rejected after {max_escalations} prime escalations")
+    if not verify(scheme).ok:
+        case = f" in case {scheme.meta['case']}" if "case" in scheme.meta else ""
+        raise SynthesisError(
+            f"{scheme.meta.get('builder')} output failed verification{case}")
+    return scheme
 
 
 class SegmentAllocator:
@@ -99,5 +75,3 @@ class SegmentAllocator:
         base = self._start[subset] + used
         return list(range(base, base + count))
 
-    def consumed(self) -> dict[frozenset[int], int]:
-        return dict(self._used)

@@ -36,8 +36,8 @@ import numpy as np
 from ..fmatrix import FMatrix
 from ..gf import Field
 from ..keyspace import KeyConfig, invert_perm, normalize_labels
-from ..scheme import LinearScheme, verify
-from ._common import SegmentAllocator, SynthesisError
+from ..scheme import LinearScheme
+from ._common import SegmentAllocator, SynthesisError, build_verified
 
 _F2 = Field(2)
 
@@ -195,11 +195,9 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
                     b[row, bit[subset]] = 1
                 row += 1
             msg += 1
-    built = LinearScheme(field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
-                         A=FMatrix(_F2, a), B=FMatrix(_F2, b),
-                         meta={"builder": "groupcast_2of4", "case": case,
-                               "counts": dict(counts), "seed": seed,
-                               "escalations": 0})
-    if not verify(built).ok:
-        raise SynthesisError(f"2-of-4 composition failed verification in case {case}")
+    built = build_verified(LinearScheme(
+        field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
+        A=FMatrix(_F2, a), B=FMatrix(_F2, b),
+        meta={"builder": "groupcast_2of4", "case": case, "counts": dict(counts),
+              "seed": seed, "escalations": 0}))
     return built.relabeled(invert_perm(perm))

@@ -30,6 +30,7 @@ import numpy as np
 from ..fmatrix import FMatrix
 from ..gf import Field
 from ..scheme import LinearScheme
+from ._common import build_verified
 
 _F2 = Field(2)
 
@@ -87,8 +88,8 @@ def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
             a[r0 + r, m0 + msg] = 1
             for key_idx, block in pads:
                 b[r0 + r, key_idx * width + BLOCKS_PER_COPY * copy + block] = 1
-    return LinearScheme(field=_F2, L=BLOCKS_PER_COPY, K=5,
-                        qualified=frozenset({1, 2}), layout=layout,
-                        A=FMatrix(_F2, a), B=FMatrix(_F2, b),
-                        meta={"builder": "instance_2of5", "key_size": ell,
-                              "seed": seed, "escalations": 0})
+    return build_verified(LinearScheme(
+        field=_F2, L=BLOCKS_PER_COPY, K=5, qualified=frozenset({1, 2}),
+        layout=layout, A=FMatrix(_F2, a), B=FMatrix(_F2, b),
+        meta={"builder": "instance_2of5", "key_size": ell, "seed": seed,
+              "escalations": 0}))

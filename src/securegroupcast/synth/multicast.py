@@ -15,17 +15,15 @@ how the pair key compares with receiver 1's private and pair keys.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
-from ..gf import Field
+from ..gf import Field, least_prime_at_least
 from ..keyspace import (KeyConfig, WrongShapeError, canonical_relabel,
                         invert_perm, normalize_labels, set_of)
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, random_matrix
+from ._common import SegmentAllocator, build_verified
 
 
 def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -44,13 +42,11 @@ def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     total = sum(size for _, size in useful)
     layout = tuple((set_of(m), size) for m, size in useful)
 
-    def make(field: Field, rng: random.Random, generic: bool) -> LinearScheme:
-        v = random_matrix(field, rng, total, lw) if generic else cauchy(total, lw, field)
-        return LinearScheme(field=field, L=1, K=norm.K, qualified=norm.qualified,
-                            layout=layout, A=v, B=FMatrix.identity(field, total),
-                            meta={"builder": "multicast"})
-
-    built = build_verified(lw + total, make, seed)
+    field = Field(least_prime_at_least(lw + total))
+    built = build_verified(LinearScheme(
+        field=field, L=1, K=norm.K, qualified=norm.qualified, layout=layout,
+        A=cauchy(total, lw, field), B=FMatrix.identity(field, total),
+        meta={"builder": "multicast", "escalations": 0, "seed": seed}))
     return built.relabeled(invert_perm(perm))
 
 
@@ -96,19 +92,17 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
     lx = sum(rows for _, rows in blocks)
     layout = tuple((set_of(m), size) for m, size in norm.key_items()
                    if not m & 0b1000)
-
-    def make(field: Field, rng: random.Random, generic: bool) -> LinearScheme:
-        v = random_matrix(field, rng, lx, lw) if generic else cauchy(lx, lw, field)
-        b = np.zeros((lx, sum(w for _, w in layout)), dtype=np.int64)
-        alloc = SegmentAllocator(layout)
-        r = 0
-        for subset, rows in blocks:
-            for col in alloc.take(subset, rows):
-                b[r, col] = 1
-                r += 1
-        return LinearScheme(field=field, L=1, K=4, qualified=frozenset({1, 2, 3}),
-                            layout=layout, A=v, B=FMatrix(field, b),
-                            meta={"builder": "multicast_k4_bw", "case": case})
-
-    built = build_verified(lx + lw, make, seed)
+    alloc = SegmentAllocator(layout)
+    b = np.zeros((lx, alloc.total), dtype=np.int64)
+    r = 0
+    for subset, rows in blocks:
+        for col in alloc.take(subset, rows):
+            b[r, col] = 1
+            r += 1
+    field = Field(least_prime_at_least(lx + lw))
+    built = build_verified(LinearScheme(
+        field=field, L=1, K=4, qualified=frozenset({1, 2, 3}), layout=layout,
+        A=cauchy(lx, lw, field), B=FMatrix(field, b),
+        meta={"builder": "multicast_k4_bw", "case": case, "escalations": 0,
+              "seed": seed}))
     return built.relabeled(invert_perm(perm))

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..fmatrix import FMatrix, hstack, prefix_ranks
+from ..fmatrix import ColumnRanks, FMatrix, hstack
 from ..gf import Field
 from ..scheme import TooLargeError, message_groups, oracle_cap
 
@@ -156,35 +156,34 @@ class MultiMessageReport:
         return all(self.correct.values()) and all(self.secure.values())
 
 
-def _cols(ms: MultiMessageScheme, which: list[int]) -> FMatrix:
-    b = ms.B.array
-    return FMatrix(_F2, b[:, which] if which else np.zeros((ms.L_X, 0), np.int64))
-
-
 def verify_multimessage(ms: MultiMessageScheme) -> MultiMessageReport:
-    """Exact rank-based decode and leakage tests for all three constraints."""
-    unk1 = [j for j in range(ms.B.cols) if j not in set(ms.key_columns(1))]
-    unk2 = [j for j in range(ms.B.cols) if j not in set(ms.key_columns(2))]
-    correct = {}
-    # Receiver 1 decodes (W1, W12) despite unknown W2 and s2.
-    target = hstack([ms.A1, ms.A12])
-    other = hstack([ms.A2, _cols(ms, unk1)])
-    base, total = prefix_ranks(hstack([other, target]), other.cols)
-    correct[1] = total - base == ms.rates[0] + ms.rates[2]
-    target = hstack([ms.A2, ms.A12])
-    other = hstack([ms.A1, _cols(ms, unk2)])
-    base, total = prefix_ranks(hstack([other, target]), other.cols)
-    correct[2] = total - base == ms.rates[1] + ms.rates[2]
-    leakage = {}
-    noise = hstack([ms.A1, ms.A12, _cols(ms, unk1)])
-    base, total = prefix_ranks(hstack([noise, ms.A2]), noise.cols)
-    leakage["W2->1"] = total - base
-    noise = hstack([ms.A2, ms.A12, _cols(ms, unk2)])
-    base, total = prefix_ranks(hstack([noise, ms.A1]), noise.cols)
-    leakage["W1->2"] = total - base
-    together = hstack([ms.A1, ms.A2, ms.A12])
-    base, total = prefix_ranks(hstack([ms.B, together]), ms.B.cols)
-    leakage["W1W2W12->3"] = total - base
+    """Exact rank-based decode and leakage tests for all three constraints.
+
+    Every test compares rank(M[:, noise]) with rank(M[:, noise + target])
+    for column lists of one matrix M = [B | A1 | A2 | A12], all read off a
+    single echelon form of M.
+    """
+    d, (r1, r2, r12) = ms.B.cols, ms.rates
+    a1 = list(range(d, d + r1))
+    a2 = list(range(d + r1, d + r1 + r2))
+    a12 = list(range(d + r1 + r2, d + r1 + r2 + r12))
+    m = ColumnRanks(hstack([ms.B, ms.A1, ms.A2, ms.A12]))
+
+    def unknown(receiver):
+        held = set(ms.key_columns(receiver))
+        return [j for j in range(d) if j not in held]
+
+    def gain(noise, target):
+        base, total = m.ranks(noise, target)
+        return total - base
+
+    # Receiver 1 decodes (W1, W12) despite unknown W2 and s2; receiver 2
+    # likewise (W2, W12).
+    correct = {1: gain(a2 + unknown(1), a1 + a12) == r1 + r12,
+               2: gain(a1 + unknown(2), a2 + a12) == r2 + r12}
+    leakage = {"W2->1": gain(a1 + a12 + unknown(1), a2),
+               "W1->2": gain(a2 + a12 + unknown(2), a1),
+               "W1W2W12->3": gain(list(range(d)), a1 + a2 + a12)}
     return MultiMessageReport(correct=correct, leakage=leakage,
                               secure={key: v == 0 for key, v in leakage.items()})
 

@@ -21,18 +21,17 @@ capacity sum C(K-2, u-1) L[u] and bandwidth sum
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
-from ..gf import Field
+from ..gf import Field, least_prime_at_least
 from ..keyspace import (KeyConfig, canonical_relabel, invert_perm, is_symmetric,
                         mask_of)
 from ..scheme import LinearScheme
-from ._common import NotSymmetricError, build_verified, random_matrix
+from ._common import NotSymmetricError, build_verified
 
 
 def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -91,32 +90,25 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     groups_meta = [{"u": g["u"], "i": g["i"], "rate": g["m"],
                     "bandwidth": len(g["blocks"]) * g["b"]} for g in plan]
 
-    def make(field: Field, rng: random.Random, generic: bool) -> LinearScheme:
-        a = np.zeros((lx, lw), dtype=np.int64)
-        bmat = np.zeros((lx, pos), dtype=np.int64)
-        row = msg = 0
-        for g in plan:
-            b, m, ell = g["b"], g["m"], g["ell"]
-            nblocks = len(g["blocks"])
-            key_cols = comb(K - N, g["u"] - g["i"]) * ell
-            if generic:
-                vw = random_matrix(field, rng, nblocks * b, m)
-                vs = random_matrix(field, rng, b, key_cols)
-            else:
-                vw = cauchy(nblocks * b, m, field)
-                vs = cauchy(b, key_cols, field)
-            for t, (_, key_subsets) in enumerate(g["blocks"]):
-                a[row:row + b, msg:msg + m] = vw.array[t * b:(t + 1) * b]
-                for j, subset in enumerate(key_subsets):
-                    start = seg_start[subset]
-                    bmat[row:row + b, start:start + ell] = \
-                        vs.array[:, j * ell:(j + 1) * ell]
-                row += b
-            msg += m
-        return LinearScheme(field=field, L=1, K=K,
-                            qualified=frozenset(qualified), layout=layout,
-                            A=FMatrix(field, a), B=FMatrix(field, bmat),
-                            meta={"builder": "symmetric", "groups": groups_meta})
-
-    built = build_verified(p_floor, make, seed)
+    field = Field(least_prime_at_least(p_floor))
+    a = np.zeros((lx, lw), dtype=np.int64)
+    bmat = np.zeros((lx, pos), dtype=np.int64)
+    row = msg = 0
+    for g in plan:
+        b, m, ell = g["b"], g["m"], g["ell"]
+        vw = cauchy(len(g["blocks"]) * b, m, field)
+        vs = cauchy(b, comb(K - N, g["u"] - g["i"]) * ell, field)
+        for t, (_, key_subsets) in enumerate(g["blocks"]):
+            a[row:row + b, msg:msg + m] = vw.array[t * b:(t + 1) * b]
+            for j, subset in enumerate(key_subsets):
+                start = seg_start[subset]
+                bmat[row:row + b, start:start + ell] = \
+                    vs.array[:, j * ell:(j + 1) * ell]
+            row += b
+        msg += m
+    built = build_verified(LinearScheme(
+        field=field, L=1, K=K, qualified=frozenset(qualified), layout=layout,
+        A=FMatrix(field, a), B=FMatrix(field, bmat),
+        meta={"builder": "symmetric", "groups": groups_meta, "escalations": 0,
+              "seed": seed}))
     return built.relabeled(invert_perm(perm))

@@ -10,14 +10,12 @@ is uniform: zero leakage at bandwidth equal to the rate.
 
 from __future__ import annotations
 
-import random
-
 from ..fmatrix import FMatrix, cauchy
-from ..gf import Field
+from ..gf import Field, least_prime_at_least
 from ..keyspace import KeyConfig, WrongShapeError, canonical_relabel, invert_perm, set_of
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import build_verified, random_matrix
+from ._common import build_verified
 
 
 def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -34,11 +32,9 @@ def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     total = sum(size for _, size in keys)
     layout = tuple((set_of(m), size) for m, size in keys)
 
-    def make(field: Field, rng: random.Random, generic: bool) -> LinearScheme:
-        v = random_matrix(field, rng, lw, total) if generic else cauchy(lw, total, field)
-        return LinearScheme(field=field, L=1, K=norm.K, qualified=norm.qualified,
-                            layout=layout, A=FMatrix.identity(field, lw), B=v,
-                            meta={"builder": "unicast"})
-
-    built = build_verified(lw + total, make, seed)
+    field = Field(least_prime_at_least(lw + total))
+    built = build_verified(LinearScheme(
+        field=field, L=1, K=norm.K, qualified=norm.qualified, layout=layout,
+        A=FMatrix.identity(field, lw), B=cauchy(lw, total, field),
+        meta={"builder": "unicast", "escalations": 0, "seed": seed}))
     return built.relabeled(invert_perm(perm))

@@ -213,6 +213,37 @@ def test_synth_seeds_give_verifiable_schemes(tmp_path, capsys):
         capsys.readouterr()
 
 
+# sha256 of the `sgc synth` file: the scheme JSON is fixed for a given
+# config and seed, meta key order included
+SYNTH_DIGESTS = {
+    ("ex1", 0): "c9a49100b42663b5547824edc8d5e5aefb103e9462481e873bbfd35cd0f820fe",
+    ("ex1", 3): "dade6a6379c0e74659cf4acab2ce4ba3634841cfecb52faae084c9634f357590",
+    ("ex2", 0): "7b767a48e81576b8955d55d372f8c9583574fcd97117d08d9f485a4ce241c206",
+    ("ex2", 3): "14ba4fd2ddb327dc4b4075c339dced78be8adc1d119e09db000f0c571c53c81f",
+    ("ex3", 0): "d27509558018243e9436c99b06c1de184063b1995348781230833f7eb091969a",
+    ("ex3", 3): "abfd0ddd772055a5789879df0294f759f1f6a51ac41bba308d4fa5a552853216",
+    ("ex4", 0): "8724125a8675e7e68d32417e099a3ee132091febea10541cf5d991003af4c16b",
+    ("ex4", 3): "87f0f15f6db3383b0f083ff1f6424408c074ef4e0c336d78b0aa4264bd5f8aa8",
+    ("fig4", 0): "83d1756705a2186b4a5f4464c94f9f3ecf5e61a1259331ca3883c107bf59d362",
+    ("fig4", 3): "985cacf38154b293bb761b7d9cf262e14d8c25c110dcabf285c6bee8b163ab37",
+    ("degenerate", 0): "af4536b472133d671758ec7f77a397867e24c3032ce2fad686798c6579aad74d",
+    ("degenerate", 3): "1e6f5272bc00f7a2b4c46e89f8c13c0731fc0657648d9ed84bed2d8c123e33fc",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SYNTH_DIGESTS))
+def test_synth_output_is_pinned(name, seed, tmp_path, capsys):
+    import hashlib
+    from securegroupcast.cli import demo_configs
+    obj = ({"K": 4, "qualified": [1], "keys": [{"subset": [2, 3], "symbols": 2}]}
+           if name == "degenerate" else config_to_obj(demo_configs()[name]))
+    out_path = tmp_path / "s.json"
+    cfg = write(tmp_path, "c.json", obj)
+    assert main(["synth", cfg, "-o", str(out_path), "--seed", str(seed)]) == EXIT_OK
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == SYNTH_DIGESTS[name, seed]
+
+
 def _threes():
     from itertools import combinations
     return combinations(range(1, 7), 3)

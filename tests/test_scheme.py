@@ -126,6 +126,18 @@ def test_decoder_not_decodable():
         decoder_for(scheme, 1)
 
 
+def test_decoder_lets_solver_faults_propagate(monkeypatch):
+    # only "no solution" means "not decodable"; any other fault is a bug
+    import securegroupcast.scheme as scheme_mod
+
+    def broken(a, b):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(scheme_mod, "solve_right", broken)
+    with pytest.raises(RuntimeError, match="solver fault"):
+        decoder_for(otp(field=F3), 1)
+
+
 # -- oracle ------------------------------------------------------------------
 
 def test_oracle_one_time_pad():

@@ -283,43 +283,26 @@ def test_instance_2of5_uses_full_key_budget():
     assert all((s.B.array[:, c] != 0).any() for c in range(s.D))
 
 
-# -- escalation loop -----------------------------------------------------------------
-
-def _leaky_scheme(field):
-    """Message broadcast in the clear: always rejected by the verifier."""
-    from securegroupcast.fmatrix import FMatrix
-    return LinearScheme(field=field, L=1, K=2, qualified=frozenset({1}),
-                        layout=(), A=FMatrix.identity(field, 1),
-                        B=FMatrix.zeros(field, 1, 0))
-
-
-def _padded_scheme(field):
-    from securegroupcast.fmatrix import FMatrix
-    return LinearScheme(field=field, L=1, K=2, qualified=frozenset({1}),
-                        layout=((frozenset({1}), 1),),
-                        A=FMatrix.identity(field, 1),
-                        B=FMatrix.identity(field, 1))
-
-
-def test_build_verified_escalates_then_succeeds():
-    calls = []
-
-    def make(field, rng, generic):
-        calls.append((field.p, generic))
-        return _leaky_scheme(field) if len(calls) < 3 else _padded_scheme(field)
-
-    built = build_verified(2, make, seed=0)
-    assert built.meta["escalations"] == 2
-    assert [p for p, _ in calls] == [2, 3, 5]
-    assert calls[0][1] is False and calls[1][1] is True
-
+# -- verification gate ---------------------------------------------------------------
 
 def test_build_verified_gives_up():
-    def always_bad(field, rng, generic):
-        return _leaky_scheme(field)
+    from securegroupcast.fmatrix import FMatrix
+    from securegroupcast.gf import Field
+    f = Field(2)
+    leaky = LinearScheme(field=f, L=1, K=2, qualified=frozenset({1}), layout=(),
+                         A=FMatrix.identity(f, 1), B=FMatrix.zeros(f, 1, 0),
+                         meta={"builder": "leaky"})  # message in the clear
+    with pytest.raises(SynthesisError, match="leaky"):
+        build_verified(leaky)
 
+
+def test_instance_2of5_verifies_its_output(monkeypatch):
+    import securegroupcast.synth.instance25 as instance25
+    rows = list(instance25._BASE_ROWS)
+    rows[2] = (1, ())                        # W2 sent without its pad a1
+    monkeypatch.setattr(instance25, "_BASE_ROWS", tuple(rows))
     with pytest.raises(SynthesisError):
-        build_verified(2, always_bad, seed=0, max_escalations=3)
+        instance_2of5(1)
 
 
 # -- dispatch ------------------------------------------------------------------------
