@@ -81,22 +81,6 @@ class Field:
     def __repr__(self):
         return f"Field({self.p})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for 0."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
 
 def field_new(p: int) -> Field:
     """Construct the GF(p) context; NotPrimeError if p is composite."""

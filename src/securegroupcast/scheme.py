@@ -18,9 +18,13 @@ Verification is exact, never statistical:
   rank(B_unk) = |I| + rank(R[not I, U minus P]) and
   rank([B_unk | A]) = |I| + rank(R[not I, (U minus P) + A]), both read from
   one prefix-rank pass over that small residual block;
-* an independent brute-force oracle enumerates every (W, S) state, counts
+* an independent brute-force oracle enumerates the (W, S) states, counts
   the joint distributions and reports mutual information in bits and
-  decode success directly, with no linear-algebra shortcuts.
+  decode success directly, with no linear-algebra shortcuts.  It counts
+  each check only over the state digits that can change its answer: a
+  receiver's view is X plus the key digits it holds, fixing those shifts X
+  by a constant, so every such slice has the same (view, message)
+  partition and one slice is counted.
 """
 
 from __future__ import annotations
@@ -356,14 +360,20 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 
 # -- exhaustive counting oracle -------------------------------------------
 #
-# The oracle never looks at ranks.  It enumerates all p^(L_W + D_used)
+# The oracle never looks at ranks.  Its state space is the p^(L_W + D_used)
 # joint states s = sum_j d_j p^j, message digits lowest (unused all-zero key
 # columns are dropped first: a key that never enters X is independent of
-# everything and cannot change any receiver's information).  For each
-# receiver it builds one code per state (int32 when it fits in 31 bits)
-# that holds what the receiver sees above the message digits; one sort of
-# it groups the states per (view, message) and per view.  Decoding is read
-# off two group counts; group sizes are built only for eavesdroppers.
+# everything and cannot change any receiver's information).  A check
+# enumerates only the digits that can change its answer.  Receiver k sees X
+# and its held key digits J.  X is linear, so on each slice s_J = v the view
+# is X on the other digits plus a constant: every slice has the same
+# (view, message) partition, and k's verdicts and leakage are those of one
+# slice of p^(m - |J|) states.  Per receiver one code per such state (int32
+# when it fits in 31 bits) holds X above the message digits; one sort of it
+# groups the states per (view, message) and per view.  Decoding is read
+# off two group counts; group sizes are built only for eavesdroppers.  The
+# decoder's error is enumerated only on the digits where it has a nonzero
+# column, as no other digit can change whether it vanishes.
 
 
 def oracle_cap() -> int:
@@ -512,7 +522,10 @@ class GroupCounts:
                 and bool(np.all(self.joint.reshape(-1, q) * q == self.view[:, None])))
 
     def leakage_bits(self) -> float:
-        """Mutual information of view and message in bits (display only)."""
+        """Mutual information of view and message in bits (display only);
+        exactly 0.0 when independent()."""
+        if self.independent():
+            return 0.0
         n = len(self.step) + 1
         return (math.log2(self.messages) + _entropy_bits(self.view, n)
                 - _entropy_bits(self.joint, n))
@@ -527,6 +540,19 @@ def message_groups(p: int, m: int, view_forms: np.ndarray, lo: int, hi: int) -> 
     by_digits = code.reshape(p ** (m - hi), q, p ** lo)   # a view of code
     by_digits |= np.arange(q, dtype=code.dtype)[:, None]
     return group_stats(code, msg_bits, q)
+
+
+def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int], lo: int, hi: int) -> GroupCounts:
+    """Group counts of the view (X, the state digits `held`) against the
+    message in state digits lo..hi-1, none of them held; `x_forms` holds
+    one row of coefficients per entry of X, one column per state digit.
+
+    Only the other (free) digits are enumerated: every slice where the
+    held digits are fixed has the same (view, message) partition."""
+    free = [j for j in range(x_forms.shape[1]) if j not in held]
+    forms = x_forms[:, free]
+    shift = sum(j < lo for j in free)   # the message stays one run of free digits
+    return message_groups(p, len(free), forms[forms.any(axis=1)], shift, shift + hi - lo)
 
 
 @dataclass(frozen=True)
@@ -566,20 +592,16 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
             f"p^(L_W + D_used) = {p}^{m} = {states} exceeds the oracle cap {cap}")
     x_forms = np.concatenate([scheme.A.array, b[:, used]], axis=1)
     digit = {col: scheme.L_W + i for i, col in enumerate(used)}
-    unit = np.eye(m + 1, m, dtype=np.int64)   # row m is the zero form
     correct: dict[int, bool] = {}
     success: dict[int, float] = {}
     leakage: dict[int, float] = {}
     secure: dict[int, bool] = {}
     for k in sorted(scheme.qualified) + sorted(scheme.eavesdroppers):
-        # one form per entry of what k holds, [X; S_known]; an unused key
-        # column is zero in B, so the decoder's coefficient on it (a column
-        # of -M1 @ B_known) is zero too and its zero form is exact
-        held = np.concatenate([x_forms, unit[[digit.get(c, m) for c in scheme.known_columns(k)]]])
-        groups = message_groups(p, m, held[held.any(axis=1)], 0, scheme.L_W)
+        held = [digit[c] for c in scheme.known_columns(k) if c in digit]
+        groups = view_groups(p, x_forms, held, 0, scheme.L_W)
         if k in scheme.qualified:
             correct[k] = groups.decodes()
-            success[k] = _decode_success(scheme, k, held)
+            success[k] = _decode_success(scheme, k, x_forms, digit)
         else:
             secure[k] = groups.independent()
             leakage[k] = groups.leakage_bits()
@@ -587,17 +609,28 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
                         leakage_bits=leakage, secure=secure, states=states)
 
 
-def _decode_success(scheme: LinearScheme, k: int, held: np.ndarray) -> float:
+def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,
+                    digit: Mapping[int, int]) -> float:
     """Fraction of states where k's constructed decoder returns W exactly.
 
-    The decoder's output minus W is linear in the state, so it is evaluated
-    on every state by expanding its values on the unit states.
+    The decoder's output minus W is linear in the state; it is evaluated on
+    every value of the digits it depends on, by expanding its values on
+    the unit states, and the fraction there is the fraction over all states.
     """
     try:
         dec = decoder_for(scheme, k)
     except NotDecodableError:
         return 0.0
-    f, m = scheme.field, held.shape[1]
-    error = dec @ FMatrix(f, held) - FMatrix(f, np.eye(scheme.L_W, m, dtype=np.int64))
-    code, _ = state_code(scheme.p, m, error.array)
+    f, lx, lw = scheme.field, scheme.L_X, scheme.L_W
+    # the decoder's coefficients on the state digits outside X: its column
+    # for each held used key, and -1 on W itself; an unused key column is
+    # zero in B, so the decoder's coefficient on it is zero too
+    direct = np.zeros((lw, x_forms.shape[1]), dtype=np.int64)
+    np.fill_diagonal(direct, scheme.p - 1)
+    for i, c in enumerate(scheme.known_columns(k)):
+        if c in digit:
+            direct[:, digit[c]] = dec.array[:, lx + i]
+    error = (FMatrix(f, dec.array[:, :lx]) @ FMatrix(f, x_forms) + FMatrix(f, direct)).array
+    live = error[:, error.any(axis=0)]
+    code, _ = state_code(scheme.p, live.shape[1], live)
     return np.count_nonzero(code == 0) / code.shape[0]

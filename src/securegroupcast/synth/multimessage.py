@@ -28,7 +28,7 @@ import numpy as np
 
 from ..fmatrix import ColumnRanks, FMatrix, hstack
 from ..gf import Field
-from ..scheme import TooLargeError, message_groups, oracle_cap
+from ..scheme import TooLargeError, oracle_cap, view_groups
 
 _F2 = Field(2)
 
@@ -190,11 +190,12 @@ def verify_multimessage(ms: MultiMessageScheme) -> MultiMessageReport:
 
 def oracle_multimessage(ms: MultiMessageScheme,
                         cap: Optional[int] = None) -> MultiMessageReport:
-    """Brute-force enumeration of all (W1, W2, W12, S) states.
+    """Brute-force enumeration of the (W1, W2, W12, S) states.
 
-    Counts what each receiver sees and reports exact mutual information in
-    bits for the three security constraints and exact decodability for the
-    two qualified receivers.
+    Counts what each receiver sees, over the state digits it does not hold
+    (`view_groups`), and reports exact mutual information in bits for the
+    three security constraints and exact decodability for the two
+    qualified receivers.
     """
     if cap is None:
         cap = oracle_cap()
@@ -207,19 +208,20 @@ def oracle_multimessage(ms: MultiMessageScheme,
     # is one run of digits
     x_forms = np.concatenate(
         [ms.A1.array, ms.A12.array, ms.A2.array, ms.B.array], axis=1)
-    keys = np.eye(m, dtype=np.int64)[r1 + r12 + r2:]
+    first_key = r1 + r12 + r2
 
-    def view(receiver):
-        return np.concatenate([x_forms, keys[ms.key_columns(receiver)]])
+    def groups(receiver, lo, hi):
+        held = [first_key + c for c in ms.key_columns(receiver)]
+        return view_groups(2, x_forms, held, lo, hi)
 
     correct = {
-        1: message_groups(2, m, view(1), 0, r1 + r12).decodes(),
-        2: message_groups(2, m, view(2), r1, r1 + r12 + r2).decodes(),
+        1: groups(1, 0, r1 + r12).decodes(),
+        2: groups(2, r1, r1 + r12 + r2).decodes(),
     }
     eavesdropping = {
-        "W2->1": message_groups(2, m, view(1), r1 + r12, r1 + r12 + r2),
-        "W1->2": message_groups(2, m, view(2), 0, r1),
-        "W1W2W12->3": message_groups(2, m, x_forms, 0, r1 + r12 + r2),
+        "W2->1": groups(1, r1 + r12, r1 + r12 + r2),
+        "W1->2": groups(2, 0, r1),
+        "W1W2W12->3": groups(3, 0, r1 + r12 + r2),
     }
     return MultiMessageReport(
         correct=correct,

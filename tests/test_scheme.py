@@ -14,8 +14,11 @@ from securegroupcast import (DecodeFailureError, Field, FieldMismatchError,
                              decoder_for, hstack, merge_layout, oracle_verify,
                              prefix_ranks, rank, rref, simulate, verify,
                              verify_correctness, verify_security)
+import securegroupcast.scheme as scheme_module
 from securegroupcast.scheme import message_groups, state_code
 from securegroupcast.synth import component_instance
+from securegroupcast.synth.multimessage import (MultiMessageScheme, multimessage,
+                                                oracle_multimessage)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -573,11 +576,67 @@ def test_oracle_matches_state_by_state_reference(p):
         seen["no X"] += scheme.L_X == 0
         seen["no W"] += scheme.L_W == 0
         seen["unused key"] += used < scheme.D
+        # a held key that enters X: its digits are sliced off k's view
+        seen["held used key"] += any(scheme.B.array[:, c].any()
+                                     for k in range(1, scheme.K + 1)
+                                     for c in scheme.known_columns(k))
         seen["leaks"] += not all(orc.secure.values())
         seen["undecodable"] += not all(orc.correct.values())
         seen["ok"] += orc.ok
-    assert all(seen[key] for key in ("no X", "no W", "unused key", "leaks", "undecodable",
-                                     "ok")), seen
+    assert all(seen[key] for key in ("no X", "no W", "unused key", "held used key", "leaks",
+                                     "undecodable", "ok")), seen
+
+
+def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
+    """Each receiver's view is counted over L_W + (used key digits it does
+    not hold) digits, while `states` still counts them all."""
+    rng = random.Random(2718)
+    digit_counts = []
+
+    def recording(p, m, view_forms, lo, hi):
+        digit_counts.append(m)
+        return message_groups(p, m, view_forms, lo, hi)
+
+    monkeypatch.setattr(scheme_module, "message_groups", recording)
+    sliced = 0
+    for _ in range(60):
+        scheme = cross_check_scheme(rng, rng.choice([2, 3]))
+        used = {j for j in range(scheme.D) if scheme.B.array[:, j].any()}
+        digit_counts.clear()
+        rep = oracle_verify(scheme)
+        assert rep.states == scheme.p ** (scheme.L_W + len(used))
+        receivers = sorted(scheme.qualified) + sorted(scheme.eavesdroppers)
+        want = [scheme.L_W + len(used - set(scheme.known_columns(k))) for k in receivers]
+        assert digit_counts == want, scheme
+        sliced += any(w < scheme.L_W + len(used) for w in want)
+    assert sliced
+
+
+def test_secure_views_leak_exactly_zero_bits():
+    """A secure eavesdropper reads exactly 0.0 bits in both oracles; a
+    leaking one reads its leaked symbols times log2 p."""
+    rng = random.Random(1618)
+    seen = Counter()
+    for _ in range(120):
+        scheme = cross_check_scheme(rng, rng.choice([2, 3, 5, 7]))
+        alg, orc = verify(scheme), oracle_verify(scheme)
+        for e, symbols in alg.leakage.items():
+            if orc.secure[e]:
+                assert orc.leakage_bits[e] == 0.0 and symbols == 0
+            else:
+                assert abs(orc.leakage_bits[e] - symbols * math.log2(scheme.p)) < 1e-9
+            seen[orc.secure[e]] += 1
+    assert seen[True] and seen[False], seen
+    for rates in ((1, 1, 1), (0, 0, 2), (1, 0, 1), (1, 1, 0)):
+        ms = multimessage((1, 1, 1), rates)
+        bits = oracle_multimessage(ms).leakage
+        assert all(v == 0.0 for v in bits.values()), bits
+    clear = MultiMessageScheme(sizes=(0, 0, 0), rates=(1, 0, 0), A1=FMatrix.identity(F2, 1),
+                               A2=FMatrix.zeros(F2, 1, 0), A12=FMatrix.zeros(F2, 1, 0),
+                               B=FMatrix.zeros(F2, 1, 0))
+    rep = oracle_multimessage(clear)
+    assert rep.secure["W1->2"] is False and abs(rep.leakage["W1->2"] - 1.0) < 1e-9
+    assert rep.leakage["W2->1"] == 0.0
 
 
 # -- concatenation -------------------------------------------------------------
