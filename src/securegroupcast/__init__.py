@@ -26,9 +26,9 @@ from .scheme import (DecodeFailureError, FieldMismatchError, LinearScheme,
                      TooLargeError, Transcript, VerifyReport, concat,
                      decoder_for, merge_layout, oracle_verify, simulate,
                      verify, verify_correctness, verify_security)
-from .synth import (InfeasibleRates, MultiMessageScheme, NotSymmetricError,
-                    SynthesisError, UnsolvedSettingError, groupcast_2of4,
-                    instance_2of5, multicast, multicast_k4_bw, multimessage,
-                    symmetric, synthesize, unicast)
+from .synth import (InfeasibleRates, NotSymmetricError, SynthesisError,
+                    UnsolvedSettingError, groupcast_2of4, instance_2of5,
+                    multicast, multicast_k4_bw, multimessage, symmetric,
+                    synthesize, unicast)
 
 __version__ = "0.1.0"

@@ -125,6 +125,8 @@ def load_config(path: str) -> KeyConfig:
 # -- scheme files ------------------------------------------------------------
 
 def scheme_to_obj(scheme: LinearScheme) -> dict:
+    if len(scheme.messages) > 1:
+        raise ValueError("scheme files hold single-message schemes only")
     return {
         "p": scheme.p,
         "L": scheme.L,
@@ -140,20 +142,33 @@ def scheme_to_obj(scheme: LinearScheme) -> dict:
     }
 
 
+def _receiver_set(receivers: Any, K: int) -> frozenset[int]:
+    _receivers_mask(receivers, K)   # the labels are checked there
+    return frozenset(receivers)
+
+
+def _int_field(obj: dict, name: str) -> int:
+    value = obj[name]
+    if type(value) is not int:
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def scheme_from_obj(obj: Any) -> LinearScheme:
     if not isinstance(obj, dict):
         raise ConfigError("scheme must be a JSON object")
     try:
+        k = _int_field(obj, "K")
         field = Field(obj["p"])
-        layout = tuple((frozenset(seg["subset"]), seg["width"])
+        layout = tuple((_receiver_set(seg["subset"], k), _int_field(seg, "width"))
                        for seg in obj["layout"])
         a = obj["A"]
         b = obj["B"]
-        lw, lx = obj["Lw"], obj["Lx"]
+        lw, lx = _int_field(obj, "Lw"), _int_field(obj, "Lx")
         d = sum(w for _, w in layout)
         scheme = LinearScheme(
-            field=field, L=obj["L"], K=obj["K"],
-            qualified=frozenset(obj["qualified"]), layout=layout,
+            field=field, L=_int_field(obj, "L"), K=k,
+            qualified=_receiver_set(obj["qualified"], k), layout=layout,
             A=FMatrix(field, a) if a else FMatrix.zeros(field, lx, lw),
             B=FMatrix(field, b) if b else FMatrix.zeros(field, lx, d),
             meta=dict(obj.get("meta", {})))
@@ -336,13 +351,12 @@ def _demo_region() -> int:
                        for j, x in enumerate(r))) is not None for i in range(3))]
     ok = True
     for rates in boundary:
-        ms = synth_mod.multimessage(sizes, rates)
-        rep = synth_mod.verify_multimessage(ms)
-        orep = synth_mod.oracle_multimessage(ms, cap)
-        ok = ok and rep.ok and orep.ok
-        print(f"  rates {rates}: bandwidth {ms.bandwidth} "
+        scheme = synth_mod.multimessage(sizes, rates)
+        verified = verify(scheme).ok and oracle_verify(scheme, cap).ok
+        ok = ok and verified
+        print(f"  rates {rates}: bandwidth {scheme.L_X} "
               f"(= {synth_mod.min_bandwidth(sizes, rates)}), "
-              f"verified={'yes' if rep.ok and orep.ok else 'NO'}")
+              f"verified={'yes' if verified else 'NO'}")
     return EXIT_OK if ok else EXIT_REJECTED
 
 

@@ -1,30 +1,39 @@
 """Linear secure-groupcast schemes and their exact verification.
 
 A scheme broadcasts X = A @ W + B @ S over GF(p), where W is the message
-and S is the global key vector, laid out as consecutive segments, one per
-combinatorial key subset.  Receiver k knows exactly the columns of B whose
-segment subset contains k.
+vector and S is the global key vector.  Both are laid out as consecutive
+blocks, each owned by a receiver subset: key segments, one per
+combinatorial key subset, and message blocks.  Receiver k knows exactly the
+columns of B whose segment subset contains k; it must decode the message
+blocks whose subset contains k (its demanded columns of A) and learn
+nothing about the others (its forbidden columns).  A single-message scheme
+is one block owned by the qualified receivers: they demand all of W, and
+every other receiver, an eavesdropper, forbids all of it.
 
 Verification is exact, never statistical:
 
 * algebraic tests reduce correctness and leakage to ranks.  With uniform
   independent keys and a linear map, receiver k's residual view is
-  A @ W + B_unk @ S_unk, so k decodes iff the columns of A are independent
-  modulo the column space of B_unk, and an eavesdropper's information
-  about W is exactly rank([B_unk | A]) - rank(B_unk) symbols.  All these
-  ranks are of column subsets of one matrix M = [B | A], so M is reduced
-  once per scheme to its reduced echelon form R with pivot columns P.  With
-  U receiver k's unknown key columns and I the pivot rows of U ∩ P,
-  rank(B_unk) = |I| + rank(R[not I, U minus P]) and
-  rank([B_unk | A]) = |I| + rank(R[not I, (U minus P) + A]), both read from
-  one prefix-rank pass over that small residual block;
+  A_dem @ W_dem + A_forb @ W_forb + B_unk @ S_unk, so k decodes iff the
+  demanded columns are independent modulo the column space of
+  [A_forb | B_unk], and k's information about its forbidden blocks is
+  exactly rank([B_unk | A_dem | A_forb]) - rank([B_unk | A_dem]) symbols.
+  All these ranks are of column subsets of one matrix M = [B | A], so M is
+  reduced once per scheme to its reduced echelon form R with pivot columns
+  P.  With U the noise columns of a test and I the pivot rows of U ∩ P,
+  rank(M[:, U]) = |I| + rank(R[not I, U minus P]) and
+  rank(M[:, U + T]) = |I| + rank(R[not I, (U minus P) + T]) for the target
+  columns T, both read from one prefix-rank pass over that small residual
+  block;
 * an independent brute-force oracle enumerates the (W, S) states, counts
   the joint distributions and reports mutual information in bits and
   decode success directly, with no linear-algebra shortcuts.  It counts
   each check only over the state digits that can change its answer: a
   receiver's view is X plus the key digits it holds, fixing those shifts X
   by a constant, so every such slice has the same (view, message)
-  partition and one slice is counted.
+  partition and one slice is counted.  The message of a decoding check is
+  the receiver's demanded digits and that of a security check its
+  forbidden digits; the other message digits are enumerated as noise.
 """
 
 from __future__ import annotations
@@ -67,13 +76,29 @@ class ShapeMismatchError(ValueError):
     """Schemes with different K/qualified/L cannot be concatenated."""
 
 
+def _check_blocks(name: str, blocks, matrix: str, cols: int, members: frozenset[int]) -> None:
+    """(subset, width) blocks must have nonempty subsets of the receivers
+    and nonnegative widths summing to the `cols` columns of `matrix`."""
+    if sum(w for _, w in blocks) != cols:
+        raise ValueError(f"{name} widths must sum to the width of {matrix}")
+    for subset, width in blocks:
+        if not subset or not subset <= members:
+            raise ValueError(f"{name} subset {sorted(subset)} outside receivers")
+        if width < 0:
+            raise ValueError(f"{name} widths must be nonnegative")
+
+
 @dataclass(frozen=True)
 class LinearScheme:
     """X = A @ W + B @ S over GF(p) with a segmented key layout.
 
     layout entries are (subset, width) pairs partitioning the columns of B
     in order; width counts field symbols (key symbols per block times the
-    block count L).  rate = L_W / L and bandwidth = L_X / L.
+    block count L).  messages partitions the columns of A the same way:
+    each block must be decoded by the receivers of its subset, and every
+    other receiver must learn nothing about it.  The subsets of the
+    blocks cover exactly the qualified receivers; the default is one
+    block, ((qualified, L_W),).  rate = L_W / L and bandwidth = L_X / L.
     """
 
     field: Field
@@ -84,24 +109,26 @@ class LinearScheme:
     A: FMatrix
     B: FMatrix
     meta: Mapping[str, object] = dc_field(default_factory=dict, compare=False)
+    messages: tuple[tuple[frozenset[int], int], ...] = ()
 
     def __post_init__(self):
+        if not self.messages:
+            object.__setattr__(self, "messages", ((self.qualified, self.A.cols),))
         if self.L < 1:
             raise ValueError("key block count L must be >= 1")
         if self.A.field != self.field or self.B.field != self.field:
             raise ValueError("A and B must live in the scheme's field")
         if self.A.rows != self.B.rows:
             raise ValueError("A and B must have the same number of rows")
-        if sum(w for _, w in self.layout) != self.B.cols:
-            raise ValueError("layout widths must sum to the width of B")
         members = frozenset(range(1, self.K + 1))
-        if not self.qualified or not self.qualified <= members or self.qualified == members:
+        owners = [subset for subset, _ in self.messages]
+        if (not self.qualified or not self.qualified <= members
+                or frozenset.intersection(*owners) == members):
             raise ValueError("qualified must be a nonempty proper subset of receivers")
-        for subset, width in self.layout:
-            if not subset or not subset <= members:
-                raise ValueError(f"layout subset {sorted(subset)} outside receivers")
-            if width < 0:
-                raise ValueError("layout widths must be nonnegative")
+        if frozenset.union(*owners) != self.qualified:
+            raise ValueError("message subsets must cover exactly the qualified receivers")
+        _check_blocks("layout", self.layout, "B", self.B.cols, members)
+        _check_blocks("message", self.messages, "A", self.A.cols, members)
 
     # -- derived sizes ---------------------------------------------------
 
@@ -131,7 +158,10 @@ class LinearScheme:
 
     @property
     def eavesdroppers(self) -> frozenset[int]:
-        return frozenset(range(1, self.K + 1)) - self.qualified
+        """The receivers that must learn nothing about some message block:
+        those outside some block's subset."""
+        return frozenset(range(1, self.K + 1)) - frozenset.intersection(
+            *(subset for subset, _ in self.messages))
 
     @cached_property
     def column_ranks(self) -> ColumnRanks:
@@ -151,25 +181,41 @@ class LinearScheme:
 
     def known_columns(self, k: int) -> tuple[int, ...]:
         """Columns of B (key symbols) held by receiver k."""
-        return self._columns(k, True)
+        return self._split(self.layout, k)[0]
 
     def unknown_columns(self, k: int) -> tuple[int, ...]:
-        return self._columns(k, False)
+        return self._split(self.layout, k)[1]
 
-    def _columns(self, k: int, known: bool) -> tuple[int, ...]:
+    def message_columns(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(demanded, forbidden): the columns of A that receiver k must
+        decode and those it must learn nothing about."""
+        return self._split(self.messages, k)
+
+    def _split(self, blocks, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(columns of the blocks whose subset holds k, the other columns)."""
         if not 1 <= k <= self.K:
             raise ValueError(f"receiver {k} outside [1..{self.K}]")
-        return tuple(c for subset, start, width in self.segments() if (k in subset) == known
-                     for c in range(start, start + width))
+        inside: list[int] = []
+        outside: list[int] = []
+        start = 0
+        for subset, width in blocks:
+            (inside if k in subset else outside).extend(range(start, start + width))
+            start += width
+        return tuple(inside), tuple(outside)
 
     def relabeled(self, perm: Mapping[int, int]) -> "LinearScheme":
         """Apply a receiver permutation (old label -> new label)."""
-        return LinearScheme(
+        def moved(blocks):
+            return tuple((frozenset(perm[k] for k in subset), width) for subset, width in blocks)
+
+        out = LinearScheme(
             field=self.field, L=self.L, K=self.K,
             qualified=frozenset(perm[k] for k in self.qualified),
-            layout=tuple((frozenset(perm[k] for k in subset), width)
-                         for subset, width in self.layout),
-            A=self.A, B=self.B, meta=dict(self.meta))
+            layout=moved(self.layout), A=self.A, B=self.B, meta=dict(self.meta),
+            messages=moved(self.messages))
+        if "column_ranks" in vars(self):   # [B | A] is unchanged: share its echelon form
+            vars(out)["column_ranks"] = self.column_ranks
+        return out
 
     @classmethod
     def empty(cls, field: Optional[Field] = None, K: int = 2,
@@ -194,30 +240,37 @@ class VerifyReport:
         return all(self.correct.values()) and not any(self.leakage.values())
 
 
-def _residual_ranks(scheme: LinearScheme, k: int) -> tuple[int, int]:
-    """(rank of B_unk, rank of [B_unk | A]) for receiver k."""
-    return scheme.column_ranks.ranks(scheme.unknown_columns(k),
-                                     range(scheme.D, scheme.D + scheme.L_W))
+def _gain(scheme: LinearScheme, k: int, noise: Sequence[int], target: Sequence[int]) -> int:
+    """rank([B_unk | A_noise | A_target]) - rank([B_unk | A_noise]) for
+    receiver k: the dimensions of the target message columns that survive
+    k's unknown keys and the noise message columns."""
+    d = scheme.D
+    base, total = scheme.column_ranks.ranks(
+        scheme.unknown_columns(k) + tuple(d + c for c in noise), [d + c for c in target])
+    return total - base
 
 
 def verify_correctness(scheme: LinearScheme, k: int) -> bool:
-    """Whether qualified receiver k can always decode W from (X, Z_k)."""
+    """Whether qualified receiver k can always decode its demanded blocks
+    from (X, Z_k)."""
     if k not in scheme.qualified:
         raise ValueError(f"receiver {k} is not qualified")
-    base, total = _residual_ranks(scheme, k)
-    return total - base == scheme.L_W
+    demanded, forbidden = scheme.message_columns(k)
+    return _gain(scheme, k, forbidden, demanded) == len(demanded)
 
 
 def verify_security(scheme: LinearScheme, e: int) -> int:
-    """Exact leakage to eavesdropper e in symbols (0 means secure).
+    """Exact leakage to eavesdropper e about its forbidden blocks, in
+    symbols (0 means secure).
 
-    rank([B_unk | A]) - rank(B_unk): the number of message dimensions not
-    absorbed by key noise unknown to e.
+    rank([B_unk | A_dem | A_forb]) - rank([B_unk | A_dem]): the number of
+    forbidden message dimensions not absorbed by key noise unknown to e
+    and by the blocks e may decode.
     """
-    if e in scheme.qualified:
-        raise ValueError(f"receiver {e} is qualified, not an eavesdropper")
-    base, total = _residual_ranks(scheme, e)
-    return total - base
+    if e not in scheme.eavesdroppers:
+        raise ValueError(f"receiver {e} is not an eavesdropper")
+    demanded, forbidden = scheme.message_columns(e)
+    return _gain(scheme, e, demanded, forbidden)
 
 
 def verify(scheme: LinearScheme) -> VerifyReport:
@@ -228,28 +281,26 @@ def verify(scheme: LinearScheme) -> VerifyReport:
 
 
 def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
-    """Matrix M with W = M @ [X; S_known] for every (W, S).
+    """Matrix M with W_dem = M @ [X; S_known] for every (W, S), W_dem
+    being receiver k's demanded message columns.
 
     Raises NotDecodableError when receiver k cannot decode.
     """
     if k not in scheme.qualified:
         raise ValueError(f"receiver {k} is not qualified")
-    known = list(scheme.known_columns(k))
-    unk = list(scheme.unknown_columns(k))
-    f = scheme.field
-    b_unk = FMatrix(f, scheme.B.array[:, unk] if unk
-                    else np.zeros((scheme.L_X, 0), dtype=np.int64))
-    g = hstack([scheme.A, b_unk])
-    # M1 @ [A | B_unk] = [I | 0]  <=>  g.T @ M1.T = [I; 0]
-    rhs = vstack([FMatrix.identity(f, scheme.L_W),
-                  FMatrix.zeros(f, len(unk), scheme.L_W)])
+    demanded, forbidden = scheme.message_columns(k)
+    a, b, f = scheme.A.array, scheme.B.array, scheme.field
+    # M1 @ [A_dem | A_forb | B_unk] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0]
+    g = FMatrix(f, np.concatenate(
+        [a[:, list(demanded)], a[:, list(forbidden)], b[:, list(scheme.unknown_columns(k))]],
+        axis=1))
+    rhs = vstack([FMatrix.identity(f, len(demanded)),
+                  FMatrix.zeros(f, g.cols - len(demanded), len(demanded))])
     try:
         m1 = solve_right(g.transpose(), rhs).transpose()
     except NoSolutionError as exc:
         raise NotDecodableError(f"receiver {k} cannot decode") from exc
-    b_known = FMatrix(f, scheme.B.array[:, known] if known
-                      else np.zeros((scheme.L_X, 0), dtype=np.int64))
-    m2 = -(m1 @ b_known)
+    m2 = -(m1 @ FMatrix(f, b[:, list(scheme.known_columns(k))]))
     return hstack([m1, m2])
 
 
@@ -259,15 +310,18 @@ def concat(schemes: Sequence[LinearScheme]) -> LinearScheme:
     Each component keeps its own fresh key segments, so message sizes,
     transmit sizes and key budgets simply add; correctness and security
     are preserved componentwise because the key sets are independent.
+    Every part must carry one message block.
     """
     if not schemes:
         return LinearScheme.empty(meta={"builder": "concat", "parts": 0})
     first = schemes[0]
-    for s in schemes[1:]:
+    for s in schemes:
         if s.field != first.field:
             raise FieldMismatchError(f"GF({s.p}) vs GF({first.p})")
         if (s.K, s.qualified, s.L) != (first.K, first.qualified, first.L):
             raise ShapeMismatchError("K, qualified set and L must all match")
+        if len(s.messages) > 1:
+            raise ShapeMismatchError("only single-message schemes can be concatenated")
     lw = sum(s.L_W for s in schemes)
     lx = sum(s.L_X for s in schemes)
     d = sum(s.D for s in schemes)
@@ -294,23 +348,15 @@ def merge_layout(scheme: LinearScheme) -> LinearScheme:
     Reorders the columns of B accordingly; useful after concatenation so
     serialized schemes list each key subset once.
     """
-    order: list[frozenset[int]] = []
-    for subset, _ in scheme.layout:
-        if subset not in order:
-            order.append(subset)
-    perm_cols: list[int] = []
-    widths: dict[frozenset[int], int] = {s: 0 for s in order}
-    for subset in order:
-        for seg_subset, start, width in scheme.segments():
-            if seg_subset == subset:
-                perm_cols.extend(range(start, start + width))
-                widths[subset] += width
-    b = scheme.B.array[:, perm_cols] if perm_cols else scheme.B.array
+    columns: dict[frozenset[int], list[int]] = {}   # subsets in order of first use
+    for subset, start, width in scheme.segments():
+        columns.setdefault(subset, []).extend(range(start, start + width))
+    b = scheme.B.array[:, [c for cols in columns.values() for c in cols]]
     return LinearScheme(field=scheme.field, L=scheme.L, K=scheme.K,
                         qualified=scheme.qualified,
-                        layout=tuple((s, widths[s]) for s in order),
+                        layout=tuple((s, len(cols)) for s, cols in columns.items()),
                         A=scheme.A, B=FMatrix(scheme.field, b),
-                        meta=dict(scheme.meta))
+                        meta=dict(scheme.meta), messages=scheme.messages)
 
 
 @dataclass(frozen=True)
@@ -328,8 +374,8 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
     """Draw (W, S) from a seeded generator, broadcast, decode everywhere.
 
     Raises DecodeFailureError if any qualified receiver's constructed
-    decoder fails to recover W exactly; that signals a verifier bug, not
-    bad luck, because decoding is deterministic.
+    decoder fails to recover its demanded message columns exactly; that
+    signals a verifier bug, not bad luck, because decoding is deterministic.
     """
     rng = random.Random(seed)
     p = scheme.p
@@ -344,12 +390,12 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
     decoded = {}
     for k in sorted(scheme.qualified):
         m = decoder_for(scheme, k)
-        known = list(scheme.known_columns(k))
-        inp = np.concatenate([x, s[known]])
+        want = w[list(scheme.message_columns(k)[0])]
+        inp = np.concatenate([x, s[list(scheme.known_columns(k))]])
         w_hat = (m.array.astype(dtype, copy=False) @ inp % p if m.cols
-                 else np.zeros(scheme.L_W, dtype))
-        if not np.array_equal(w_hat, w):
-            raise DecodeFailureError(f"receiver {k} decoded {w_hat.tolist()} != {w.tolist()}")
+                 else np.zeros(len(want), dtype))
+        if not np.array_equal(w_hat, want):
+            raise DecodeFailureError(f"receiver {k} decoded {w_hat.tolist()} != {want.tolist()}")
         decoded[k] = tuple(int(v) for v in w_hat)
     return Transcript(seed=seed,
                       w=tuple(int(v) for v in w),
@@ -368,12 +414,16 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # and its held key digits J.  X is linear, so on each slice s_J = v the view
 # is X on the other digits plus a constant: every slice has the same
 # (view, message) partition, and k's verdicts and leakage are those of one
-# slice of p^(m - |J|) states.  Per receiver one code per such state (int32
-# when it fits in 31 bits) holds X above the message digits; one sort of it
-# groups the states per (view, message) and per view.  Decoding is read
-# off two group counts; group sizes are built only for eavesdroppers.  The
-# decoder's error is enumerated only on the digits where it has a nonzero
-# column, as no other digit can change whether it vanishes.
+# slice of p^(m - |J|) states.  The message of a check is a list of message
+# digits: k's demanded digits when it decodes, its forbidden digits when it
+# must learn nothing; the other message digits are free digits like unknown
+# keys.  The message digits are enumerated lowest.  Per check one code per
+# state (int32 when it fits in 31 bits) holds X above the message digits;
+# one sort of it groups the states per (view, message) and per view.
+# Decoding is read off two group counts; group sizes are built only for
+# security checks.  The decoder's error is enumerated only on the digits
+# where it has a nonzero column, as no other digit can change whether it
+# vanishes.
 
 
 def oracle_cap() -> int:
@@ -542,17 +592,20 @@ def message_groups(p: int, m: int, view_forms: np.ndarray, lo: int, hi: int) -> 
     return group_stats(code, msg_bits, q)
 
 
-def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int], lo: int, hi: int) -> GroupCounts:
+def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
+                message: Sequence[int]) -> GroupCounts:
     """Group counts of the view (X, the state digits `held`) against the
-    message in state digits lo..hi-1, none of them held; `x_forms` holds
-    one row of coefficients per entry of X, one column per state digit.
+    message in the state digits `message`, none of them held; `x_forms`
+    holds one row of coefficients per entry of X, one column per state
+    digit.
 
-    Only the other (free) digits are enumerated: every slice where the
-    held digits are fixed has the same (view, message) partition."""
-    free = [j for j in range(x_forms.shape[1]) if j not in held]
+    Only the other (free) digits are enumerated, message digits first:
+    every slice where the held digits are fixed has the same (view,
+    message) partition."""
+    skip = set(held).union(message)
+    free = list(message) + [j for j in range(x_forms.shape[1]) if j not in skip]
     forms = x_forms[:, free]
-    shift = sum(j < lo for j in free)   # the message stays one run of free digits
-    return message_groups(p, len(free), forms[forms.any(axis=1)], shift, shift + hi - lo)
+    return message_groups(p, len(free), forms[forms.any(axis=1)], 0, len(message))
 
 
 @dataclass(frozen=True)
@@ -592,41 +645,48 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
             f"p^(L_W + D_used) = {p}^{m} = {states} exceeds the oracle cap {cap}")
     x_forms = np.concatenate([scheme.A.array, b[:, used]], axis=1)
     digit = {col: scheme.L_W + i for i, col in enumerate(used)}
+
+    def groups(k: int, message: Sequence[int]) -> GroupCounts:
+        held = [digit[c] for c in scheme.known_columns(k) if c in digit]
+        return view_groups(p, x_forms, held, message)
+
     correct: dict[int, bool] = {}
     success: dict[int, float] = {}
     leakage: dict[int, float] = {}
     secure: dict[int, bool] = {}
-    for k in sorted(scheme.qualified) + sorted(scheme.eavesdroppers):
-        held = [digit[c] for c in scheme.known_columns(k) if c in digit]
-        groups = view_groups(p, x_forms, held, 0, scheme.L_W)
-        if k in scheme.qualified:
-            correct[k] = groups.decodes()
-            success[k] = _decode_success(scheme, k, x_forms, digit)
-        else:
-            secure[k] = groups.independent()
-            leakage[k] = groups.leakage_bits()
+    for k in sorted(scheme.qualified):
+        correct[k] = groups(k, scheme.message_columns(k)[0]).decodes()
+        success[k] = _decode_success(scheme, k, x_forms, digit)
+    for e in sorted(scheme.eavesdroppers):
+        view = groups(e, scheme.message_columns(e)[1])
+        secure[e] = view.independent()
+        leakage[e] = view.leakage_bits()
     return OracleReport(correct=correct, decode_success=success,
                         leakage_bits=leakage, secure=secure, states=states)
 
 
 def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,
                     digit: Mapping[int, int]) -> float:
-    """Fraction of states where k's constructed decoder returns W exactly.
+    """Fraction of states where k's constructed decoder returns its
+    demanded message columns exactly.
 
-    The decoder's output minus W is linear in the state; it is evaluated on
-    every value of the digits it depends on, by expanding its values on
-    the unit states, and the fraction there is the fraction over all states.
+    The decoder's output minus W_dem is linear in the state; it is
+    evaluated on every value of the digits it depends on, by expanding its
+    values on the unit states, and the fraction there is the fraction over
+    all states.
     """
     try:
         dec = decoder_for(scheme, k)
     except NotDecodableError:
         return 0.0
-    f, lx, lw = scheme.field, scheme.L_X, scheme.L_W
+    f, lx = scheme.field, scheme.L_X
+    demanded = list(scheme.message_columns(k)[0])
     # the decoder's coefficients on the state digits outside X: its column
-    # for each held used key, and -1 on W itself; an unused key column is
-    # zero in B, so the decoder's coefficient on it is zero too
-    direct = np.zeros((lw, x_forms.shape[1]), dtype=np.int64)
-    np.fill_diagonal(direct, scheme.p - 1)
+    # for each held used key, and -1 on each demanded message digit; an
+    # unused key column is zero in B, so the decoder's coefficient on it is
+    # zero too
+    direct = np.zeros((len(demanded), x_forms.shape[1]), dtype=np.int64)
+    direct[np.arange(len(demanded)), demanded] = scheme.p - 1
     for i, c in enumerate(scheme.known_columns(k)):
         if c in digit:
             direct[:, digit[c]] = dec.array[:, lx + i]

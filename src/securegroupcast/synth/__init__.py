@@ -18,21 +18,18 @@ from .groupcast24 import (COMPONENTS, ComponentSig, capacity_2of4,
                           groupcast_2of4, min_bandwidth_2of4)
 from .instance25 import instance_2of5
 from .multicast import multicast, multicast_k4_bw
-from .multimessage import (InfeasibleRates, MultiMessageScheme, min_bandwidth,
-                           multimessage, oracle_multimessage, region_violation,
-                           verify_multimessage)
+from .multimessage import (InfeasibleRates, min_bandwidth, multimessage,
+                           region_violation)
 from .symmetric import symmetric
 from .unicast import unicast
 
 __all__ = [
-    "COMPONENTS", "ComponentSig", "InfeasibleRates", "MultiMessageScheme",
-    "NotSymmetricError", "SegmentAllocator", "SynthesisError",
-    "UnsolvedSettingError", "build_verified", "capacity_2of4",
-    "component_counts", "component_instance", "groupcast_2of4",
-    "instance_2of5", "min_bandwidth", "min_bandwidth_2of4", "multicast",
-    "multicast_k4_bw", "multimessage", "oracle_multimessage",
+    "COMPONENTS", "ComponentSig", "InfeasibleRates", "NotSymmetricError",
+    "SegmentAllocator", "SynthesisError", "UnsolvedSettingError",
+    "build_verified", "capacity_2of4", "component_counts",
+    "component_instance", "groupcast_2of4", "instance_2of5", "min_bandwidth",
+    "min_bandwidth_2of4", "multicast", "multicast_k4_bw", "multimessage",
     "region_violation", "symmetric", "synthesize", "unicast",
-    "verify_multimessage",
 ]
 
 

@@ -19,8 +19,7 @@ from securegroupcast import (KeyConfig, TooLargeError, bw_converse,
                              exact_capacity, oracle_verify, priority_check,
                              rate_converse, synthesize, verify)
 from securegroupcast.synth import (min_bandwidth, multimessage,
-                                   oracle_multimessage, region_violation,
-                                   unicast, verify_multimessage)
+                                   region_violation, unicast)
 
 
 @contextmanager
@@ -139,11 +138,12 @@ def test_criterion_6_multimessage_region_sweep():
                 feasible += 1
                 ms = multimessage(sizes, rates)
                 expected_bw = r1 + r2 + max(r12, 2 * r12 - l12)
-                assert ms.bandwidth == expected_bw == min_bandwidth(sizes, rates)
-                orep = oracle_multimessage(ms)
+                assert ms.L_X == expected_bw == min_bandwidth(sizes, rates)
+                orep = oracle_verify(ms)
                 assert orep.correct == {1: True, 2: True}
-                assert all(abs(v) < 1e-9 for v in orep.leakage.values()), (sizes, rates)
-                assert verify_multimessage(ms).ok
+                assert orep.leakage_bits.keys() == {1, 2, 3}
+                assert all(abs(v) < 1e-9 for v in orep.leakage_bits.values()), (sizes, rates)
+                assert verify(ms).ok
         assert checked == 4 ** 3 * 7 ** 3
         print(f"  {checked} tuples checked, {feasible} feasible, all verified")
 

@@ -290,6 +290,42 @@ def test_verify_large_prime_leak_rejected(tmp_path, capsys):
     assert rep["leakage_symbols"] == {"2": 1} and rep["correct"] == {"1": True}
 
 
+def otp_scheme_obj(**changes):
+    """X = W + s, s held by receiver 1 of 2, with top-level fields replaced."""
+    obj = {"p": 2, "L": 1, "Lw": 1, "Lx": 1, "K": 2, "qualified": [1],
+           "layout": [{"subset": [1], "width": 1}], "A": [[1]], "B": [[1]], "meta": {}}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    otp_scheme_obj(layout=[{"subset": [1], "width": 0.5}, {"subset": [1], "width": 0.5}]),
+    otp_scheme_obj(layout=[{"subset": [1], "width": True}]),
+    otp_scheme_obj(qualified=[True]),
+    otp_scheme_obj(qualified=[1.0]),
+    otp_scheme_obj(qualified=1),
+    otp_scheme_obj(layout=[{"subset": [True], "width": 1}]),
+    otp_scheme_obj(layout=[{"subset": [1.0], "width": 1}]),
+    otp_scheme_obj(L=True),
+    otp_scheme_obj(K=True),
+    otp_scheme_obj(K=2.0),
+    otp_scheme_obj(Lw=True),
+    otp_scheme_obj(Lx=True),
+], ids=["width-half", "width-true", "qualified-true", "qualified-float", "qualified-int",
+        "subset-true", "subset-float", "L-true", "K-true", "K-float", "Lw-true", "Lx-true"])
+def test_verify_malformed_scheme_exit_code(tmp_path, capsys, obj):
+    """Every such file is a parse error (exit 2), never a traceback or a
+    misread receiver."""
+    assert main(["verify", write(tmp_path, "s.json", obj)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_well_formed_scheme_parses(tmp_path, capsys):
+    assert main(["verify", write(tmp_path, "s.json", otp_scheme_obj())]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["correct"] == {"1": True}
+
+
 @pytest.mark.parametrize("raw", ["abc", "3"])
 def test_verify_bad_oracle_cap_exit_code(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("SGC_ORACLE_CAP", raw)
@@ -329,3 +365,22 @@ def test_demo_deterministic(capsys):
     assert main(["demo", "ex3"]) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
+
+
+REGION_STDOUT = """\
+== region: three messages, two keyed receivers, one blind eavesdropper ==
+key sizes (L1, L2, L12) = (1, 1, 1)
+achievable integer rate triples and minimum bandwidth:
+  rates (0, 0, 2): bandwidth 3 (= 3), verified=yes
+  rates (0, 1, 0): bandwidth 1 (= 1), verified=yes
+  rates (0, 1, 1): bandwidth 2 (= 2), verified=yes
+  rates (1, 0, 0): bandwidth 1 (= 1), verified=yes
+  rates (1, 0, 1): bandwidth 2 (= 2), verified=yes
+  rates (1, 1, 0): bandwidth 2 (= 2), verified=yes
+  rates (1, 1, 1): bandwidth 3 (= 3), verified=yes
+"""
+
+
+def test_demo_region_output_is_pinned(capsys):
+    assert main(["demo", "region"]) == EXIT_OK
+    assert capsys.readouterr().out == REGION_STDOUT

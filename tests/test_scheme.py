@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from itertools import product
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from securegroupcast import (DecodeFailureError, Field, FieldMismatchError,
 import securegroupcast.scheme as scheme_module
 from securegroupcast.scheme import message_groups, state_code
 from securegroupcast.synth import component_instance
-from securegroupcast.synth.multimessage import (MultiMessageScheme, multimessage,
-                                                oracle_multimessage)
+from securegroupcast.synth.multimessage import multimessage
+from state_reference import group_by_view, reference_oracle, reference_verdicts
 
 F2 = Field(2)
 F3 = Field(3)
@@ -384,27 +383,6 @@ def test_state_code_matches_direct_evaluation(p, m):
         assert [c == 0 for c in got] == [not any(vals) for vals in values]
 
 
-def group_by_view(n_digits, p, observe):
-    """view -> Counter of messages over all states; observe(state) gives
-    the (view, message) pair seen in one state."""
-    groups = {}
-    for state in product(range(p), repeat=n_digits):
-        view, msg = observe(state)
-        groups.setdefault(view, Counter())[msg] += 1
-    return groups
-
-
-def reference_verdicts(groups, q):
-    """(decodes, independent, leakage bits) from exact per-view counts."""
-    n = sum(sum(c.values()) for c in groups.values())
-    decodes = all(len(c) == 1 for c in groups.values())
-    independent = all(len(c) == q and len(set(c.values())) == 1 for c in groups.values())
-    h_view = -sum(sum(c.values()) / n * math.log2(sum(c.values()) / n)
-                  for c in groups.values())
-    h_joint = -sum(v / n * math.log2(v / n) for c in groups.values() for v in c.values())
-    return decodes, independent, math.log2(q) + h_view - h_joint
-
-
 def reference_groups(p, m, forms, lo, hi):
     def observe(state):
         return tuple(sum(c * d for c, d in zip(row, state)) % p for row in forms), state[lo:hi]
@@ -487,44 +465,6 @@ def test_group_counts_match_brute_force_grouping(case):
     assert decodes == want_decodes
     assert groups.independent() == want_independent
     assert abs(groups.leakage_bits() - want_bits) < 1e-9
-
-
-def reference_oracle(scheme):
-    p, lw = scheme.p, scheme.L_W
-    a, b = scheme.A.tolist(), scheme.B.tolist()
-
-    def evaluate(state):
-        w, s = state[:lw], state[lw:]
-        x = tuple((sum(c * v for c, v in zip(ar, w)) + sum(c * v for c, v in zip(br, s))) % p
-                  for ar, br in zip(a, b))
-        return w, s, x
-
-    correct, success, leakage, secure = {}, {}, {}, {}
-    for k in sorted(scheme.qualified | scheme.eavesdroppers):
-        known = scheme.known_columns(k)
-
-        def observe(state):
-            w, s, x = evaluate(state)
-            return x + tuple(s[c] for c in known), w
-
-        decodes, independent, bits = reference_verdicts(
-            group_by_view(lw + scheme.D, p, observe), p ** lw)
-        if k in scheme.qualified:
-            correct[k] = decodes
-            try:
-                dec = decoder_for(scheme, k).tolist()
-            except NotDecodableError:
-                success[k] = 0.0
-                continue
-            hits = 0
-            for state in product(range(p), repeat=lw + scheme.D):
-                w, s, x = evaluate(state)
-                inp = x + tuple(s[c] for c in known)
-                hits += tuple(sum(c * v for c, v in zip(row, inp)) % p for row in dec) == w
-            success[k] = hits / p ** (lw + scheme.D)
-        else:
-            secure[k], leakage[k] = independent, bits
-    return correct, success, leakage, secure
 
 
 def cross_check_scheme(rng, p):
@@ -629,14 +569,16 @@ def test_secure_views_leak_exactly_zero_bits():
     assert seen[True] and seen[False], seen
     for rates in ((1, 1, 1), (0, 0, 2), (1, 0, 1), (1, 1, 0)):
         ms = multimessage((1, 1, 1), rates)
-        bits = oracle_multimessage(ms).leakage
+        bits = oracle_verify(ms).leakage_bits
         assert all(v == 0.0 for v in bits.values()), bits
-    clear = MultiMessageScheme(sizes=(0, 0, 0), rates=(1, 0, 0), A1=FMatrix.identity(F2, 1),
-                               A2=FMatrix.zeros(F2, 1, 0), A12=FMatrix.zeros(F2, 1, 0),
-                               B=FMatrix.zeros(F2, 1, 0))
-    rep = oracle_multimessage(clear)
-    assert rep.secure["W1->2"] is False and abs(rep.leakage["W1->2"] - 1.0) < 1e-9
-    assert rep.leakage["W2->1"] == 0.0
+    # W1 in the clear: receiver 2 learns it, receiver 1 has nothing to learn
+    owners = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
+    clear = LinearScheme(field=F2, L=1, K=3, qualified=frozenset({1, 2}),
+                         layout=tuple((s, 0) for s in owners), A=FMatrix.identity(F2, 1),
+                         B=FMatrix.zeros(F2, 1, 0), messages=tuple(zip(owners, (1, 0, 0))))
+    rep = oracle_verify(clear)
+    assert rep.secure[2] is False and abs(rep.leakage_bits[2] - 1.0) < 1e-9
+    assert rep.leakage_bits[1] == 0.0
 
 
 # -- concatenation -------------------------------------------------------------
