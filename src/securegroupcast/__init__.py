@@ -10,22 +10,20 @@ each scheme's correctness and security exactly, both algebraically and by
 exhaustive enumeration.
 """
 
-from .gf import Field, NotPrimeError, field_new, is_prime, least_prime_at_least
+from .gf import Field, NotPrimeError, is_prime, least_prime_at_least
 from .fmatrix import (ColumnRanks, FMatrix, FieldTooSmallError, NoSolutionError,
-                      cauchy, col_space_contains, hstack, prefix_ranks, rank,
-                      rref, solve_right, vstack)
+                      cauchy, hstack, prefix_ranks, rank, rref, solve_right,
+                      vstack)
 from .keyspace import (KeyCollection, KeyConfig, WrongShapeError,
                        canonical_relabel, entropy_of, invert_perm,
-                       is_symmetric, mask_of, mutual_info, normalize_labels,
-                       set_of)
-from .bounds import (BoundsReport, BwBound, ExactCapacity, GapDiagnostics,
+                       is_symmetric, mask_of, normalize_labels, set_of)
+from .bounds import (BoundsReport, BwBound, ExactCapacity,
                      aligned_2of5_key_size, bw_converse, exact_capacity,
-                     priority_check, rate_converse, report)
-from .scheme import (DecodeFailureError, FieldMismatchError, LinearScheme,
-                     NotDecodableError, OracleReport, ShapeMismatchError,
-                     TooLargeError, Transcript, VerifyReport, concat,
-                     decoder_for, merge_layout, oracle_verify, simulate,
-                     verify, verify_correctness, verify_security)
+                     rate_converse, report)
+from .scheme import (DecodeFailureError, LinearScheme, NotDecodableError,
+                     OracleReport, TooLargeError, Transcript, VerifyReport,
+                     decoder_for, oracle_verify, simulate, verify,
+                     verify_correctness, verify_security)
 from .synth import (InfeasibleRates, NotSymmetricError, SynthesisError,
                     UnsolvedSettingError, groupcast_2of4, instance_2of5,
                     multicast, multicast_k4_bw, multimessage, symmetric,

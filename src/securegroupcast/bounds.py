@@ -79,16 +79,6 @@ class BwBound:
 
 
 @dataclass(frozen=True)
-class GapDiagnostics:
-    """Comparison of the conditional-entropy rate bound with the exact C."""
-
-    rate_upper: int
-    exact: Optional[ExactCapacity]
-    gap: bool
-    message: str
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """Everything the bounds machinery can say about one configuration."""
 
@@ -277,19 +267,6 @@ def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:
     if flag:
         return _symmetric_capacity(config, profile)
     return None
-
-
-def priority_check(config: KeyConfig) -> GapDiagnostics:
-    """Flag configurations where the rate converse is strictly loose."""
-    upper = rate_converse(config)
-    exact = exact_capacity(config)
-    if exact is not None and exact.C < upper:
-        msg = (f"conditional-entropy bound {upper} exceeds the exact capacity "
-               f"{exact.C} for setting {exact.setting}")
-        return GapDiagnostics(rate_upper=upper, exact=exact, gap=True, message=msg)
-    return GapDiagnostics(rate_upper=upper, exact=exact, gap=False,
-                          message="conditional-entropy bound is tight" if exact
-                          else "no exact formula known for this shape")
 
 
 def report(config: KeyConfig) -> BoundsReport:

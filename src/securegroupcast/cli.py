@@ -352,11 +352,15 @@ def _demo_region() -> int:
     ok = True
     for rates in boundary:
         scheme = synth_mod.multimessage(sizes, rates)
-        verified = verify(scheme).ok and oracle_verify(scheme, cap).ok
+        verified, note = verify(scheme).ok, ""
+        try:
+            verified = verified and oracle_verify(scheme, cap).ok
+        except TooLargeError:
+            note = " (oracle skipped)"
         ok = ok and verified
         print(f"  rates {rates}: bandwidth {scheme.L_X} "
               f"(= {synth_mod.min_bandwidth(sizes, rates)}), "
-              f"verified={'yes' if verified else 'NO'}")
+              f"verified={'yes' if verified else 'NO'}{note}")
     return EXIT_OK if ok else EXIT_REJECTED
 
 

@@ -1,5 +1,5 @@
-"""Dense matrices over GF(p): rank, echelon forms, linear solves,
-column-space membership, and Cauchy matrix construction.
+"""Dense matrices over GF(p): rank, echelon forms, linear solves and
+Cauchy matrix construction.
 
 Matrices are immutable; numpy supplies storage and elementwise ops while
 all arithmetic stays exact (integer residues mod p).  One Gaussian
@@ -72,20 +72,11 @@ class FMatrix:
         """Read-only numpy view of the entries."""
         return self._a
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
     def tolist(self) -> list:
         return [[int(x) for x in r] for r in self._a]
 
     def transpose(self) -> "FMatrix":
         return FMatrix(self.field, self._a.T)
-
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "FMatrix":
-        r = np.fromiter(row_idx, dtype=np.int64)
-        c = np.fromiter(col_idx, dtype=np.int64)
-        return FMatrix(self.field, self._a[np.ix_(r, c)] if r.size and c.size
-                       else np.zeros((r.size, c.size), dtype=np.int64))
 
     def __eq__(self, other):
         return (isinstance(other, FMatrix) and other.field == self.field
@@ -111,12 +102,6 @@ class FMatrix:
         # a - (p - b) lies in (-p, p), so it cannot wrap in int64 as a + b can
         return FMatrix(self.field, (self._a - (self.field.p - other._a)) % self.field.p)
 
-    def __sub__(self, other: "FMatrix") -> "FMatrix":
-        self._check_field(other)
-        if other._a.shape != self._a.shape:
-            raise ValueError("shape mismatch in sub")
-        return FMatrix(self.field, (self._a - other._a) % self.field.p)
-
     def __neg__(self) -> "FMatrix":
         return FMatrix(self.field, (-self._a) % self.field.p)
 
@@ -126,13 +111,11 @@ class FMatrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
         p = self.field.p
-        # int64 products are safe while n * p^2 < 2^63; fall back to exact
-        # Python integers for very large moduli.
-        if p <= (1 << 20) or self.cols == 0:
-            prod = (self._a @ other._a) % p
-        else:
-            prod = (self._a.astype(object) @ other._a.astype(object)) % p
-        return FMatrix(self.field, prod.astype(np.int64) if prod.dtype == object else prod)
+        # a sum of `cols` products of residues is exact in int64 while
+        # cols * (p - 1)^2 fits; past that, exact Python integers
+        if self.cols * (p - 1) ** 2 > INT64_MAX:
+            return FMatrix(self.field, (self._a.astype(object) @ other._a.astype(object)) % p)
+        return FMatrix(self.field, (self._a @ other._a) % p)
 
 
 def hstack(parts: Sequence[FMatrix]) -> FMatrix:
@@ -356,16 +339,6 @@ def solve_right(a: FMatrix, b: FMatrix) -> FMatrix:
     for r, col in enumerate(pivots):
         x[col] = red[r, n:]
     return FMatrix(a.field, x)
-
-
-def col_space_contains(b: FMatrix, a: FMatrix) -> bool:
-    """True iff every column of A lies in the column space of B."""
-    if a.field != b.field:
-        raise ValueError("field mismatch in col_space_contains")
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: B has {b.rows}, A has {a.rows}")
-    left, total = prefix_ranks(hstack([b, a]), b.cols)
-    return left == total
 
 
 def cauchy(rows: int, cols: int, field: Field) -> FMatrix:

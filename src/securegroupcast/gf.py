@@ -80,8 +80,3 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.p})"
-
-
-def field_new(p: int) -> Field:
-    """Construct the GF(p) context; NotPrimeError if p is composite."""
-    return Field(p)

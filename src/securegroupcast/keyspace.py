@@ -204,16 +204,6 @@ class KeyCollection:
         """All key symbols held by receiver k."""
         return cls(counts={m: config.keys[m] for m in config.receiver_key_masks(k)})
 
-    @classmethod
-    def of_subsets(cls, config: KeyConfig, subsets: Iterable[Iterable[int] | int]) -> "KeyCollection":
-        """The full keys of the given subsets."""
-        out = {}
-        for s in subsets:
-            m = mask_of(s)
-            if config.keys.get(m, 0) > 0:
-                out[m] = config.keys[m]
-        return cls(counts=out)
-
     def count(self, mask: int) -> int:
         return self.counts.get(mask, 0)
 
@@ -232,17 +222,6 @@ def entropy_of(config: KeyConfig, receivers: Iterable[int] | int,
     total = 0
     for m, size in config.keys.items():
         if m & a:
-            total += max(0, size - given.count(m))
-    return total
-
-
-def mutual_info(config: KeyConfig, a: Iterable[int] | int, b: Iterable[int] | int,
-                given: KeyCollection = EMPTY_COLLECTION) -> int:
-    """I(z_A ; z_B | given) in symbols: symbols reaching both sides."""
-    am, bm = mask_of(a), mask_of(b)
-    total = 0
-    for m, size in config.keys.items():
-        if m & am and m & bm:
             total += max(0, size - given.count(m))
     return total
 

@@ -48,8 +48,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import (INT64_MAX, ColumnRanks, FMatrix, NoSolutionError, hstack,
-                      solve_right, vstack)
+from .fmatrix import ColumnRanks, FMatrix, NoSolutionError, hstack, solve_right, vstack
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -66,14 +65,6 @@ class NotDecodableError(ValueError):
 
 class DecodeFailureError(AssertionError):
     """A constructed decoder failed on a sampled input (verifier bug)."""
-
-
-class FieldMismatchError(ValueError):
-    """Schemes over different fields cannot be concatenated."""
-
-
-class ShapeMismatchError(ValueError):
-    """Schemes with different K/qualified/L cannot be concatenated."""
 
 
 def _check_blocks(name: str, blocks, matrix: str, cols: int, members: frozenset[int]) -> None:
@@ -170,15 +161,6 @@ class LinearScheme:
 
     # -- key layout ------------------------------------------------------
 
-    def segments(self) -> list[tuple[frozenset[int], int, int]]:
-        """(subset, start column, width) triples in layout order."""
-        out = []
-        start = 0
-        for subset, width in self.layout:
-            out.append((subset, start, width))
-            start += width
-        return out
-
     def known_columns(self, k: int) -> tuple[int, ...]:
         """Columns of B (key symbols) held by receiver k."""
         return self._split(self.layout, k)[0]
@@ -218,10 +200,10 @@ class LinearScheme:
         return out
 
     @classmethod
-    def empty(cls, field: Optional[Field] = None, K: int = 2,
-              qualified: Iterable[int] = (1,), L: int = 1,
+    def empty(cls, K: int, qualified: Iterable[int], L: int = 1,
               meta: Optional[dict] = None) -> "LinearScheme":
-        f = field if field is not None else Field(2)
+        """The rate-0 scheme over GF(2): no message, no key, nothing sent."""
+        f = Field(2)
         return cls(field=f, L=L, K=K, qualified=frozenset(qualified),
                    layout=(), A=FMatrix.zeros(f, 0, 0), B=FMatrix.zeros(f, 0, 0),
                    meta=meta or {})
@@ -233,7 +215,6 @@ class VerifyReport:
 
     correct: Mapping[int, bool]
     leakage: Mapping[int, int]
-    oracle_used: bool = False
 
     @property
     def ok(self) -> bool:
@@ -304,61 +285,6 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
     return hstack([m1, m2])
 
 
-def concat(schemes: Sequence[LinearScheme]) -> LinearScheme:
-    """Concatenate independent schemes: block-diagonal A and B.
-
-    Each component keeps its own fresh key segments, so message sizes,
-    transmit sizes and key budgets simply add; correctness and security
-    are preserved componentwise because the key sets are independent.
-    Every part must carry one message block.
-    """
-    if not schemes:
-        return LinearScheme.empty(meta={"builder": "concat", "parts": 0})
-    first = schemes[0]
-    for s in schemes:
-        if s.field != first.field:
-            raise FieldMismatchError(f"GF({s.p}) vs GF({first.p})")
-        if (s.K, s.qualified, s.L) != (first.K, first.qualified, first.L):
-            raise ShapeMismatchError("K, qualified set and L must all match")
-        if len(s.messages) > 1:
-            raise ShapeMismatchError("only single-message schemes can be concatenated")
-    lw = sum(s.L_W for s in schemes)
-    lx = sum(s.L_X for s in schemes)
-    d = sum(s.D for s in schemes)
-    a = np.zeros((lx, lw), dtype=np.int64)
-    b = np.zeros((lx, d), dtype=np.int64)
-    layout: list[tuple[frozenset[int], int]] = []
-    r = cw = cd = 0
-    for s in schemes:
-        a[r:r + s.L_X, cw:cw + s.L_W] = s.A.array
-        b[r:r + s.L_X, cd:cd + s.D] = s.B.array
-        layout.extend(s.layout)
-        r += s.L_X
-        cw += s.L_W
-        cd += s.D
-    return LinearScheme(field=first.field, L=first.L, K=first.K,
-                        qualified=first.qualified, layout=tuple(layout),
-                        A=FMatrix(first.field, a), B=FMatrix(first.field, b),
-                        meta={"builder": "concat", "parts": len(schemes)})
-
-
-def merge_layout(scheme: LinearScheme) -> LinearScheme:
-    """Coalesce layout segments with the same subset into one segment each.
-
-    Reorders the columns of B accordingly; useful after concatenation so
-    serialized schemes list each key subset once.
-    """
-    columns: dict[frozenset[int], list[int]] = {}   # subsets in order of first use
-    for subset, start, width in scheme.segments():
-        columns.setdefault(subset, []).extend(range(start, start + width))
-    b = scheme.B.array[:, [c for cols in columns.values() for c in cols]]
-    return LinearScheme(field=scheme.field, L=scheme.L, K=scheme.K,
-                        qualified=scheme.qualified,
-                        layout=tuple((s, len(cols)) for s, cols in columns.items()),
-                        A=scheme.A, B=FMatrix(scheme.field, b),
-                        meta=dict(scheme.meta), messages=scheme.messages)
-
-
 @dataclass(frozen=True)
 class Transcript:
     """One seeded run: inputs drawn, signal emitted, all decoders checked."""
@@ -378,29 +304,26 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
     signals a verifier bug, not bad luck, because decoding is deterministic.
     """
     rng = random.Random(seed)
-    p = scheme.p
-    # int64 sums of products are exact while the longest one fits
-    terms = max(scheme.L_W + scheme.D, scheme.L_X + scheme.D, 1)
-    dtype = object if terms * (p - 1) ** 2 > INT64_MAX else np.int64
-    w = np.array([rng.randrange(p) for _ in range(scheme.L_W)], dtype=dtype)
-    s = np.array([rng.randrange(p) for _ in range(scheme.D)], dtype=dtype)
-    x = ((scheme.A.array.astype(dtype, copy=False) @ w
-          + scheme.B.array.astype(dtype, copy=False) @ s) % p
-         if scheme.L_X else np.zeros(0, dtype))
+    f = scheme.field
+
+    def draw(n: int) -> FMatrix:
+        return FMatrix(f, np.array([rng.randrange(f.p) for _ in range(n)],
+                                   dtype=np.int64).reshape(n, 1))
+
+    w, s = draw(scheme.L_W), draw(scheme.D)
+    x = scheme.A @ w + scheme.B @ s
     decoded = {}
     for k in sorted(scheme.qualified):
-        m = decoder_for(scheme, k)
-        want = w[list(scheme.message_columns(k)[0])]
-        inp = np.concatenate([x, s[list(scheme.known_columns(k))]])
-        w_hat = (m.array.astype(dtype, copy=False) @ inp % p if m.cols
-                 else np.zeros(len(want), dtype))
+        known = FMatrix(f, s.array[list(scheme.known_columns(k))])
+        w_hat = (decoder_for(scheme, k) @ vstack([x, known])).array[:, 0]
+        want = w.array[list(scheme.message_columns(k)[0]), 0]
         if not np.array_equal(w_hat, want):
             raise DecodeFailureError(f"receiver {k} decoded {w_hat.tolist()} != {want.tolist()}")
         decoded[k] = tuple(int(v) for v in w_hat)
     return Transcript(seed=seed,
-                      w=tuple(int(v) for v in w),
-                      s=tuple(int(v) for v in s),
-                      x=tuple(int(v) for v in x),
+                      w=tuple(int(v) for v in w.array[:, 0]),
+                      s=tuple(int(v) for v in s.array[:, 0]),
+                      x=tuple(int(v) for v in x.array[:, 0]),
                       decoded=decoded)
 
 
@@ -520,11 +443,11 @@ def state_code(p: int, m: int, forms: np.ndarray, low: int = 0) -> tuple[np.ndar
     return code << low, bits + low
 
 
-def group_stats(joint: np.ndarray, msg_bits: int, messages: int) -> GroupCounts:
-    """Groups of one in-place sort of the joint code, whose low `msg_bits`
+def group_stats(joint: np.ndarray, message_bits: int, messages: int) -> GroupCounts:
+    """Groups of one in-place sort of the joint code, whose low `message_bits`
     bits hold the message and the rest the view."""
     joint.sort()
-    return GroupCounts(joint[1:] ^ joint[:-1], (1 << msg_bits) - 1, messages)
+    return GroupCounts(joint[1:] ^ joint[:-1], (1 << message_bits) - 1, messages)
 
 
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
@@ -581,17 +504,6 @@ class GroupCounts:
                 - _entropy_bits(self.joint, n))
 
 
-def message_groups(p: int, m: int, view_forms: np.ndarray, lo: int, hi: int) -> GroupCounts:
-    """Group counts of a view given by linear forms over the p^m states
-    against the message held in state digits lo..hi-1."""
-    q = p ** (hi - lo)
-    msg_bits = (q - 1).bit_length()
-    code, _ = state_code(p, m, view_forms, msg_bits)
-    by_digits = code.reshape(p ** (m - hi), q, p ** lo)   # a view of code
-    by_digits |= np.arange(q, dtype=code.dtype)[:, None]
-    return group_stats(code, msg_bits, q)
-
-
 def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
                 message: Sequence[int]) -> GroupCounts:
     """Group counts of the view (X, the state digits `held`) against the
@@ -601,11 +513,18 @@ def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
 
     Only the other (free) digits are enumerated, message digits first:
     every slice where the held digits are fixed has the same (view,
-    message) partition."""
+    message) partition.  The message digits are the lowest, so the message
+    value of a free state is its index mod p^len(message), and it fills the
+    spare low bits of the view's code."""
     skip = set(held).union(message)
     free = list(message) + [j for j in range(x_forms.shape[1]) if j not in skip]
     forms = x_forms[:, free]
-    return message_groups(p, len(free), forms[forms.any(axis=1)], 0, len(message))
+    q = p ** len(message)
+    message_bits = (q - 1).bit_length()
+    code, _ = state_code(p, len(free), forms[forms.any(axis=1)], message_bits)
+    by_message = code.reshape(-1, q)   # a view of code
+    by_message |= np.arange(q, dtype=code.dtype)
+    return group_stats(code, message_bits, q)
 
 
 @dataclass(frozen=True)

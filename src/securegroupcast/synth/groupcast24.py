@@ -56,10 +56,6 @@ class ComponentSig:
     rows: tuple[tuple[frozenset[int], ...], ...]
 
     @property
-    def msg_bits(self) -> int:
-        return 1
-
-    @property
     def tx_bits(self) -> int:
         return len(self.rows)
 

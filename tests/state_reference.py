@@ -1,12 +1,41 @@
 """A state-by-state reference for the counting oracle, for every block
 layout: each verdict is read off every (W, S) state, evaluated in Python
-integers, with no rank, slice or packed code."""
+integers, with no rank, slice or packed code.  Also the seeded random
+schemes on which the oracle and the algebraic verifier are compared."""
 
 import math
 from collections import Counter
 from itertools import product
 
-from securegroupcast import NotDecodableError, decoder_for
+import numpy as np
+
+from securegroupcast import (Field, FMatrix, LinearScheme, NotDecodableError,
+                             decoder_for)
+
+
+def random_scheme(rng, p):
+    """A single-message scheme of at most 2^14 states drawn from `rng`."""
+    field = Field(p)
+    k = rng.randint(2, 4)
+    qualified = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k - 1)))
+    segments = []
+    d = 0
+    for _ in range(rng.randint(0, 3)):
+        subset = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
+        width = rng.randint(1, 2)
+        segments.append((subset, width))
+        d += width
+    lw = rng.randint(0, 2)
+    lx = rng.randint(0, 3)
+    while p ** (lw + d) > 1 << 14:
+        d -= segments[-1][1]
+        segments.pop()
+    a = np.array([[rng.randrange(p) for _ in range(lw)] for _ in range(lx)],
+                 dtype=np.int64).reshape(lx, lw)
+    b = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(lx)],
+                 dtype=np.int64).reshape(lx, d)
+    return LinearScheme(field=field, L=1, K=k, qualified=qualified,
+                        layout=tuple(segments), A=FMatrix(field, a), B=FMatrix(field, b))
 
 
 def group_by_view(n_digits, p, observe):

@@ -16,10 +16,11 @@ from itertools import combinations, permutations, product
 import pytest
 
 from securegroupcast import (KeyConfig, TooLargeError, bw_converse,
-                             exact_capacity, oracle_verify, priority_check,
-                             rate_converse, synthesize, verify)
+                             exact_capacity, oracle_verify, rate_converse,
+                             report, synthesize, verify)
 from securegroupcast.synth import (min_bandwidth, multimessage,
                                    region_violation, unicast)
+from state_reference import random_scheme
 
 
 @contextmanager
@@ -115,9 +116,9 @@ def test_criterion_5_aligned_2of5(fig4):
         assert orep.correct == {1: True, 2: True}
         assert orep.decode_success == {1: 1.0, 2: 1.0}
         assert orep.leakage_bits == {3: 0.0, 4: 0.0, 5: 0.0}
-        diag = priority_check(fig4)
-        assert diag.gap and diag.rate_upper == 2
-        assert diag.exact.C == Fraction(5, 3)
+        rep = report(fig4)
+        assert rep.gap and rep.rate_upper == 2
+        assert rep.exact.C == Fraction(5, 3)
 
 
 def test_criterion_6_multimessage_region_sweep():
@@ -179,35 +180,6 @@ def test_criterion_7_case_tree_accounting_sweep():
         print(f"  {len(vectors)} size vectors synthesized and verified")
 
 
-def _random_scheme(rng, p):
-    from securegroupcast.fmatrix import FMatrix
-    from securegroupcast.gf import Field
-    from securegroupcast.scheme import LinearScheme
-    import numpy as np
-    field = Field(p)
-    k = rng.randint(2, 4)
-    qualified = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k - 1)))
-    segments = []
-    d = 0
-    for _ in range(rng.randint(0, 3)):
-        subset = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
-        width = rng.randint(1, 2)
-        segments.append((subset, width))
-        d += width
-    lw = rng.randint(0, 2)
-    lx = rng.randint(0, 3)
-    while p ** (lw + d) > 1 << 14:
-        d -= segments[-1][1]
-        segments.pop()
-    a = np.array([[rng.randrange(p) for _ in range(lw)] for _ in range(lx)],
-                 dtype=np.int64).reshape(lx, lw)
-    b = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(lx)],
-                 dtype=np.int64).reshape(lx, d)
-    return LinearScheme(field=field, L=1, K=k, qualified=qualified,
-                        layout=tuple(segments),
-                        A=FMatrix(field, a), B=FMatrix(field, b))
-
-
 def test_criterion_8_oracle_algebra_equivalence():
     """1000 random schemes: oracle MI == algebraic leakage * log2(p)."""
     with criterion(8, "oracle/algebra agreement on 1000 random schemes", 60.0):
@@ -215,7 +187,7 @@ def test_criterion_8_oracle_algebra_equivalence():
         worst = 0.0
         for i in range(1000):
             p = (2, 3, 5)[i % 3]
-            scheme = _random_scheme(rng, p)
+            scheme = random_scheme(rng, p)
             alg = verify(scheme)
             orep = oracle_verify(scheme)
             for k in scheme.qualified:

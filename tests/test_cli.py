@@ -384,3 +384,15 @@ achievable integer rate triples and minimum bandwidth:
 def test_demo_region_output_is_pinned(capsys):
     assert main(["demo", "region"]) == EXIT_OK
     assert capsys.readouterr().out == REGION_STDOUT
+
+
+def test_demo_region_skips_oversized_oracle(capsys, monkeypatch):
+    # at cap 32 only the (1, 1, 1) scheme, 2^6 states, is over the cap
+    monkeypatch.setenv("SGC_ORACLE_CAP", "32")
+    assert main(["demo", "region"]) == EXIT_OK
+    want = REGION_STDOUT.replace("(1, 1, 1): bandwidth 3 (= 3), verified=yes",
+                                 "(1, 1, 1): bandwidth 3 (= 3), verified=yes (oracle skipped)")
+    assert capsys.readouterr().out == want
+    monkeypatch.setenv("SGC_ORACLE_CAP", "4")
+    assert main(["demo", "region"]) == EXIT_OK
+    assert capsys.readouterr().out.count("verified=yes (oracle skipped)") == 5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from securegroupcast import (ColumnRanks, Field, FieldTooSmallError, FMatrix,
-                             NoSolutionError, cauchy, col_space_contains, hstack,
+                             NoSolutionError, cauchy, hstack,
                              prefix_ranks, rank, rref, solve_right, vstack)
 
 F2 = Field(2)
@@ -44,11 +44,22 @@ def test_rank_large_prime_rank_two_products():
         assert len(pivots) == 2 and not reduced.array[2].any()
 
 
+@pytest.mark.parametrize("p", [1048583, (1 << 31) - 1, LARGE_P])
+def test_matmul_exact_on_both_sides_of_the_int64_bound(p):
+    # all entries p - 1: a sum of n products reaches n (p - 1)^2, which
+    # passes 2^63 - 1 at n = 3 for p = 2^31 - 1 and at n = 1 for LARGE_P
+    field = Field(p)
+    for n in range(1, 6):
+        a = FMatrix(field, [[p - 1] * n] * 2)
+        b = FMatrix(field, [[p - 1, p - 2]] * n)
+        assert (a @ b).tolist() == [[n * (p - 1) * c % p for c in (p - 1, p - 2)]] * 2
+
+
 def test_add_large_prime_does_not_wrap():
     # p > 2^62: (p - 1) + (p - 2) wraps in int64 if added before reducing
     p = (1 << 63) - 25
     field = Field(p)
-    assert (FMatrix(field, [[p - 1]]) + FMatrix(field, [[p - 2]])).entry(0, 0) == p - 3
+    assert (FMatrix(field, [[p - 1]]) + FMatrix(field, [[p - 2]])).array[0, 0] == p - 3
     rng = np.random.default_rng(11)
     a, b = rng.integers(0, p, (2, 4, 5), dtype=np.int64)
     got = (FMatrix(field, a) + FMatrix(field, b)).tolist()
@@ -157,10 +168,10 @@ def test_rref_pivots_are_leading_ones():
     m = M(F5, [[2, 4, 1], [1, 2, 3], [3, 1, 0]])
     red, pivots = rref(m)
     for i, col in enumerate(pivots):
-        assert red.entry(i, col) == 1
+        assert red.array[i, col] == 1
         for r in range(red.rows):
             if r != i:
-                assert red.entry(r, col) == 0
+                assert red.array[r, col] == 0
 
 
 def test_solve_right_identity():
@@ -194,22 +205,6 @@ def test_solve_right_recovers_consistent_systems(p, r, c, k, data):
     b = a @ x_true
     x = solve_right(a, b)
     assert a @ x == b
-
-
-# -- column space ------------------------------------------------------------
-
-def test_col_space_contains_full_space():
-    assert col_space_contains(FMatrix.identity(F2, 2), M(F2, [[1, 0], [1, 1]]))
-
-
-def test_col_space_contains_zero_space():
-    empty = FMatrix.zeros(F2, 2, 0)
-    assert not col_space_contains(empty, M(F2, [[1], [0]]))
-
-
-def test_col_space_contains_same_column():
-    col = M(F2, [[1], [1]])
-    assert col_space_contains(col, col)
 
 
 # -- stacking ------------------------------------------------------------------
@@ -246,7 +241,7 @@ def test_cauchy_1x1_gf3():
 def test_cauchy_2x2_gf5_all_submatrices_nonsingular():
     m = cauchy(2, 2, F5)
     for i, j in product(range(2), repeat=2):
-        assert m.entry(i, j) != 0
+        assert m.array[i, j] != 0
     assert rank(m) == 2
 
 
@@ -279,7 +274,7 @@ def test_cauchy_mds_exhaustive(p):
             for k in range(1, min(r, c) + 1):
                 for rows in combinations(range(r), k):
                     for cols in combinations(range(c), k):
-                        assert rank(m.submatrix(rows, cols)) == k
+                        assert rank(FMatrix(f, m.array[np.ix_(rows, cols)])) == k
 
 
 def test_matrices_are_immutable():

@@ -6,8 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from securegroupcast import (Field, FMatrix, LinearScheme, ShapeMismatchError,
-                             concat, merge_layout, oracle_verify, simulate, verify)
+from securegroupcast import (Field, FMatrix, LinearScheme, oracle_verify, simulate,
+                             verify)
 from securegroupcast.cli import scheme_to_obj
 from securegroupcast.synth import (InfeasibleRates, min_bandwidth, multimessage,
                                    region_violation)
@@ -106,15 +106,11 @@ def test_oracle_drops_unused_key_columns():
 
 def test_single_block_functions_refuse_message_blocks():
     ms = multimessage((1, 1, 1), (1, 1, 1))
-    with pytest.raises(ShapeMismatchError):
-        concat([ms])
     with pytest.raises(ValueError, match="single-message"):
         scheme_to_obj(ms)
     moved = ms.relabeled({1: 2, 2: 1, 3: 3})
     assert moved.messages == ((OWNERS[1], 1), (OWNERS[0], 1), (OWNERS[2], 1))
     assert verify(moved).ok and oracle_verify(moved).ok
-    merged = merge_layout(ms)
-    assert merged.messages == ms.messages and verify(merged).ok
 
 
 def test_message_blocks_must_cover_the_qualified_receivers():

@@ -7,26 +7,26 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from securegroupcast import (DecodeFailureError, Field, FieldMismatchError,
-                             FMatrix, LinearScheme, NotDecodableError,
-                             ShapeMismatchError, TooLargeError, concat,
-                             decoder_for, hstack, merge_layout, oracle_verify,
-                             prefix_ranks, rank, rref, simulate, verify,
-                             verify_correctness, verify_security)
+from securegroupcast import (DecodeFailureError, Field, FMatrix, LinearScheme,
+                             NotDecodableError, TooLargeError, decoder_for,
+                             hstack, oracle_verify, prefix_ranks, rank, rref,
+                             simulate, verify, verify_correctness,
+                             verify_security)
 import securegroupcast.scheme as scheme_module
-from securegroupcast.scheme import message_groups, state_code
+from securegroupcast.scheme import state_code, view_groups
 from securegroupcast.synth import component_instance
 from securegroupcast.synth.multimessage import multimessage
-from state_reference import group_by_view, reference_oracle, reference_verdicts
+from state_reference import (group_by_view, random_scheme, reference_oracle,
+                             reference_verdicts)
 
 F2 = Field(2)
 F3 = Field(3)
 LARGE_P = 1099511627791   # (p - 1)^2 > 2^63 - 1
 
 
-def otp(field=F2, key_subset=frozenset({1}), k=2, qualified=frozenset({1})):
+def otp(field=F2, key_subset=frozenset({1})):
     """X = W + s with one key symbol owned by `key_subset`."""
-    return LinearScheme(field=field, L=1, K=k, qualified=qualified,
+    return LinearScheme(field=field, L=1, K=2, qualified=frozenset({1}),
                         layout=((key_subset, 1),),
                         A=FMatrix.identity(field, 1), B=FMatrix.identity(field, 1))
 
@@ -100,7 +100,7 @@ def test_decoder_one_time_pad():
     for w in range(3):
         for key in range(3):
             x = (w + key) % 3
-            got = (m.entry(0, 0) * x + m.entry(0, 1) * key) % 3
+            got = (m.array[0, 0] * x + m.array[0, 1] * key) % 3
             assert got == w
 
 
@@ -115,8 +115,8 @@ def test_decoder_picks_known_row():
         for s1 in range(2):
             for s2 in range(2):
                 x = [(w + s1) % 2, (w + s2) % 2]
-                got = (m.entry(0, 0) * x[0] + m.entry(0, 1) * x[1]
-                       + m.entry(0, 2) * s1) % 2
+                got = (m.array[0, 0] * x[0] + m.array[0, 1] * x[1]
+                       + m.array[0, 2] * s1) % 2
                 assert got == w
 
 
@@ -194,31 +194,6 @@ def test_oracle_ignores_unused_key_columns():
 
 
 # -- oracle vs algebra --------------------------------------------------------
-
-def random_scheme(rng, p):
-    field = Field(p)
-    k = rng.randint(2, 4)
-    n = rng.randint(1, k - 1)
-    qualified = frozenset(rng.sample(range(1, k + 1), n))
-    segments = []
-    d = 0
-    for _ in range(rng.randint(0, 3)):
-        subset = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k)))
-        width = rng.randint(1, 2)
-        segments.append((subset, width))
-        d += width
-    lw = rng.randint(0, 2)
-    lx = rng.randint(0, 3)
-    while p ** (lw + d) > 1 << 14:
-        d -= segments[-1][1]
-        segments.pop()
-    a = FMatrix(field, np.array([[rng.randrange(p) for _ in range(lw)]
-                                 for _ in range(lx)]).reshape(lx, lw))
-    b = FMatrix(field, np.array([[rng.randrange(p) for _ in range(d)]
-                                 for _ in range(lx)]).reshape(lx, d))
-    return LinearScheme(field=field, L=1, K=k, qualified=qualified,
-                        layout=tuple(segments), A=a, B=b)
-
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_oracle_agrees_with_algebra_on_random_schemes(p):
@@ -392,10 +367,17 @@ def reference_groups(p, m, forms, lo, hi):
 
 def spanned_forms(rng, p, m, rows, rank):
     """`rows` forms over m digits spanning at most `rank` dimensions, so that
-    views range from blind to all-seeing."""
-    base = [[rng.randrange(p) for _ in range(m)] for _ in range(rank)]
-    out = [[sum(rng.randrange(p) * b[j] for b in base) % p for j in range(m)]
-           for _ in range(rows)]
+    views range from blind to all-seeing.  No form is zero unless rank is 0,
+    so a view keeps all `rows` forms."""
+    def nonzero(draw_row):
+        row = draw_row()
+        while not any(row):
+            row = draw_row()
+        return row
+
+    base = [nonzero(lambda: [rng.randrange(p) for _ in range(m)]) for _ in range(rank)]
+    out = [nonzero(lambda: [sum(rng.randrange(p) * b[j] for b in base) % p for j in range(m)])
+           if rank else [0] * m for _ in range(rows)]
     return np.array(out, dtype=np.int64).reshape(rows, m)
 
 
@@ -426,8 +408,9 @@ def test_message_groups_across_code_widths(p, m, rows, lo, hi, width):
             narrow, _ = state_code(p, m, forms)
             assert (code == narrow.astype(np.int64) << msg_bits).all()
 
-        groups = message_groups(p, m, forms, lo, hi)
-        assert groups.step.dtype == code.dtype
+        groups = view_groups(p, forms, [], list(range(lo, hi)))
+        # a view drops zero forms, which only the blind rank-0 draw has
+        assert groups.step.dtype == (code.dtype if rank else np.int32)
         decodes, independent = groups.decodes(), groups.independent()
         ref = reference_groups(p, m, forms.tolist(), lo, hi)
         want_decodes, want_independent, want_bits = reference_verdicts(ref, p ** (hi - lo))
@@ -456,7 +439,7 @@ def view_and_message(draw):
 @given(view_and_message())
 def test_group_counts_match_brute_force_grouping(case):
     p, m, forms, lo, hi = case
-    groups = message_groups(p, m, forms, lo, hi)
+    groups = view_groups(p, forms, [], list(range(lo, hi)))
     decodes = groups.decodes()        # from counts alone: no size array built yet
     assert "view" not in vars(groups) and "joint" not in vars(groups)
     assert decodes == (len(groups.joint) == len(groups.view))
@@ -533,11 +516,13 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
     rng = random.Random(2718)
     digit_counts = []
 
-    def recording(p, m, view_forms, lo, hi):
+    def recording(p, m, forms, low=0):
         digit_counts.append(m)
-        return message_groups(p, m, view_forms, lo, hi)
+        return state_code(p, m, forms, low)
 
-    monkeypatch.setattr(scheme_module, "message_groups", recording)
+    monkeypatch.setattr(scheme_module, "state_code", recording)
+    # the decoder's error is coded over its own digits, not a view's
+    monkeypatch.setattr(scheme_module, "_decode_success", lambda *args: 1.0)
     sliced = 0
     for _ in range(60):
         scheme = cross_check_scheme(rng, rng.choice([2, 3]))
@@ -579,43 +564,6 @@ def test_secure_views_leak_exactly_zero_bits():
     rep = oracle_verify(clear)
     assert rep.secure[2] is False and abs(rep.leakage_bits[2] - 1.0) < 1e-9
     assert rep.leakage_bits[1] == 0.0
-
-
-# -- concatenation -------------------------------------------------------------
-
-def test_concat_two_one_time_pads():
-    both = concat([otp(), otp()])
-    assert both.L_W == 2 and both.L_X == 2 and both.D == 2
-    assert verify(both).ok
-
-
-def test_concat_empty_list():
-    empty = concat([])
-    assert empty.L_W == 0 and empty.L_X == 0
-    assert verify(empty).ok
-
-
-def test_concat_components_adds_signatures():
-    both = concat([component_instance("Cmp1"), component_instance("Cmp2")])
-    assert both.rate == 2 and both.bandwidth == 3
-    assert verify(both).ok
-    rep = oracle_verify(both)
-    assert rep.ok
-
-
-def test_concat_mismatches():
-    with pytest.raises(FieldMismatchError):
-        concat([otp(field=F2), otp(field=F3)])
-    with pytest.raises(ShapeMismatchError):
-        concat([otp(), otp(k=3)])
-
-
-def test_merge_layout_preserves_semantics():
-    both = concat([component_instance("Cmp1"), component_instance("Cmp1")])
-    merged = merge_layout(both)
-    assert len(merged.layout) == 2  # {1,2,3} and {1,2,4}, once each
-    assert verify(merged).ok
-    assert oracle_verify(merged).ok
 
 
 # -- simulation -----------------------------------------------------------------

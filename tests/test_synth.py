@@ -194,10 +194,12 @@ def test_groupcast_2of4_key_budget_never_exceeded():
         keys = {sub: rng.randint(0, 3) for sub in subsets}
         config = KeyConfig.of(4, [1, 2], {k: v for k, v in keys.items() if v})
         s = groupcast_2of4(config)
-        for subset, start, width in s.segments():
+        start = 0
+        for subset, width in s.layout:
             assert width == config.key_size(subset) * s.L
             used = int((s.B.array[:, start:start + width] != 0).any(axis=0).sum())
             assert used <= width
+            start += width
 
 
 # -- symmetric -----------------------------------------------------------------
