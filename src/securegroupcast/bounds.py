@@ -14,9 +14,12 @@ Two converse bounds apply to every configuration:
 On recognized shapes (single qualified receiver, single eavesdropper,
 2-of-4, symmetric profiles, and the five-key aligned 2-of-5 topology)
 the exact capacity and, where known, the exact minimum bandwidth are
-returned in closed form.  The aligned 2-of-5 topology is the one setting
+returned in closed form; any other configuration whose rate converse is
+0 has C = beta* = 0.  The aligned 2-of-5 topology is the one setting
 where the conditional-entropy rate bound is strictly loose, so a gap
-flag is raised there.
+flag is raised there.  exact_capacity is the only shape recognizer:
+synth.synthesize picks its builder from the setting returned here and
+holds the scheme to this C and beta*.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from operator import add
 from typing import Optional, Union
 
 from . import keyspace
-from .keyspace import KeyConfig, normalize_labels, set_of
+from .keyspace import KeyConfig, mask_of, normalize_labels, set_of
 
 Number = Union[int, Fraction]
 
@@ -40,10 +43,14 @@ MULTICAST = "multicast"
 GROUPCAST_2OF4 = "groupcast_2of4"
 SYMMETRIC = "symmetric"
 ALIGNED_2OF5 = "aligned_2of5"
+ZERO_RATE = "zero_rate"
 
-# Key subsets of the aligned 2-of-5 topology in canonical labels
-# (qualified {1,2}): {1}, {1,2,3}, {1,4,5}, {2,4}, {2,5}.
-_ALIGNED_2OF5_MASKS = frozenset({0b00001, 0b00111, 0b11001, 0b01010, 0b10010})
+# Key subsets a, b, c, d, e of the aligned 2-of-5 topology in canonical
+# labels (qualified {1,2}); the synth layout follows this order.
+ALIGNED_2OF5_KEYS: tuple[frozenset[int], ...] = (
+    frozenset({1}), frozenset({1, 2, 3}), frozenset({1, 4, 5}),
+    frozenset({2, 4}), frozenset({2, 5}))
+_ALIGNED_2OF5_MASKS = frozenset(map(mask_of, ALIGNED_2OF5_KEYS))
 
 
 def _as_number(x: Fraction) -> Number:
@@ -229,7 +236,7 @@ def aligned_2of5_key_size(config: KeyConfig) -> Optional[tuple[int, dict[int, in
             extra = {1: q_order[0], 2: q_order[1],
                      3: e_order[0], 4: e_order[1], 5: e_order[2]}
             cand = base.relabeled(extra)
-            if set(cand.keys) == set(_ALIGNED_2OF5_MASKS):
+            if set(cand.keys) == _ALIGNED_2OF5_MASKS:
                 perm = {old: extra[perm0[old]] for old in perm0}
                 return ell, perm
     return None
@@ -240,18 +247,19 @@ def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:
 
     Recognized shapes, tried in order: one qualified receiver; one
     eavesdropper; 2-of-4; the aligned 2-of-5 topology; symmetric size
-    profiles.  Returns None for everything else (open settings).
+    profiles.  Any other configuration with a zero rate converse has
+    C = beta* = 0 (setting "zero_rate"); the check comes last, so solved
+    shapes keep their setting.  Returns None for everything else (open
+    settings).
     """
     N, K = config.N, config.K
+    c = rate_converse(config)
     if N == 1:
-        c = rate_converse(config)
         return ExactCapacity(setting=UNICAST, C=c, beta_star=c)
     if N == K - 1:
-        c = rate_converse(config)
         return ExactCapacity(setting=MULTICAST, C=c,
                              beta_star=_multicast_beta_star(config))
     if N == 2 and K == 4:
-        c = rate_converse(config)
         l_q = config.keys.get(config.qualified_mask, 0)
         pair_plus_eve = min(config.keys.get(config.qualified_mask | (1 << (e - 1)), 0)
                             for e in config.eavesdroppers)
@@ -266,6 +274,8 @@ def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:
     flag, profile = keyspace.is_symmetric(config)
     if flag:
         return _symmetric_capacity(config, profile)
+    if c == 0:
+        return ExactCapacity(setting=ZERO_RATE, C=0, beta_star=0)
     return None
 
 

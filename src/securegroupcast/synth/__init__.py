@@ -2,20 +2,22 @@
 
 Every builder constructs its scheme once and passes it through
 build_verified, which returns it only if the exact verifier accepts it
-and raises SynthesisError (exit 4) otherwise; the dispatch below maps a
-key configuration onto the most specific solved shape.
+and raises SynthesisError (exit 4) otherwise.  synthesize recognizes no
+shape of its own: bounds.exact_capacity decides the setting, synthesize
+calls that setting's builder, and the scheme must meet the setting's C
+and, where known, its beta* exactly, else SynthesisError again.
 """
 
 from __future__ import annotations
 
-from ..bounds import aligned_2of5_key_size
-from ..keyspace import KeyConfig, invert_perm, is_symmetric
+from ..bounds import (ALIGNED_2OF5, GROUPCAST_2OF4, MULTICAST, SYMMETRIC,
+                      UNICAST, ZERO_RATE, aligned_2of5_key_size, exact_capacity)
+from ..keyspace import KeyConfig, invert_perm
 from ..scheme import LinearScheme
 from ._common import (NotSymmetricError, SegmentAllocator, SynthesisError,
                       UnsolvedSettingError, build_verified)
-from .groupcast24 import (COMPONENTS, ComponentSig, capacity_2of4,
-                          component_counts, component_instance,
-                          groupcast_2of4, min_bandwidth_2of4)
+from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
+                          component_instance, groupcast_2of4)
 from .instance25 import instance_2of5
 from .multicast import multicast, multicast_k4_bw
 from .multimessage import (InfeasibleRates, min_bandwidth, multimessage,
@@ -26,37 +28,48 @@ from .unicast import unicast
 __all__ = [
     "COMPONENTS", "ComponentSig", "InfeasibleRates", "NotSymmetricError",
     "SegmentAllocator", "SynthesisError", "UnsolvedSettingError",
-    "build_verified", "capacity_2of4", "component_counts",
-    "component_instance", "groupcast_2of4", "instance_2of5", "min_bandwidth",
-    "min_bandwidth_2of4", "multicast", "multicast_k4_bw", "multimessage",
-    "region_violation", "symmetric", "synthesize", "unicast",
+    "build_verified", "component_counts", "component_instance",
+    "groupcast_2of4", "instance_2of5", "min_bandwidth", "multicast",
+    "multicast_k4_bw", "multimessage", "region_violation", "symmetric",
+    "synthesize", "unicast",
 ]
 
 
 def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
-    """Build a verified capacity-achieving scheme for a solved shape.
+    """Build a verified scheme at the exact capacity of a solved shape.
 
-    Dispatch order (most specific wins): one qualified receiver; one
-    eavesdropper (bandwidth-optimal variant when K = 4); 2-of-4; the
-    aligned five-key 2-of-5 topology; symmetric profiles.  Raises
-    UnsolvedSettingError for everything else.
+    The setting of exact_capacity picks the builder (one eavesdropper
+    takes the bandwidth-optimal variant when K = 4; a zero rate converse
+    takes the empty scheme).  Raises UnsolvedSettingError when no
+    setting is recognized, and SynthesisError when the scheme misses C
+    or a known beta*.
     """
-    if config.N == 1:
-        return unicast(config, seed)
-    if config.K == 4 and config.N == 3:
-        return multicast_k4_bw(config, seed)
-    if config.N == config.K - 1:
-        return multicast(config, seed)
-    if config.K == 4 and config.N == 2:
-        return groupcast_2of4(config, seed)
-    detected = aligned_2of5_key_size(config)
-    if detected is not None:
-        ell, perm = detected
-        return instance_2of5(ell, seed).relabeled(invert_perm(perm))
-    flag, _ = is_symmetric(config)
-    if flag:
-        return symmetric(config, seed)
-    raise UnsolvedSettingError(
-        f"no construction known for N={config.N} of K={config.K} with this "
-        f"key profile; solved shapes are N=1, N=K-1, (N,K)=(2,4), symmetric "
-        f"profiles, and the aligned five-key 2-of-5 topology")
+    exact = exact_capacity(config)
+    if exact is None:
+        raise UnsolvedSettingError(
+            f"no construction known for N={config.N} of K={config.K} with this "
+            f"key profile; solved shapes are N=1, N=K-1, (N,K)=(2,4), symmetric "
+            f"profiles, the aligned five-key 2-of-5 topology, and a zero rate "
+            f"converse")
+    setting = exact.setting
+    if setting == UNICAST:
+        scheme = unicast(config, seed)
+    elif setting == MULTICAST:
+        scheme = (multicast_k4_bw if config.K == 4 else multicast)(config, seed)
+    elif setting == GROUPCAST_2OF4:
+        scheme = groupcast_2of4(config, seed)
+    elif setting == ALIGNED_2OF5:
+        ell, perm = aligned_2of5_key_size(config)
+        scheme = instance_2of5(ell, seed).relabeled(invert_perm(perm))
+    elif setting == SYMMETRIC:
+        scheme = symmetric(config, seed)
+    else:  # ZERO_RATE: C = beta* = 0
+        scheme = LinearScheme.empty(K=config.K, qualified=config.qualified,
+                                    meta={"builder": ZERO_RATE, "degenerate": True,
+                                          "seed": seed, "escalations": 0})
+    if scheme.rate != exact.C or exact.beta_star not in (None, scheme.bandwidth):
+        raise SynthesisError(
+            f"{scheme.meta.get('builder')} output misses the {setting} optimum: "
+            f"rate {scheme.rate}, bandwidth {scheme.bandwidth}; "
+            f"C = {exact.C}, beta* = {exact.beta_star}")
+    return scheme

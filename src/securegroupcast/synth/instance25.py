@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..bounds import ALIGNED_2OF5_KEYS
 from ..fmatrix import FMatrix
 from ..gf import Field
 from ..scheme import LinearScheme
@@ -34,16 +35,8 @@ from ._common import build_verified
 
 _F2 = Field(2)
 
-KEY_SUBSETS: tuple[frozenset[int], ...] = (
-    frozenset({1}),           # a
-    frozenset({1, 2, 3}),     # b
-    frozenset({1, 4, 5}),     # c
-    frozenset({2, 4}),        # d
-    frozenset({2, 5}),        # e
-)
-
 # (message bit, [(key index, block)]) per transmit row; key indices follow
-# KEY_SUBSETS order and blocks run 0..2.
+# the a..e order of ALIGNED_2OF5_KEYS and blocks run 0..2.
 _BASE_ROWS: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = (
     (0, ((1, 0), (2, 0))),   # W1 + b1 + c1
     (3, ((1, 1), (2, 1))),   # W4 + b2 + c2
@@ -76,11 +69,11 @@ def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
                                   meta={"builder": "instance_2of5", "key_size": 0,
                                         "seed": seed, "escalations": 0})
     width = BLOCKS_PER_COPY * ell
-    layout = tuple((subset, width) for subset in KEY_SUBSETS)
+    layout = tuple((subset, width) for subset in ALIGNED_2OF5_KEYS)
     lw = MSG_BITS_PER_COPY * ell
     lx = TX_BITS_PER_COPY * ell
     a = np.zeros((lx, lw), dtype=np.int64)
-    b = np.zeros((lx, len(KEY_SUBSETS) * width), dtype=np.int64)
+    b = np.zeros((lx, len(ALIGNED_2OF5_KEYS) * width), dtype=np.int64)
     for copy in range(ell):
         r0 = TX_BITS_PER_COPY * copy
         m0 = MSG_BITS_PER_COPY * copy

@@ -68,7 +68,7 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
     l13 = norm.key_size({1, 3})
     l23 = norm.key_size({2, 3})
     l123 = norm.key_size({1, 2, 3})
-    lw = l1 + l12 + l13 + l123  # smallest secure key entropy = capacity
+    lw = rate_converse(norm)
     if lw == 0:
         return LinearScheme.empty(K=config.K, qualified=config.qualified,
                                   meta={"builder": "multicast_k4_bw", "degenerate": True,

@@ -336,6 +336,45 @@ def test_exact_none_for_open_shapes():
     assert exact_capacity(config) is None
 
 
+def test_exact_zero_rate_for_unrecognized_shape():
+    # K = 5, N = 3: not one of the proven shapes, but eavesdropper 5 holds
+    # every key of receiver 2, so the rate converse is 0
+    config = KeyConfig.of(5, [1, 2, 4], {(1,): 2, (5,): 1, (1, 3, 5): 1,
+                                         (1, 2, 4, 5): 1})
+    got = exact_capacity(config)
+    assert (got.setting, got.C, got.beta_star) == ("zero_rate", 0, 0)
+    rep = report(config)
+    assert (rep.rate_upper, rep.bw_lower, rep.gap) == (0, 0, False)
+
+
+def test_exact_zero_rate_comes_after_the_proven_shapes():
+    solved = {
+        "unicast": KeyConfig.of(3, [1], {(1, 2): 1}),
+        "multicast": KeyConfig.of(3, [1, 2], {(1, 2, 3): 4}),
+        "groupcast_2of4": KeyConfig.of(4, [1, 2], {(1, 2, 3, 4): 2}),
+        "symmetric": KeyConfig.of(5, [1, 2], {}),
+    }
+    for setting, config in solved.items():
+        got = exact_capacity(config)
+        assert (got.setting, got.C, got.beta_star) == (setting, 0, 0)
+
+
+def test_exact_none_only_when_rate_positive():
+    rng = random.Random(12)
+    seen = {"zero_rate": 0, None: 0}
+    for _ in range(300):
+        k = rng.randint(5, 6)
+        keys = {m: rng.randint(1, 3) for m in rng.sample(range(1, 1 << k), rng.randint(2, 6))}
+        config = KeyConfig(k, rng.choice([m for m in range(1, 1 << k)
+                                          if 2 <= m.bit_count() <= k - 2]), keys)
+        exact = exact_capacity(config)
+        setting = None if exact is None else exact.setting
+        if setting in seen:
+            seen[setting] += 1
+            assert (rate_converse(config) == 0) == (setting == "zero_rate")
+    assert min(seen.values()) >= 5, seen
+
+
 def test_multicast_beta_unknown_for_k5_unequal():
     config = KeyConfig.of(5, [1, 2, 3, 4], {(1,): 1, (2,): 2, (1, 2): 1})
     got = exact_capacity(config)

@@ -185,6 +185,34 @@ def test_synth_internal_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "internal" in capsys.readouterr().err
 
 
+def test_synth_below_capacity_exit_code(tmp_path, capsys, one_cmp3_dropped):
+    cfg = write(tmp_path, "c.json", ex3_obj())
+    out_path = tmp_path / "s.json"
+    assert main(["synth", cfg, "-o", str(out_path)]) == 4
+    assert "misses the groupcast_2of4 optimum" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+ZERO_RATE_OBJ = {"K": 5, "qualified": [1, 2, 4], "keys": [
+    {"subset": [1], "symbols": 2}, {"subset": [5], "symbols": 1},
+    {"subset": [1, 3, 5], "symbols": 1}, {"subset": [1, 2, 4, 5], "symbols": 1}]}
+
+
+def test_zero_rate_config_is_solved(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", ZERO_RATE_OBJ)
+    assert main(["bounds", cfg]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["setting"], rep["C"], rep["beta_star"], rep["rate_upper"]) == \
+        ("zero_rate", 0, 0, 0)
+    out_path = str(tmp_path / "s.json")
+    assert main(["synth", cfg, "-o", out_path]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["builder"], summary["Lw"], summary["Lx"]) == ("zero_rate", 0, 0)
+    assert main(["verify", out_path, "--oracle"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and rep["oracle"]["ok"]
+
+
 def test_empty_scheme_round_trip():
     from securegroupcast import LinearScheme
     empty = LinearScheme.empty(K=3, qualified={2})

@@ -77,6 +77,30 @@ def test_entropy_scaling(k, t, data):
     assert entropy_of(config.scaled(t), a) == t * entropy_of(config, a)
 
 
+@st.composite
+def conditions(draw, config):
+    """A receiver's whole key collection, or arbitrary per-key symbol counts
+    (absent keys and counts beyond a key's size included)."""
+    if draw(st.booleans()):
+        return KeyCollection.of_receiver(config, draw(st.integers(1, config.K)))
+    masks = draw(st.sets(st.integers(1, (1 << config.K) - 1), max_size=6))
+    return KeyCollection(counts={m: draw(st.integers(0, 4)) for m in masks})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_entropy_of_matches_brute_entropy(k, data):
+    keys = {m: data.draw(st.integers(0, 3)) for m in
+            data.draw(st.sets(st.integers(1, (1 << k) - 1), max_size=10))}
+    qualified = data.draw(st.sets(st.integers(1, k), min_size=1, max_size=k - 1))
+    config = KeyConfig.of(k, qualified, {set_of(m): s for m, s in keys.items()})
+    receivers = data.draw(st.sets(st.integers(1, k)))
+    given = data.draw(conditions(config))
+    assert entropy_of(config, receivers, given) == brute_entropy(config, receivers, given)
+    assert entropy_of(config, mask_of(receivers), given) == \
+        brute_entropy(config, receivers, given)
+
+
 def test_entropy_monotone_antitone(ex3):
     given_small = KeyCollection(counts={mask_of((1, 3)): ex3.key_size((1, 3))})
     given_large = KeyCollection.of_receiver(ex3, 3)

@@ -7,11 +7,11 @@ from securegroupcast import (KeyConfig, UnsolvedSettingError, oracle_verify,
                              rate_converse, verify)
 from securegroupcast.bounds import exact_capacity
 from securegroupcast.scheme import LinearScheme
-from securegroupcast.synth import (COMPONENTS, SynthesisError, build_verified,
-                                   component_counts, component_instance,
-                                   groupcast_2of4, instance_2of5, multicast,
-                                   multicast_k4_bw, symmetric, synthesize,
-                                   unicast)
+from securegroupcast.synth import (COMPONENTS, SegmentAllocator, SynthesisError,
+                                   build_verified, component_counts,
+                                   component_instance, groupcast_2of4,
+                                   instance_2of5, multicast, multicast_k4_bw,
+                                   symmetric, synthesize, unicast)
 from securegroupcast.synth._common import NotSymmetricError
 
 
@@ -194,12 +194,20 @@ def test_groupcast_2of4_key_budget_never_exceeded():
         keys = {sub: rng.randint(0, 3) for sub in subsets}
         config = KeyConfig.of(4, [1, 2], {k: v for k, v in keys.items() if v})
         s = groupcast_2of4(config)
-        start = 0
         for subset, width in s.layout:
             assert width == config.key_size(subset) * s.L
-            used = int((s.B.array[:, start:start + width] != 0).any(axis=0).sum())
-            assert used <= width
-            start += width
+
+
+def test_segment_allocator_refuses_past_width():
+    alloc = SegmentAllocator([(frozenset({1}), 2), (frozenset({1, 2}), 1)])
+    assert alloc.take(frozenset({1})) == [0]
+    assert alloc.take(frozenset({1, 2})) == [2]
+    with pytest.raises(SynthesisError, match="budget exceeded"):
+        alloc.take(frozenset({1}), 2)
+    assert alloc.take(frozenset({1})) == [1]      # the refused take spent nothing
+    for subset in (frozenset({1}), frozenset({1, 2})):
+        with pytest.raises(SynthesisError, match="budget exceeded"):
+            alloc.take(subset)
 
 
 # -- symmetric -----------------------------------------------------------------
@@ -315,6 +323,9 @@ def test_synthesize_routes_by_shape(ex1, ex2, ex3, ex4, fig4):
     assert synthesize(ex3).meta["builder"] == "groupcast_2of4"
     assert synthesize(ex4).meta["builder"] == "symmetric"
     assert synthesize(fig4).meta["builder"] == "instance_2of5"
+    # a solved shape at rate 0 keeps its builder
+    zero_2of4 = KeyConfig.of(4, [1, 2], {(1, 2, 3, 4): 2})
+    assert synthesize(zero_2of4).meta["builder"] == "groupcast_2of4"
 
 
 def test_synthesize_aligned_2of5_relabeled(fig4):
@@ -337,6 +348,32 @@ def test_synthesize_plain_multicast_for_k5():
 def test_synthesize_unsolved_setting():
     config = KeyConfig.of(5, [1, 2], {(1,): 1, (1, 2, 3): 2, (2, 4): 1})
     with pytest.raises(UnsolvedSettingError):
+        synthesize(config)
+
+
+def test_synthesize_zero_rate_gives_empty_scheme():
+    config = KeyConfig.of(5, [1, 2, 4], {(1,): 2, (5,): 1, (1, 3, 5): 1,
+                                         (1, 2, 4, 5): 1})
+    s = synthesize(config, seed=3)
+    assert s.meta == {"builder": "zero_rate", "degenerate": True, "seed": 3,
+                      "escalations": 0}
+    assert (s.K, s.qualified, s.L_W, s.L_X) == (5, {1, 2, 4}, 0, 0)
+    assert verify(s).ok and oracle_verify(s).ok
+
+
+def test_synthesize_rejects_a_verified_scheme_below_capacity(ex3, one_cmp3_dropped):
+    below = groupcast_2of4(ex3)
+    assert verify(below).ok and below.rate == exact_capacity(ex3).C - 1
+    with pytest.raises(SynthesisError, match="rate 4.*C = 5"):
+        synthesize(ex3)
+
+
+def test_synthesize_rejects_bandwidth_above_beta_star(monkeypatch):
+    import securegroupcast.synth as synth_mod
+    config = KeyConfig.of(4, [1, 2, 3], {(1,): 1, (1, 3): 2, (2, 3): 9})
+    # the plain one-eavesdropper builder meets C but sends every key symbol
+    monkeypatch.setattr(synth_mod, "multicast_k4_bw", multicast)
+    with pytest.raises(SynthesisError, match="bandwidth 12.*beta\\* = 6"):
         synthesize(config)
 
 
