@@ -75,13 +75,11 @@ class ExactCapacity:
 class BwBound:
     """A bandwidth lower bound plus the witness (e, Q, u_e) attaining it.
 
-    heuristic marks a truncated search.  The search over key
-    sub-collections is exact here (see bw_converse), so the flag is
-    always False; it stays in the interface for report stability.
+    The search over key sub-collections is exact (see bw_converse), so
+    u_e is all of e's keys.
     """
 
     value: Number
-    heuristic: bool
     witness: Optional[tuple[int, frozenset[int], tuple[frozenset[int], ...]]]
 
 
@@ -91,7 +89,6 @@ class BoundsReport:
 
     rate_upper: int
     bw_lower: Number
-    bw_heuristic: bool
     exact: Optional[ExactCapacity]
     gap: bool
 
@@ -183,7 +180,7 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
         qualified = sorted(config.qualified)
         members = frozenset(qualified[i] for i in range(len(qualified)) if q >> i & 1)
         witness = (e, members, tuple(set_of(m) for m in config.receiver_key_masks(e)))
-    return BwBound(value=_as_number(Fraction(best, den)), heuristic=False, witness=witness)
+    return BwBound(value=_as_number(Fraction(best, den)), witness=witness)
 
 
 # -- closed-form capacities ----------------------------------------------
@@ -287,5 +284,4 @@ def report(config: KeyConfig) -> BoundsReport:
     best_rate: Number = exact.C if exact is not None else upper
     bw = bw_converse(config, best_rate)
     gap = exact is not None and exact.C < upper
-    return BoundsReport(rate_upper=upper, bw_lower=bw.value,
-                        bw_heuristic=bw.heuristic, exact=exact, gap=gap)
+    return BoundsReport(rate_upper=upper, bw_lower=bw.value, exact=exact, gap=gap)

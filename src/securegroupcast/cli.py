@@ -197,7 +197,7 @@ def bounds_report_obj(config: KeyConfig) -> dict:
         "N": config.N,
         "rate_upper": rep.rate_upper,
         "bw_lower": number_to_json(rep.bw_lower),
-        "bw_heuristic": rep.bw_heuristic,
+        "bw_heuristic": False,   # bw_converse is exact
         "gap": rep.gap,
     }
     if rep.exact is not None:

@@ -11,18 +11,21 @@ log2(p) for bits.
 Receiver subsets are encoded as bitmasks (bit k-1 set <=> receiver k in
 the subset), which keeps the bound-search enumerations cheap.
 
-Both converses read one table per eavesdropper e: with the qualified
-receivers q_1 < ... < q_N renumbered as local bits 0..N-1, w[t] is the
-total size of the keys e lacks whose qualified part is t, and
-a[i] = H(z_{q_i} | z_e) is the sum of w[t] over t containing bit i.
+The converses and the K=4 normalizer read one table per eavesdropper e:
+with the qualified receivers q_1 < ... < q_N renumbered as local bits
+0..N-1, w[t] is the total size of the keys e lacks whose qualified part
+is t, and a[i] = H(z_{q_i} | z_e) is the sum of w[t] over t containing
+bit i.
 `KeyConfig.eavesdropper_tables` builds these once per configuration, in
 one pass over the keys per eavesdropper, and caches them as tuples.
+`entropy_of` is the general H(z_A | given) they specialize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -229,46 +232,20 @@ def entropy_of(config: KeyConfig, receivers: Iterable[int] | int,
 def is_symmetric(config: KeyConfig) -> tuple[bool, tuple[int, ...]]:
     """Whether all subsets of equal cardinality have equal key size.
 
-    Returns (flag, profile) where profile[u-1] is the common size of the
-    u-subset keys (0 where no key exists).  Absent subsets count as size 0,
-    so a cardinality class is symmetric only when either no u-subset has a
-    key, or every one of the C(K, u) subsets has the same positive size.
-    On failure the profile holds the classes that passed before the first
-    failing one, in order of their first key.
-
-    One pass over the keys in mask order.  A class is complete exactly
-    when its masks run through every u-subset in increasing order, so
-    each key either extends its class or fails it (a size differs or a
-    u-subset is missing).  The pass stops at the first failure that no
-    later key can change: every class met before the failing one is
-    already complete.
+    Returns (True, profile) where profile[u-1] is the common size of the
+    u-subset keys (0 where no key exists), or (False, ()).  Absent subsets
+    count as size 0, so a cardinality class is symmetric only when either
+    no u-subset has a key, or every one of the C(K, u) subsets has the
+    same positive size.
     """
-    full = (1 << config.K) - 1
-    order: list[int] = []          # cardinalities in order of first key
-    size_of: dict[int, int] = {}   # cardinality -> size of its first key
-    expect: dict[int, int] = {}    # cardinality -> next mask it needs; 0 once failed
+    by_class: dict[int, list[int]] = {}
     for m, size in config.keys.items():
-        u = m.bit_count()
-        want = expect.get(u)
-        if want is None:
-            order.append(u)
-            size_of[u] = size
-            want = (1 << u) - 1
-        elif not want:
-            continue
-        if m != want or size != size_of[u]:
-            expect[u] = 0
-            if all(expect[v] > full for v in order[:order.index(u)]):
-                break
-            continue
-        low = m & -m                   # next mask of the same popcount
-        high = m + low
-        expect[u] = (((high ^ m) >> 2) // low) | high
+        by_class.setdefault(m.bit_count(), []).append(size)
     profile = [0] * config.K
-    for u in order:
-        if expect[u] <= full:
-            return False, tuple(profile)
-        profile[u - 1] = size_of[u]
+    for u, sizes in by_class.items():
+        if len(sizes) != comb(config.K, u) or min(sizes) != max(sizes):
+            return False, ()
+        profile[u - 1] = sizes[0]
     return True, tuple(profile)
 
 
@@ -304,16 +281,15 @@ def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[i
     if setting == "multicast_k4":
         if config.K != 4 or config.N != 3:
             raise WrongShapeError(f"multicast_k4 needs K=4, N=3; got K={config.K}, N={config.N}")
-        base, perm0 = canonical_relabel(config)
-        e_keys = KeyCollection.of_receiver(base, 4)
-        order = sorted((1, 2, 3), key=lambda q: entropy_of(base, {q}, e_keys))
-        first = order[0]
-        rest = [q for q in (1, 2, 3) if q != first]
+        # a[i] = H(z_q | z_e) for the i-th qualified receiver q, ascending.
+        ((e, _, a),) = config.eavesdropper_tables
+        qualified = sorted(config.qualified)
+        first = qualified[a.index(min(a))]
         # Order the remaining two so the pair key with receiver `first`
         # is smallest for the receiver labeled 2.
-        rest.sort(key=lambda q: base.key_size({first, q}))
-        perm1 = {first: 1, rest[0]: 2, rest[1]: 3, 4: 4}
-        perm = {old: perm1[perm0[old]] for old in perm0}
+        rest = sorted((q for q in qualified if q != first),
+                      key=lambda q: config.key_size({first, q}))
+        perm = {first: 1, rest[0]: 2, rest[1]: 3, e: 4}
         return config.relabeled(perm), perm
     if setting == "groupcast_2of4":
         if config.K != 4 or config.N != 2:

@@ -34,7 +34,7 @@ def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     norm, perm = canonical_relabel(config)  # eavesdropper becomes receiver K
     ebit = 1 << (norm.K - 1)
     useful = [(m, size) for m, size in norm.key_items() if not m & ebit]
-    lw = rate_converse(norm)
+    lw = rate_converse(config)
     if lw == 0:
         return LinearScheme.empty(K=config.K, qualified=config.qualified,
                                   meta={"builder": "multicast", "degenerate": True,
@@ -68,7 +68,7 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
     l13 = norm.key_size({1, 3})
     l23 = norm.key_size({2, 3})
     l123 = norm.key_size({1, 2, 3})
-    lw = rate_converse(norm)
+    lw = rate_converse(config)
     if lw == 0:
         return LinearScheme.empty(K=config.K, qualified=config.qualified,
                                   meta={"builder": "multicast_k4_bw", "degenerate": True,

@@ -31,7 +31,7 @@ from ..gf import Field, least_prime_at_least
 from ..keyspace import (KeyConfig, canonical_relabel, invert_perm, is_symmetric,
                         mask_of)
 from ..scheme import LinearScheme
-from ._common import NotSymmetricError, build_verified
+from ._common import NotSymmetricError, SegmentAllocator, build_verified
 
 
 def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -82,17 +82,13 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
             layout_subsets.extend(key_subsets)
     layout_subsets.sort(key=mask_of)
     layout = tuple((s, profile[len(s) - 1]) for s in layout_subsets)
-    seg_start = {}
-    pos = 0
-    for s, width in layout:
-        seg_start[s] = pos
-        pos += width
+    alloc = SegmentAllocator(layout)
     groups_meta = [{"u": g["u"], "i": g["i"], "rate": g["m"],
                     "bandwidth": len(g["blocks"]) * g["b"]} for g in plan]
 
     field = Field(least_prime_at_least(p_floor))
     a = np.zeros((lx, lw), dtype=np.int64)
-    bmat = np.zeros((lx, pos), dtype=np.int64)
+    bmat = np.zeros((lx, alloc.total), dtype=np.int64)
     row = msg = 0
     for g in plan:
         b, m, ell = g["b"], g["m"], g["ell"]
@@ -101,8 +97,7 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
         for t, (_, key_subsets) in enumerate(g["blocks"]):
             a[row:row + b, msg:msg + m] = vw.array[t * b:(t + 1) * b]
             for j, subset in enumerate(key_subsets):
-                start = seg_start[subset]
-                bmat[row:row + b, start:start + ell] = \
+                bmat[row:row + b, alloc.take(subset, ell)] = \
                     vs.array[:, j * ell:(j + 1) * ell]
             row += b
         msg += m

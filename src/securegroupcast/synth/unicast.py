@@ -24,7 +24,7 @@ def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
         raise WrongShapeError(f"unicast needs exactly one qualified receiver, got {config.N}")
     norm, perm = canonical_relabel(config)
     keys = [(m, size) for m, size in norm.key_items() if m & 1]  # receiver 1's keys
-    lw = rate_converse(norm)
+    lw = rate_converse(config)
     if lw == 0:
         return LinearScheme.empty(K=config.K, qualified=config.qualified,
                                   meta={"builder": "unicast", "degenerate": True,

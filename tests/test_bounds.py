@@ -41,7 +41,7 @@ def _bw_converse_loop(config, rate):
                 best_witness = (e, members, chosen)
             sub = (sub - 1) & qmask
     value = int(best) if best.denominator == 1 else best
-    return BwBound(value=value, heuristic=False, witness=best_witness)
+    return BwBound(value=value, witness=best_witness)
 
 
 def _penalty(config, e, group):
@@ -77,7 +77,7 @@ def test_bw_converse_symmetric_example(ex4):
 
 
 def test_bw_converse_zero_rate(ex3):
-    assert bw_converse(ex3, 0) == BwBound(value=0, heuristic=False, witness=None)
+    assert bw_converse(ex3, 0) == BwBound(value=0, witness=None)
 
 
 def test_bw_converse_multicast_example(ex2):
@@ -201,8 +201,8 @@ def _report_from_loops(config):
     upper = _rate_converse_loop(config)
     exact = exact_capacity(_fresh(config))
     bw = _bw_converse_loop(config, exact.C if exact is not None else upper)
-    return BoundsReport(rate_upper=upper, bw_lower=bw.value, bw_heuristic=False,
-                        exact=exact, gap=exact is not None and exact.C < upper)
+    return BoundsReport(rate_upper=upper, bw_lower=bw.value, exact=exact,
+                        gap=exact is not None and exact.C < upper)
 
 
 @st.composite

@@ -272,6 +272,33 @@ def test_synth_output_is_pinned(name, seed, tmp_path, capsys):
     assert digest == SYNTH_DIGESTS[name, seed]
 
 
+ZERO_RATE_OBJ = {"K": 5, "qualified": [1, 2, 4], "keys": [
+    {"subset": [1], "symbols": 2}, {"subset": [5], "symbols": 1},
+    {"subset": [1, 3, 5], "symbols": 1}, {"subset": [1, 2, 4, 5], "symbols": 1}]}
+
+# sha256 of `sgc bounds` stdout: the report JSON is fixed for a given config,
+# key order and the constant "bw_heuristic" included
+BOUNDS_DIGESTS = {
+    "ex1": "2802c6a74d93cf19acd68134ba98f8a8838e9c5e8c321aec1398be3e41fa3595",
+    "ex2": "2f0a9b9462a25b0a0d4424809eb100b8b2108cfcd9ab96eb950ffbe3088bbb99",
+    "ex3": "dd5d28b88ed4886baf99faaaeeb368139216b10c0bce4ef70833681d003d474b",
+    "ex4": "83d4af7306736cf26fc8ec0a79c2b60da87f05f68572155c83aa2150a35b6cb1",
+    "fig4": "1abee9a0a84cbe06e186dea72060b2a00386bcdf21eea8cb6f021a72202e9152",
+    "zero_rate": "9c3e4668252722923a0e536d08fc1636187059d5cf53477c7737d0329ca6641a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_DIGESTS))
+def test_bounds_output_is_pinned(name, tmp_path, capsys):
+    import hashlib
+    from securegroupcast.cli import demo_configs
+    obj = (ZERO_RATE_OBJ if name == "zero_rate"
+           else config_to_obj(demo_configs()[name]))
+    assert main(["bounds", write(tmp_path, "c.json", obj)]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == BOUNDS_DIGESTS[name]
+
+
 def _threes():
     from itertools import combinations
     return combinations(range(1, 7), 3)

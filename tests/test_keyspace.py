@@ -135,7 +135,8 @@ def test_empty_config_is_symmetric():
 
 def _is_symmetric_by_class(config):
     """The per-cardinality loop: bin every size by |U|, then check each class
-    (in order of its first key) for one size and all C(K, u) subsets."""
+    (in order of its first key) for one size and all C(K, u) subsets.  On
+    failure the profile holds the classes that passed before it."""
     profile = [0] * config.K
     per_card = {}
     for m, size in config.keys.items():
@@ -145,6 +146,12 @@ def _is_symmetric_by_class(config):
             return False, tuple(profile)
         profile[u - 1] = sizes[0]
     return True, tuple(profile)
+
+
+def _assert_same_verdict(got, expected):
+    """The flags agree, and the profiles too where the config is symmetric."""
+    assert got[0] == expected[0]
+    assert got[1] == (expected[1] if expected[0] else ())
 
 
 @st.composite
@@ -170,7 +177,7 @@ def near_symmetric_configs(draw):
 @settings(max_examples=400, deadline=None)
 @given(near_symmetric_configs())
 def test_is_symmetric_matches_per_class_loop(config):
-    assert is_symmetric(config) == _is_symmetric_by_class(config)
+    _assert_same_verdict(is_symmetric(config), _is_symmetric_by_class(config))
 
 
 def test_is_symmetric_matches_per_class_loop_seeded():
@@ -189,7 +196,7 @@ def test_is_symmetric_matches_per_class_loop_seeded():
                 keys[m] = rng.randint(1, 2)
         config = KeyConfig.of(k, [1], keys)
         expected = _is_symmetric_by_class(config)
-        assert is_symmetric(config) == expected
+        _assert_same_verdict(is_symmetric(config), expected)
         outcomes.add((expected[0], any(expected[1])))
     # symmetric, failing at the first class, failing after a passed class
     assert outcomes >= {(True, True), (False, False), (False, True)}
@@ -326,6 +333,30 @@ def test_normalize_multicast_k4(ex2):
     assert h1 <= entropy_of(norm, {3}, e_keys)
     assert norm.key_size({1, 2}) <= norm.key_size({1, 3})
     assert perm[4] == 4  # the eavesdropper stays put
+
+
+def _multicast_k4_perm_by_entropy(config):
+    """The K=4 ordering from the entropy calculus: canonical labels, then
+    H(z_q | z_4) ascending, then the pair key with the first receiver."""
+    base, perm0 = canonical_relabel(config)
+    e_keys = KeyCollection.of_receiver(base, 4)
+    order = sorted((1, 2, 3), key=lambda q: entropy_of(base, {q}, e_keys))
+    first = order[0]
+    rest = sorted((q for q in (1, 2, 3) if q != first),
+                  key=lambda q: base.key_size({first, q}))
+    perm1 = {first: 1, rest[0]: 2, rest[1]: 3, 4: 4}
+    return {old: perm1[perm0[old]] for old in perm0}
+
+
+def test_normalize_multicast_k4_matches_entropy_order():
+    rng = random.Random(12)
+    for _ in range(400):
+        qualified = rng.sample(range(1, 5), 3)
+        keys = {m: rng.randint(0, 3) for m in range(1, 16)}
+        config = KeyConfig.of(4, qualified, keys)
+        norm, perm = normalize_labels(config, "multicast_k4")
+        assert perm == _multicast_k4_perm_by_entropy(config)
+        assert norm == config.relabeled(perm)
 
 
 def test_normalize_wrong_shape(fig4):
