@@ -24,9 +24,8 @@ from .scheme import (DecodeFailureError, LinearScheme, NotDecodableError,
                      OracleReport, TooLargeError, Transcript, VerifyReport,
                      decoder_for, oracle_verify, simulate, verify,
                      verify_correctness, verify_security)
-from .synth import (InfeasibleRates, NotSymmetricError, SynthesisError,
-                    UnsolvedSettingError, groupcast_2of4, instance_2of5,
-                    multicast, multicast_k4_bw, multimessage, symmetric,
-                    synthesize, unicast)
+from .synth import (InfeasibleRates, SynthesisError, UnsolvedSettingError,
+                    groupcast_2of4, instance_2of5, multicast, multicast_k4_bw,
+                    multimessage, symmetric, synthesize, unicast)
 
 __version__ = "0.1.0"

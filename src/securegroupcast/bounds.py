@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb
 from operator import add
 from typing import Optional, Union
@@ -73,14 +72,14 @@ class ExactCapacity:
 
 @dataclass(frozen=True)
 class BwBound:
-    """A bandwidth lower bound plus the witness (e, Q, u_e) attaining it.
+    """A bandwidth lower bound plus the witness (e, Q) attaining it.
 
-    The search over key sub-collections is exact (see bw_converse), so
-    u_e is all of e's keys.
+    Conditioning on all of e's keys dominates every sub-collection u_e
+    of them (see bw_converse), so the witness does not name u_e.
     """
 
     value: Number
-    witness: Optional[tuple[int, frozenset[int], tuple[frozenset[int], ...]]]
+    witness: Optional[tuple[int, frozenset[int]]]
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,8 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
         e, pens, total = best_at
         q = next(q for q in range(len(pens) - 1, 0, -1)
                  if q.bit_count() * num - (pens[q] - total) * den == best)
-        qualified = sorted(config.qualified)
-        members = frozenset(qualified[i] for i in range(len(qualified)) if q >> i & 1)
-        witness = (e, members, tuple(set_of(m) for m in config.receiver_key_masks(e)))
+        qualified = sorted(config.qualified)   # bit i of q is qualified[i]
+        witness = (e, frozenset(qualified[i - 1] for i in set_of(q)))
     return BwBound(value=_as_number(Fraction(best, den)), witness=witness)
 
 
@@ -215,28 +213,32 @@ def aligned_2of5_key_size(config: KeyConfig) -> Optional[tuple[int, dict[int, in
 
     The topology has qualified pair {1,2} and exactly the keys
     {1}, {1,2,3}, {1,4,5}, {2,4}, {2,5}, all of one equal size.  Returns
-    (key size, permutation old->new into canonical labels), or None.
-    Relabelings must keep the qualified pair qualified.
+    (key size, permutation old->new into those labels), or None.  The
+    labels are read off the keys: 1 holds the one-receiver key, 2 is the
+    other qualified receiver, 3 the eavesdropper in the key both share,
+    and 4, 5 the other two in ascending order; one relabeled copy then
+    confirms all five keys.
     """
-    if config.K != 5 or config.N != 2:
+    if config.K != 5 or config.N != 2 or len(config.keys) != 5:
         return None
-    items = config.key_items()
-    if len(items) != 5:
-        return None
-    sizes = {size for _, size in items}
+    sizes = set(config.keys.values())
     if len(sizes) != 1:
         return None
     (ell,) = sizes
-    base, perm0 = keyspace.canonical_relabel(config)
-    for q_order in ((1, 2), (2, 1)):
-        for e_order in permutations((3, 4, 5)):
-            extra = {1: q_order[0], 2: q_order[1],
-                     3: e_order[0], 4: e_order[1], 5: e_order[2]}
-            cand = base.relabeled(extra)
-            if set(cand.keys) == _ALIGNED_2OF5_MASKS:
-                perm = {old: extra[perm0[old]] for old in perm0}
-                return ell, perm
-    return None
+    qmask = config.qualified_mask
+    singles = [m for m in config.keys if m.bit_count() == 1]
+    shared = [m ^ qmask for m in config.keys if m & qmask == qmask]
+    if len(singles) != 1 or len(shared) != 1:
+        return None
+    first, third = singles[0].bit_length(), shared[0].bit_length()
+    if first not in config.qualified or third not in config.eavesdroppers:
+        return None
+    (second,) = config.qualified - {first}
+    fourth, fifth = sorted(config.eavesdroppers - {third})
+    perm = {first: 1, second: 2, third: 3, fourth: 4, fifth: 5}
+    if set(config.relabeled(perm).keys) != _ALIGNED_2OF5_MASKS:
+        return None
+    return ell, perm
 
 
 def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:

@@ -190,14 +190,11 @@ class LinearScheme:
         def moved(blocks):
             return tuple((frozenset(perm[k] for k in subset), width) for subset, width in blocks)
 
-        out = LinearScheme(
+        return LinearScheme(
             field=self.field, L=self.L, K=self.K,
             qualified=frozenset(perm[k] for k in self.qualified),
             layout=moved(self.layout), A=self.A, B=self.B, meta=dict(self.meta),
             messages=moved(self.messages))
-        if "column_ranks" in vars(self):   # [B | A] is unchanged: share its echelon form
-            vars(out)["column_ranks"] = self.column_ranks
-        return out
 
     @classmethod
     def empty(cls, K: int, qualified: Iterable[int], L: int = 1,

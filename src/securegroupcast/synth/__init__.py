@@ -14,8 +14,8 @@ from ..bounds import (ALIGNED_2OF5, GROUPCAST_2OF4, MULTICAST, SYMMETRIC,
                       UNICAST, ZERO_RATE, aligned_2of5_key_size, exact_capacity)
 from ..keyspace import KeyConfig, invert_perm
 from ..scheme import LinearScheme
-from ._common import (NotSymmetricError, SegmentAllocator, SynthesisError,
-                      UnsolvedSettingError, build_verified)
+from ._common import (SegmentAllocator, SynthesisError, UnsolvedSettingError,
+                      build_verified, empty_scheme)
 from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
                           component_instance, groupcast_2of4)
 from .instance25 import instance_2of5
@@ -26,12 +26,11 @@ from .symmetric import symmetric
 from .unicast import unicast
 
 __all__ = [
-    "COMPONENTS", "ComponentSig", "InfeasibleRates", "NotSymmetricError",
-    "SegmentAllocator", "SynthesisError", "UnsolvedSettingError",
-    "build_verified", "component_counts", "component_instance",
-    "groupcast_2of4", "instance_2of5", "min_bandwidth", "multicast",
-    "multicast_k4_bw", "multimessage", "region_violation", "symmetric",
-    "synthesize", "unicast",
+    "COMPONENTS", "ComponentSig", "InfeasibleRates", "SegmentAllocator",
+    "SynthesisError", "UnsolvedSettingError", "build_verified",
+    "component_counts", "component_instance", "groupcast_2of4",
+    "instance_2of5", "min_bandwidth", "multicast", "multicast_k4_bw",
+    "multimessage", "region_violation", "symmetric", "synthesize", "unicast",
 ]
 
 
@@ -64,9 +63,7 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
     elif setting == SYMMETRIC:
         scheme = symmetric(config, seed)
     else:  # ZERO_RATE: C = beta* = 0
-        scheme = LinearScheme.empty(K=config.K, qualified=config.qualified,
-                                    meta={"builder": ZERO_RATE, "degenerate": True,
-                                          "seed": seed, "escalations": 0})
+        scheme = empty_scheme(config, ZERO_RATE, seed)
     if scheme.rate != exact.C or exact.beta_star not in (None, scheme.bandwidth):
         raise SynthesisError(
             f"{scheme.meta.get('builder')} output misses the {setting} optimum: "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..keyspace import KeyConfig
 from ..scheme import LinearScheme, verify
 
 
@@ -25,8 +26,11 @@ class UnsolvedSettingError(ValueError):
     """No capacity-achieving construction is known for this shape."""
 
 
-class NotSymmetricError(ValueError):
-    """The symmetric builder needs equal key sizes per subset cardinality."""
+def empty_scheme(config: KeyConfig, builder: str, seed: int) -> LinearScheme:
+    """The rate-0 scheme a builder returns when the capacity is 0."""
+    return LinearScheme.empty(K=config.K, qualified=config.qualified,
+                              meta={"builder": builder, "degenerate": True,
+                                    "seed": seed, "escalations": 0})
 
 
 def build_verified(scheme: LinearScheme) -> LinearScheme:

@@ -172,9 +172,8 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
                     b[row, bit[subset]] = 1
                 row += 1
             msg += 1
-    built = build_verified(LinearScheme(
+    return build_verified(LinearScheme(
         field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
         A=FMatrix(_F2, a), B=FMatrix(_F2, b),
         meta={"builder": "groupcast_2of4", "case": case, "counts": dict(counts),
-              "seed": seed, "escalations": 0}))
-    return built.relabeled(invert_perm(perm))
+              "seed": seed, "escalations": 0}).relabeled(invert_perm(perm)))

@@ -6,11 +6,13 @@ transmit block X_U = V_U @ W + s_U, with the V_U stacked from one Cauchy
 matrix.  Security is free (the eavesdropper's keys never appear) and any
 qualified receiver collects at least L_W generic message combinations.
 
-The plain builder is capacity-optimal at bandwidth sum-of-key-sizes.  For
-K = 4 the bandwidth-optimal variant trims redundancy: after relabeling so
-receiver 1 has the smallest secure key entropy, receiver 1's four blocks
-are kept whole and the {2}, {3}, {2,3} blocks are truncated according to
-how the pair key compares with receiver 1's private and pair keys.
+The plain builder is capacity-optimal at bandwidth sum-of-key-sizes; as
+every key it uses lacks the eavesdropper, it builds in the caller's
+labels.  For K = 4 the bandwidth-optimal variant trims redundancy: after
+relabeling so receiver 1 has the smallest secure key entropy, receiver
+1's four blocks are kept whole and the {2}, {3}, {2,3} blocks are
+truncated according to how the pair key compares with receiver 1's
+private and pair keys.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
-from ..keyspace import (KeyConfig, WrongShapeError, canonical_relabel,
-                        invert_perm, normalize_labels, set_of)
+from ..keyspace import KeyConfig, WrongShapeError, invert_perm, normalize_labels, set_of
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified
+from ._common import SegmentAllocator, build_verified, empty_scheme
 
 
 def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -31,23 +32,18 @@ def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     if config.N != config.K - 1:
         raise WrongShapeError(
             f"multicast needs exactly one eavesdropper, got {config.K - config.N}")
-    norm, perm = canonical_relabel(config)  # eavesdropper becomes receiver K
-    ebit = 1 << (norm.K - 1)
-    useful = [(m, size) for m, size in norm.key_items() if not m & ebit]
+    useful = [(m, size) for m, size in config.key_items() if not m & ~config.qualified_mask]
     lw = rate_converse(config)
     if lw == 0:
-        return LinearScheme.empty(K=config.K, qualified=config.qualified,
-                                  meta={"builder": "multicast", "degenerate": True,
-                                        "seed": seed, "escalations": 0})
+        return empty_scheme(config, "multicast", seed)
     total = sum(size for _, size in useful)
     layout = tuple((set_of(m), size) for m, size in useful)
 
     field = Field(least_prime_at_least(lw + total))
-    built = build_verified(LinearScheme(
-        field=field, L=1, K=norm.K, qualified=norm.qualified, layout=layout,
+    return build_verified(LinearScheme(
+        field=field, L=1, K=config.K, qualified=config.qualified, layout=layout,
         A=cauchy(total, lw, field), B=FMatrix.identity(field, total),
         meta={"builder": "multicast", "escalations": 0, "seed": seed}))
-    return built.relabeled(invert_perm(perm))
 
 
 def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -70,9 +66,7 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
     l123 = norm.key_size({1, 2, 3})
     lw = rate_converse(config)
     if lw == 0:
-        return LinearScheme.empty(K=config.K, qualified=config.qualified,
-                                  meta={"builder": "multicast_k4_bw", "degenerate": True,
-                                        "seed": seed, "escalations": 0})
+        return empty_scheme(config, "multicast_k4_bw", seed)
     blocks: list[tuple[frozenset[int], int]] = [
         (frozenset({1}), l1), (frozenset({1, 2}), l12),
         (frozenset({1, 3}), l13), (frozenset({1, 2, 3}), l123)]
@@ -100,9 +94,8 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
             b[r, col] = 1
             r += 1
     field = Field(least_prime_at_least(lx + lw))
-    built = build_verified(LinearScheme(
+    return build_verified(LinearScheme(
         field=field, L=1, K=4, qualified=frozenset({1, 2, 3}), layout=layout,
         A=cauchy(lx, lw, field), B=FMatrix(field, b),
         meta={"builder": "multicast_k4_bw", "case": case, "escalations": 0,
-              "seed": seed}))
-    return built.relabeled(invert_perm(perm))
+              "seed": seed}).relabeled(invert_perm(perm)))

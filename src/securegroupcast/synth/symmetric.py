@@ -28,17 +28,17 @@ import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
-from ..keyspace import (KeyConfig, canonical_relabel, invert_perm, is_symmetric,
-                        mask_of)
+from ..keyspace import (KeyConfig, WrongShapeError, canonical_relabel, invert_perm,
+                        is_symmetric, mask_of)
 from ..scheme import LinearScheme
-from ._common import NotSymmetricError, SegmentAllocator, build_verified
+from ._common import SegmentAllocator, build_verified, empty_scheme
 
 
 def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     """Capacity- and bandwidth-optimal scheme for a symmetric profile."""
     flag, profile = is_symmetric(config)
     if not flag:
-        raise NotSymmetricError("key sizes differ within a subset cardinality")
+        raise WrongShapeError("symmetric needs one key size per subset cardinality")
     norm, perm = canonical_relabel(config)
     K, N = norm.K, norm.N
     qualified = list(range(1, N + 1))
@@ -70,9 +70,7 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
                           len(groups) * b + m,              # stacked Vw
                           b + comb(K - N, u - i) * ell)      # per-block Vs
     if not plan:
-        return LinearScheme.empty(K=config.K, qualified=config.qualified,
-                                  meta={"builder": "symmetric", "degenerate": True,
-                                        "seed": seed, "escalations": 0})
+        return empty_scheme(config, "symmetric", seed)
 
     lw = sum(g["m"] for g in plan)
     lx = sum(len(g["blocks"]) * g["b"] for g in plan)
@@ -101,9 +99,8 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
                     vs.array[:, j * ell:(j + 1) * ell]
             row += b
         msg += m
-    built = build_verified(LinearScheme(
+    return build_verified(LinearScheme(
         field=field, L=1, K=K, qualified=frozenset(qualified), layout=layout,
         A=FMatrix(field, a), B=FMatrix(field, bmat),
         meta={"builder": "symmetric", "groups": groups_meta, "escalations": 0,
-              "seed": seed}))
-    return built.relabeled(invert_perm(perm))
+              "seed": seed}).relabeled(invert_perm(perm)))

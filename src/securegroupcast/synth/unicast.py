@@ -5,36 +5,33 @@ from everything the qualified receiver knows, where V is a Cauchy matrix
 with as many rows as message symbols.  Any eavesdropper e misses at least
 L_W of those key symbols (that is exactly the capacity formula), and the
 corresponding columns of V form a full-rank submatrix, so the residual pad
-is uniform: zero leakage at bandwidth equal to the rate.
+is uniform: zero leakage at bandwidth equal to the rate.  Every key used
+holds the qualified receiver, so the builder works in its caller's labels.
 """
 
 from __future__ import annotations
 
 from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
-from ..keyspace import KeyConfig, WrongShapeError, canonical_relabel, invert_perm, set_of
+from ..keyspace import KeyConfig, WrongShapeError, set_of
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import build_verified
+from ._common import build_verified, empty_scheme
 
 
 def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     """Capacity- and bandwidth-optimal scheme for |qualified| = 1."""
     if config.N != 1:
         raise WrongShapeError(f"unicast needs exactly one qualified receiver, got {config.N}")
-    norm, perm = canonical_relabel(config)
-    keys = [(m, size) for m, size in norm.key_items() if m & 1]  # receiver 1's keys
+    keys = [(m, size) for m, size in config.key_items() if m & config.qualified_mask]
     lw = rate_converse(config)
     if lw == 0:
-        return LinearScheme.empty(K=config.K, qualified=config.qualified,
-                                  meta={"builder": "unicast", "degenerate": True,
-                                        "seed": seed, "escalations": 0})
+        return empty_scheme(config, "unicast", seed)
     total = sum(size for _, size in keys)
     layout = tuple((set_of(m), size) for m, size in keys)
 
     field = Field(least_prime_at_least(lw + total))
-    built = build_verified(LinearScheme(
-        field=field, L=1, K=norm.K, qualified=norm.qualified, layout=layout,
+    return build_verified(LinearScheme(
+        field=field, L=1, K=config.K, qualified=config.qualified, layout=layout,
         A=FMatrix.identity(field, lw), B=cauchy(lw, total, field),
         meta={"builder": "unicast", "escalations": 0, "seed": seed}))
-    return built.relabeled(invert_perm(perm))

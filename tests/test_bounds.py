@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
 from securegroupcast import (KeyCollection, KeyConfig, aligned_2of5_key_size,
-                             bw_converse, entropy_of, exact_capacity,
-                             rate_converse, report, set_of)
-from securegroupcast.bounds import BoundsReport, BwBound
+                             bw_converse, canonical_relabel, entropy_of,
+                             exact_capacity, mask_of, rate_converse, report,
+                             set_of)
+from securegroupcast.bounds import ALIGNED_2OF5_KEYS, BoundsReport, BwBound
 
 
 # -- reference converses: the group-by-group loops, one entropy_of per term ------
@@ -29,7 +31,6 @@ def _bw_converse_loop(config, rate):
     qmask = config.qualified_mask
     for e in sorted(config.eavesdroppers):
         given = KeyCollection.of_receiver(config, e)
-        chosen = tuple(set_of(m) for m in config.receiver_key_masks(e))
         sub = qmask
         while sub:
             members = set_of(sub)
@@ -38,7 +39,7 @@ def _bw_converse_loop(config, rate):
             value = len(members) * rate - (singles - joint)
             if value > best:
                 best = value
-                best_witness = (e, members, chosen)
+                best_witness = (e, members)
             sub = (sub - 1) & qmask
     value = int(best) if best.denominator == 1 else best
     return BwBound(value=value, witness=best_witness)
@@ -101,7 +102,7 @@ def test_bw_converse_private_keys_full_group_wins():
     rate = rate_converse(config)
     got = bw_converse(config, rate)
     assert rate == 2 and got.value == 6
-    assert got.witness[:2] == (3, frozenset({1, 2, 4}))
+    assert got.witness == (3, frozenset({1, 2, 4}))
     assert got == _bw_converse_loop(config, rate)
 
 
@@ -111,7 +112,7 @@ def test_bw_converse_witness_tie_order():
     config = KeyConfig.of(4, [1, 2], {(1,): 1, (2,): 1})
     got = bw_converse(config, 1)
     assert got.value == 2
-    assert got.witness == (3, frozenset({1, 2}), ())
+    assert got.witness == (3, frozenset({1, 2}))
     assert got == _bw_converse_loop(config, 1)
 
 
@@ -180,8 +181,7 @@ def test_report_k20_n10():
     assert rep.exact is None
     got = bw_converse(config, rep.rate_upper)
     assert got.value == rep.bw_lower >= rep.rate_upper
-    e, group, chosen = got.witness
-    assert chosen == tuple(set_of(m) for m in config.receiver_key_masks(e))
+    e, group = got.witness
     assert got.value == len(group) * rep.rate_upper - _penalty(config, e, group)
     for _ in range(50):  # no sampled group beats the witness
         e = rng.choice(sorted(config.eavesdroppers))
@@ -329,6 +329,56 @@ def test_aligned_2of5_detector_rejects_near_misses(fig4):
     cfg = KeyConfig.of(5, [1, 2], {(1,): 1, (1, 2, 3): 1, (1, 4, 5): 1,
                                    (2, 4): 1, (3, 5): 1})
     assert aligned_2of5_key_size(cfg) is None
+
+
+def _aligned_2of5_by_search(config):
+    """Reference: relabel canonically, then try both orders of the qualified
+    pair and all six of the eavesdroppers; the first relabeling that names
+    the five keys wins."""
+    sizes = set(config.keys.values())
+    if config.K != 5 or config.N != 2 or len(config.keys) != 5 or len(sizes) != 1:
+        return None
+    base, perm0 = canonical_relabel(config)
+    for q_order in ((1, 2), (2, 1)):
+        for e_order in permutations((3, 4, 5)):
+            extra = dict(zip(range(1, 6), q_order + e_order))
+            if set(base.relabeled(extra).keys) == set(map(mask_of, ALIGNED_2OF5_KEYS)):
+                return sizes.pop(), {old: extra[perm0[old]] for old in perm0}
+    return None
+
+
+def _aligned_2of5_near_miss(rng):
+    """The aligned topology under a random relabeling, mostly with one defect:
+    a receiver moved in or out of one key, one size off, or the wrong
+    qualified pair."""
+    perm = dict(zip(range(1, 6), rng.sample(range(1, 6), 5)))
+    masks = [mask_of(perm[k] for k in subset) for subset in ALIGNED_2OF5_KEYS]
+    sizes = [rng.randint(1, 3)] * 5
+    qualified = [perm[1], perm[2]]
+    defect = rng.randrange(8)
+    if defect < 4:
+        masks[rng.randrange(5)] ^= 1 << rng.randrange(5)
+    elif defect == 4:
+        sizes[rng.randrange(5)] += 1
+    elif defect < 7:
+        qualified = rng.sample(range(1, 6), 2)
+    return KeyConfig.of(5, qualified, {m: size for m, size in zip(masks, sizes) if m})
+
+
+def test_aligned_2of5_labels_match_search(fig4):
+    for ell in (1, 3):
+        for perm in permutations(range(1, 6)):
+            config = fig4.scaled(ell).relabeled(dict(zip(range(1, 6), perm)))
+            got = aligned_2of5_key_size(config)
+            assert got is not None and got == _aligned_2of5_by_search(config)
+    rng = random.Random(25)
+    matches = 0
+    for _ in range(5000):
+        config = _aligned_2of5_near_miss(rng)
+        got = aligned_2of5_key_size(config)
+        assert got == _aligned_2of5_by_search(config)
+        matches += got is not None
+    assert 0 < matches < 5000
 
 
 def test_exact_none_for_open_shapes():

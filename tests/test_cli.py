@@ -256,15 +256,39 @@ SYNTH_DIGESTS = {
     ("fig4", 3): "985cacf38154b293bb761b7d9cf262e14d8c25c110dcabf285c6bee8b163ab37",
     ("degenerate", 0): "af4536b472133d671758ec7f77a397867e24c3032ce2fad686798c6579aad74d",
     ("degenerate", 3): "1e6f5272bc00f7a2b4c46e89f8c13c0731fc0657648d9ed84bed2d8c123e33fc",
+    ("ex1_q3", 0): "a4e2f60d8a5a5eefecf1810964695fbb9774af87fe62b369488d7c456a0269ef",
+    ("ex1_q3", 3): "45375c630d6aa285f6938688555902d0e87e258b2dfd7dcb351568cb566ec3b6",
+    ("multicast_e3", 0): "09ac87c94fc94120a08b826ad2964d2a26f1454266bb42726e46153b24ab2237",
+    ("multicast_e3", 3): "f2eeee05e98dc7664288b5287aac6b54923191cf913066b07718be20e27a88c0",
+    ("fig4_relabeled", 0): "0b8d8cdd0e3cd2fbbc8c62af7bf96cf179038cd2fb89790aadc930befd23aa07",
+    ("fig4_relabeled", 3): "36afcd3a47eecab356a2e55eae7f78c643ce38c4d0babe6c83ca8c5a8db79801",
 }
+
+
+def _synth_input(name):
+    """The pinned synth inputs: the demos, a rate-0 unicast, and three
+    configs whose labels are not the builders' canonical ones."""
+    from securegroupcast.cli import demo_configs
+    demos = demo_configs()
+    if name == "degenerate":
+        return {"K": 4, "qualified": [1], "keys": [{"subset": [2, 3], "symbols": 2}]}
+    if name == "ex1_q3":    # receiver 3 is the qualified one
+        return config_to_obj(demos["ex1"].relabeled({1: 3, 2: 2, 3: 1, 4: 4}))
+    if name == "multicast_e3":    # plain multicast, receiver 3 eavesdrops
+        return {"K": 5, "qualified": [1, 2, 4, 5], "keys": [
+            {"subset": [1], "symbols": 2}, {"subset": [1, 2], "symbols": 1},
+            {"subset": [1, 3], "symbols": 1}, {"subset": [2, 4], "symbols": 2},
+            {"subset": [4, 5], "symbols": 1}, {"subset": [2, 3, 5], "symbols": 2},
+            {"subset": [5], "symbols": 3}, {"subset": [1, 4, 5], "symbols": 1}]}
+    if name == "fig4_relabeled":
+        return config_to_obj(demos["fig4"].relabeled({1: 2, 2: 1, 3: 5, 4: 3, 5: 4}))
+    return config_to_obj(demos[name])
 
 
 @pytest.mark.parametrize("name, seed", sorted(SYNTH_DIGESTS))
 def test_synth_output_is_pinned(name, seed, tmp_path, capsys):
     import hashlib
-    from securegroupcast.cli import demo_configs
-    obj = ({"K": 4, "qualified": [1], "keys": [{"subset": [2, 3], "symbols": 2}]}
-           if name == "degenerate" else config_to_obj(demo_configs()[name]))
+    obj = _synth_input(name)
     out_path = tmp_path / "s.json"
     cfg = write(tmp_path, "c.json", obj)
     assert main(["synth", cfg, "-o", str(out_path), "--seed", str(seed)]) == EXIT_OK

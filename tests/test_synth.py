@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from securegroupcast import (KeyConfig, UnsolvedSettingError, oracle_verify,
-                             rate_converse, verify)
+from securegroupcast import (KeyConfig, UnsolvedSettingError, WrongShapeError,
+                             oracle_verify, rate_converse, verify)
 from securegroupcast.bounds import exact_capacity
 from securegroupcast.scheme import LinearScheme
 from securegroupcast.synth import (COMPONENTS, SegmentAllocator, SynthesisError,
@@ -12,7 +12,6 @@ from securegroupcast.synth import (COMPONENTS, SegmentAllocator, SynthesisError,
                                    component_instance, groupcast_2of4,
                                    instance_2of5, multicast, multicast_k4_bw,
                                    symmetric, synthesize, unicast)
-from securegroupcast.synth._common import NotSymmetricError
 
 
 def subset_sizes(**kw):
@@ -221,7 +220,7 @@ def test_symmetric_example(ex4):
 
 
 def test_symmetric_rejects_asymmetric(ex3):
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(WrongShapeError):
         symmetric(ex3)
 
 
