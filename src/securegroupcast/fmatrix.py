@@ -4,7 +4,15 @@ Cauchy matrix construction.
 Matrices are immutable; numpy supplies storage and elementwise ops while
 all arithmetic stays exact (integer residues mod p).  One Gaussian
 elimination loop with first-nonzero pivoting, which is all that is needed
-at desk scale, serves ranks and reduced echelon forms.  A packed-bitset
+at desk scale, serves ranks and reduced echelon forms.  It delays the
+modular reduction (Dumas, Giorgi & Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+2008): an update subtracts a product of two residues, at most (p - 1)^2,
+so after t updates since the last reduction every entry lies in
+[-t (p - 1)^2, p - 1], and int64 holds t = INT64_MAX // (p - 1)^2 of them.
+Only what the next step reads is reduced before that: the pivot column,
+whose zeros decide the pivot and whose entries are the row factors, and
+the pivot row, which is scaled by an inverse.  A packed-bitset
 fast path handles the p = 2 rank computations that dominate scheme
 verification sweeps, and ColumnRanks answers many column-subset rank
 queries on one matrix from a single echelon form.
@@ -40,9 +48,20 @@ class FMatrix:
         if a.ndim != 2:
             raise ValueError(f"need a 2-D array, got shape {a.shape}")
         a %= field.p
+        self._adopt(field, a)
+
+    def _adopt(self, field: Field, a: np.ndarray):
         a.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_a", a)
+
+    @classmethod
+    def _reduced(cls, field: Field, a: np.ndarray) -> "FMatrix":
+        """Wrap an int64 array whose entries already lie in [0, p), without
+        a copy; the array is made read-only."""
+        m = cls.__new__(cls)
+        m._adopt(field, a)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("FMatrix is immutable")
@@ -73,7 +92,7 @@ class FMatrix:
         return self._a
 
     def tolist(self) -> list:
-        return [[int(x) for x in r] for r in self._a]
+        return self._a.tolist()
 
     def transpose(self) -> "FMatrix":
         return FMatrix(self.field, self._a.T)
@@ -161,27 +180,50 @@ def _eliminate(a: np.ndarray, p: int, reduce: bool) -> list[int]:
     Each column pivots on its first nonzero entry at or below the next
     free row.  Every pivot row is scaled to a leading 1 and cleared from the
     rows below it, and with `reduce` from the rows above it too, which
-    leaves the reduced row echelon form.  The pivot row and the rows below
-    it are zero left of the current column, so swaps and updates touch
-    only columns col onwards.
+    leaves the reduced row echelon form up to reduction mod p.  The pivot
+    row and the rows below it are zero left of the current column, so
+    swaps and updates touch only columns col onwards.
+
+    Reduction is delayed.  With every entry in [0, p) after a reduction,
+    each update subtracts factor * row entry <= (p - 1)^2, so after
+    `pending` updates an entry lies in [-pending (p - 1)^2, p - 1]; int64
+    holds that for pending <= INT64_MAX // (p - 1)^2, and the rows that
+    updates touch are reduced once `pending` reaches that budget.  The
+    budget is 1, a reduction after every pivot, for p near 2^31.5 and for
+    the object arrays of Python integers that larger p take.
+    Before then only what the step reads is reduced: the pivot column, so
+    that a zero is a zero mod p and the factors are residues, and the
+    pivot row, so that scaling it multiplies two residues.  Pivot columns
+    come out exact (a 1 and zeros); the other entries are left congruent
+    to the echelon form, not reduced.
     """
     rows, cols = a.shape
+    budget = max(1, INT64_MAX // (p - 1) ** 2)
+    pending = 0     # updates since the touched rows were last reduced
     pivots: list[int] = []
     lead = 0
     for col in range(cols):
         if lead == rows:
             break
+        top = 0 if reduce else lead   # the first row that updates touch
+        if pending:
+            a[top:, col] %= p
         nonzero = a[lead:, col].nonzero()[0]
         if not nonzero.size:
             continue
         piv = lead + int(nonzero[0])
         if piv != lead:
-            top = a[lead, col:].copy()
+            top_row = a[lead, col:].copy()
             a[lead, col:] = a[piv, col:]
-            a[piv, col:] = top
+            a[piv, col:] = top_row
         row = a[lead, col:]
+        if pending:
+            row %= p
         row *= pow(int(row[0]), p - 2, p)
         row %= p
+        if pending == budget:
+            a[top:, col + 1:] %= p
+            pending = 0
         if reduce:
             block = a[:, col:]
             factors = block[:, :1].copy()
@@ -190,7 +232,7 @@ def _eliminate(a: np.ndarray, p: int, reduce: bool) -> list[int]:
             block = a[lead + 1:, col:]
             factors = block[:, :1]
         block -= factors * row
-        block %= p
+        pending += 1
         pivots.append(col)
         lead += 1
     return pivots
@@ -250,9 +292,11 @@ def rank(m: FMatrix) -> int:
 
 def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    a = _work_copy(m.array, m.field.p)
-    pivots = _eliminate(a, m.field.p, reduce=True)
-    return FMatrix(m.field, a), tuple(pivots)
+    p = m.field.p
+    a = _work_copy(m.array, p)
+    pivots = _eliminate(a, p, reduce=True)
+    a %= p
+    return FMatrix._reduced(m.field, a.astype(np.int64, copy=False)), tuple(pivots)
 
 
 class ColumnRanks:
@@ -298,7 +342,7 @@ class ColumnRanks:
         held = [self._pivot_row[c] for c in left if c in self._pivot_row]
         free = [c for c in left if c not in self._pivot_row]
         rest = np.delete(self._rows, held, axis=0)
-        block = FMatrix(self.field, rest[:, free + list(right)])
+        block = FMatrix._reduced(self.field, rest[:, free + list(right)])
         base, total = prefix_ranks(block, len(free))
         return len(held) + base, len(held) + total
 
@@ -338,7 +382,7 @@ def solve_right(a: FMatrix, b: FMatrix) -> FMatrix:
     red = aug.array
     for r, col in enumerate(pivots):
         x[col] = red[r, n:]
-    return FMatrix(a.field, x)
+    return FMatrix._reduced(a.field, x)
 
 
 def cauchy(rows: int, cols: int, field: Field) -> FMatrix:

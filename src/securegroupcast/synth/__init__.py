@@ -18,7 +18,7 @@ from ._common import (SegmentAllocator, SynthesisError, UnsolvedSettingError,
                       build_verified, empty_scheme)
 from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
                           component_instance, groupcast_2of4)
-from .instance25 import instance_2of5
+from .instance25 import _instance_2of5, instance_2of5
 from .multicast import multicast, multicast_k4_bw
 from .multimessage import (InfeasibleRates, min_bandwidth, multimessage,
                            region_violation)
@@ -59,7 +59,7 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
         scheme = groupcast_2of4(config, seed)
     elif setting == ALIGNED_2OF5:
         ell, perm = aligned_2of5_key_size(config)
-        scheme = instance_2of5(ell, seed).relabeled(invert_perm(perm))
+        scheme = build_verified(_instance_2of5(ell, seed).relabeled(invert_perm(perm)))
     elif setting == SYMMETRIC:
         scheme = symmetric(config, seed)
     else:  # ZERO_RATE: C = beta* = 0

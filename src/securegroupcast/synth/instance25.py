@@ -56,11 +56,18 @@ TX_BITS_PER_COPY = 10
 
 
 def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
-    """Scheme for the aligned topology with all five keys of `key_size`.
+    """Verified scheme for the aligned topology with all five keys of
+    `key_size`, in the labels of ALIGNED_2OF5_KEYS.
 
     Emits key_size fresh-key copies of the base scheme: 5 * key_size
     message bits in 10 * key_size transmit bits over L = 3 blocks.
     """
+    return build_verified(_instance_2of5(key_size, seed))
+
+
+def _instance_2of5(key_size: int, seed: int) -> LinearScheme:
+    """instance_2of5's scheme before the gate, for callers that relabel
+    it first and verify what they return."""
     ell = key_size
     if ell < 0:
         raise ValueError("key size must be nonnegative")
@@ -81,8 +88,8 @@ def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
             a[r0 + r, m0 + msg] = 1
             for key_idx, block in pads:
                 b[r0 + r, key_idx * width + BLOCKS_PER_COPY * copy + block] = 1
-    return build_verified(LinearScheme(
+    return LinearScheme(
         field=_F2, L=BLOCKS_PER_COPY, K=5, qualified=frozenset({1, 2}),
         layout=layout, A=FMatrix(_F2, a), B=FMatrix(_F2, b),
         meta={"builder": "instance_2of5", "key_size": ell, "seed": seed,
-              "escalations": 0}))
+              "escalations": 0})

@@ -296,6 +296,14 @@ def test_synth_output_is_pinned(name, seed, tmp_path, capsys):
     assert digest == SYNTH_DIGESTS[name, seed]
 
 
+@pytest.mark.parametrize("name", sorted({name for name, _ in SYNTH_DIGESTS}))
+def test_scheme_obj_entries_are_python_ints(name):
+    # json.dumps refuses numpy integers, so the scheme file needs Python ints
+    obj = scheme_to_obj(synthesize(config_from_obj(_synth_input(name))))
+    for key in ("A", "B"):
+        assert all(type(x) is int for row in obj[key] for x in row)
+
+
 ZERO_RATE_OBJ = {"K": 5, "qualified": [1, 2, 4], "keys": [
     {"subset": [1], "symbols": 2}, {"subset": [5], "symbols": 1},
     {"subset": [1, 3, 5], "symbols": 1}, {"subset": [1, 2, 4, 5], "symbols": 1}]}

@@ -124,12 +124,22 @@ def low_rank_rows(rng, p, rows, cols, r):
             for ur in u]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 173, LARGE_P])
+# Elimination reduces mod p after INT64_MAX // (p - 1)^2 pending updates:
+# p = 3037000493, the largest prime with (p - 1)^2 <= INT64_MAX, after
+# every pivot; 1073741827 after 7, which 8 to 16 rows can pass; 268435459
+# after 127, never reached here, so its entries grow to ~2^60 unreduced.
+# These take rows x cols in [8, 16] x [8, 20], the others [0, 7] x [0, 7].
+BUDGET_EDGE_PRIMES = (3037000493, 1073741827, 268435459)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 173, LARGE_P, *BUDGET_EDGE_PRIMES])
 def test_elimination_matches_python_int_reference(p):
     rng = random.Random(p)
     field = Field(p)
+    (lo_rows, hi_rows), (lo_cols, hi_cols) = (
+        ((8, 16), (8, 20)) if p in BUDGET_EDGE_PRIMES else ((0, 7), (0, 7)))
     for _ in range(60):
-        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        rows, cols = rng.randint(lo_rows, hi_rows), rng.randint(lo_cols, hi_cols)
         entries = low_rank_rows(rng, p, rows, cols, rng.randint(0, min(rows, cols)))
         for j in range(cols):
             if rng.random() < 0.2:
@@ -147,8 +157,8 @@ def test_elimination_matches_python_int_reference(p):
 # -- ranks of column subsets from one echelon form ------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5, 173, LARGE_P]), st.integers(0, 5), st.integers(0, 7),
-       st.data())
+@given(st.sampled_from([2, 3, 5, 173, 1073741827, LARGE_P]), st.integers(0, 5),
+       st.integers(0, 7), st.data())
 def test_column_ranks_match_gathered_ranks(p, r, c, data):
     f = Field(p)
     entries = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),

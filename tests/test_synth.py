@@ -336,6 +336,24 @@ def test_synthesize_aligned_2of5_relabeled(fig4):
     assert verify(s).ok
 
 
+def test_synthesize_aligned_2of5_relabeled_builds_one_echelon_form(fig4, monkeypatch):
+    # the scheme is verified after relabeling, so its cached echelon form
+    # serves the caller's verify too
+    from securegroupcast.fmatrix import ColumnRanks
+    builds = 0
+    init = ColumnRanks.__init__
+
+    def counting_init(self, m):
+        nonlocal builds
+        builds += 1
+        init(self, m)
+
+    monkeypatch.setattr(ColumnRanks, "__init__", counting_init)
+    s = synthesize(fig4.scaled(3).relabeled({1: 2, 2: 1, 3: 5, 4: 3, 5: 4}))
+    assert verify(s).ok
+    assert builds == 1
+
+
 def test_synthesize_plain_multicast_for_k5():
     config = KeyConfig.of(5, [1, 2, 3, 4], {(1, 2): 1, (3, 4): 1, (1, 3): 1,
                                             (2, 4): 1, (1, 4): 1, (2, 3): 1})
