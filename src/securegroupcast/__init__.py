@@ -14,9 +14,8 @@ from .gf import Field, NotPrimeError, is_prime, least_prime_at_least
 from .fmatrix import (ColumnRanks, FMatrix, FieldTooSmallError, NoSolutionError,
                       cauchy, hstack, prefix_ranks, rank, rref, solve_right,
                       vstack)
-from .keyspace import (KeyCollection, KeyConfig, WrongShapeError,
-                       canonical_relabel, entropy_of, invert_perm,
-                       is_symmetric, mask_of, normalize_labels, set_of)
+from .keyspace import (KeyConfig, WrongShapeError, canonical_relabel, entropy_of,
+                       invert_perm, is_symmetric, mask_of, normalize_labels, set_of)
 from .bounds import (BoundsReport, BwBound, ExactCapacity,
                      aligned_2of5_key_size, bw_converse, exact_capacity,
                      rate_converse, report)

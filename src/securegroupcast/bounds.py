@@ -187,7 +187,7 @@ def _multicast_beta_star(config: KeyConfig) -> Optional[Number]:
     """Minimum bandwidth at capacity for the single-eavesdropper setting."""
     ((e, _, conds),) = config.eavesdropper_tables
     if len(set(conds)) == 1:
-        return sum(size for m, size in config.key_items() if not m & (1 << (e - 1)))
+        return sum(size for m, size in config.keys.items() if not m & (1 << (e - 1)))
     if config.K == 4:
         norm, _ = normalize_labels(config, "multicast_k4")
         l1 = norm.key_size({1})

@@ -20,6 +20,8 @@ import sys
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import synth as synth_mod
 from .fmatrix import FMatrix
@@ -72,17 +74,21 @@ def _receivers_mask(receivers: Any, K: int) -> int:
     return m
 
 
+def _receiver_count(k: Any) -> int:
+    if type(k) is not int or not 1 <= k <= MAX_RECEIVERS:
+        raise ConfigError(f"'K' must be an integer in [1, {MAX_RECEIVERS}], got {k!r}")
+    return k
+
+
 def config_from_obj(obj: Any) -> KeyConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        k = obj["K"]
+        k = _receiver_count(obj["K"])
         qualified = obj["qualified"]
         keys = obj["keys"]
     except KeyError as exc:
         raise ConfigError(f"config missing field {exc.args[0]!r}") from exc
-    if type(k) is not int or not 1 <= k <= MAX_RECEIVERS:
-        raise ConfigError(f"'K' must be an integer in [1, {MAX_RECEIVERS}], got {k!r}")
     if not isinstance(keys, list):
         raise ConfigError("'keys' must be a list of {subset, symbols} objects")
     try:
@@ -114,7 +120,7 @@ def config_to_obj(config: KeyConfig) -> dict:
         "K": config.K,
         "qualified": sorted(config.qualified),
         "keys": [{"subset": sorted(set_of(m)), "symbols": size}
-                 for m, size in config.key_items()],
+                 for m, size in config.keys.items()],
     }
 
 
@@ -154,23 +160,30 @@ def _int_field(obj: dict, name: str) -> int:
     return value
 
 
+def _matrix(field: Field, rows: Any, name: str, cols: int) -> FMatrix:
+    """A list of rows of JSON integers; `[]` is a matrix with no rows and
+    `cols` columns."""
+    a = np.asarray(rows)
+    if a.dtype.kind != "i" and a.size:   # [[], ...] comes out float64
+        raise ConfigError(f"invalid scheme: {name!r} must hold integers in "
+                          f"[-2^63, 2^63), got {a.dtype} entries")
+    return FMatrix(field, a.reshape(0, cols) if a.shape == (0,) else a)
+
+
 def scheme_from_obj(obj: Any) -> LinearScheme:
     if not isinstance(obj, dict):
         raise ConfigError("scheme must be a JSON object")
     try:
-        k = _int_field(obj, "K")
+        k = _receiver_count(obj["K"])
         field = Field(obj["p"])
         layout = tuple((_receiver_set(seg["subset"], k), _int_field(seg, "width"))
                        for seg in obj["layout"])
-        a = obj["A"]
-        b = obj["B"]
         lw, lx = _int_field(obj, "Lw"), _int_field(obj, "Lx")
-        d = sum(w for _, w in layout)
         scheme = LinearScheme(
             field=field, L=_int_field(obj, "L"), K=k,
             qualified=_receiver_set(obj["qualified"], k), layout=layout,
-            A=FMatrix(field, a) if a else FMatrix.zeros(field, lx, lw),
-            B=FMatrix(field, b) if b else FMatrix.zeros(field, lx, d),
+            A=_matrix(field, obj["A"], "A", lw),
+            B=_matrix(field, obj["B"], "B", sum(w for _, w in layout)),
             meta=dict(obj.get("meta", {})))
     except ConfigError:
         raise

@@ -12,10 +12,10 @@ so after t updates since the last reduction every entry lies in
 [-t (p - 1)^2, p - 1], and int64 holds t = INT64_MAX // (p - 1)^2 of them.
 Only what the next step reads is reduced before that: the pivot column,
 whose zeros decide the pivot and whose entries are the row factors, and
-the pivot row, which is scaled by an inverse.  A packed-bitset
-fast path handles the p = 2 rank computations that dominate scheme
-verification sweeps, and ColumnRanks answers many column-subset rank
-queries on one matrix from a single echelon form.
+the pivot row, which is scaled by an inverse.  ColumnRanks answers many
+column-subset rank queries on one matrix from a single echelon form; over
+GF(2), where the verification sweeps spend their time, it holds that form
+as packed bitset rows, the one packed path.
 """
 
 from __future__ import annotations
@@ -279,8 +279,6 @@ def prefix_ranks(m: FMatrix, split: int) -> tuple[int, int]:
     if not 0 <= split <= m.cols:
         raise ValueError(f"split {split} outside [0, {m.cols}]")
     p = m.field.p
-    if p == 2:
-        return _gf2_prefix_ranks(_pack_rows(m.array), split)
     pivots = _eliminate(_work_copy(m.array, p), p, reduce=False)
     return bisect_left(pivots, split), len(pivots)
 

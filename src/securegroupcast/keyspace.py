@@ -18,7 +18,8 @@ is t, and a[i] = H(z_{q_i} | z_e) is the sum of w[t] over t containing
 bit i.
 `KeyConfig.eavesdropper_tables` builds these once per configuration, in
 one pass over the keys per eavesdropper, and caches them as tuples.
-`entropy_of` is the general H(z_A | given) they specialize.
+`entropy_of` is the general H(z_A | given) they specialize, with the
+known symbols `given` as a {mask: symbols} mapping like `KeyConfig.keys`.
 """
 
 from __future__ import annotations
@@ -118,14 +119,6 @@ class KeyConfig:
     def key_size(self, subset: Iterable[int] | int) -> int:
         return self.keys.get(mask_of(subset), 0)
 
-    def key_items(self) -> list[tuple[int, int]]:
-        """(mask, size) pairs with size > 0, in deterministic mask order."""
-        return list(self.keys.items())
-
-    def receiver_key_masks(self, k: int) -> list[int]:
-        bit = 1 << (k - 1)
-        return [m for m in self.keys if m & bit]
-
     @cached_property
     def eavesdropper_tables(self) -> tuple[EavesdropperTable, ...]:
         """(e, w, a) for each eavesdropper e, ascending (module docstring).
@@ -188,44 +181,20 @@ class KeyConfig:
                          dict(sorted((pm(m), s) for m, s in self.keys.items())))
 
 
-@dataclass(frozen=True)
-class KeyCollection:
-    """A sub-collection of key symbols: per-subset counts of symbols held.
-
-    counts[U] symbols of key s_U (taken as the first counts[U] symbols);
-    only the counts matter for entropy arithmetic.
-    """
-
-    counts: Mapping[int, int]
-
-    @classmethod
-    def empty(cls) -> "KeyCollection":
-        return cls(counts={})
-
-    @classmethod
-    def of_receiver(cls, config: KeyConfig, k: int) -> "KeyCollection":
-        """All key symbols held by receiver k."""
-        return cls(counts={m: config.keys[m] for m in config.receiver_key_masks(k)})
-
-    def count(self, mask: int) -> int:
-        return self.counts.get(mask, 0)
-
-
-EMPTY_COLLECTION = KeyCollection.empty()
-
-
 def entropy_of(config: KeyConfig, receivers: Iterable[int] | int,
-               given: KeyCollection = EMPTY_COLLECTION) -> int:
+               given: Mapping[int, int] = MappingProxyType({})) -> int:
     """H(z_A | given) in symbols for A = `receivers`.
 
-    By key independence this is the number of key symbols reaching any
-    receiver in A, minus those already in `given`.
+    `given` maps subset masks to the number of symbols of that key already
+    known (the first ones; absent masks mean none), e.g. a receiver's whole
+    keys.  By key independence this is the number of key symbols reaching
+    any receiver in A, minus those already in `given`.
     """
     a = mask_of(receivers)
     total = 0
     for m, size in config.keys.items():
         if m & a:
-            total += max(0, size - given.count(m))
+            total += max(0, size - given.get(m, 0))
     return total
 
 

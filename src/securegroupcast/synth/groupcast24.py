@@ -52,7 +52,6 @@ class ComponentSig:
     """One building block: which fresh key bits it consumes and how each
     transmit row pads the single message bit with them."""
 
-    name: str
     consumes: tuple[frozenset[int], ...]
     rows: tuple[tuple[frozenset[int], ...], ...]
 
@@ -61,26 +60,22 @@ class ComponentSig:
         return len(self.rows)
 
 
+# In the order groupcast_2of4 emits their rows.
 COMPONENTS: dict[str, ComponentSig] = {
-    "OTP12": ComponentSig("OTP12", (_s(1, 2),), ((_s(1, 2),),)),
-    "Cmp1": ComponentSig("Cmp1", (_s(1, 2, 3), _s(1, 2, 4)),
-                         ((_s(1, 2, 3), _s(1, 2, 4)),)),
-    "Cmp2": ComponentSig("Cmp2", (_s(1), _s(2)),
-                         ((_s(1),), (_s(2),))),
-    "Cmp3": ComponentSig("Cmp3", (_s(2), _s(1, 3), _s(1, 4)),
-                         ((_s(2),), (_s(1, 3), _s(1, 4)))),
-    "Cmp4": ComponentSig("Cmp4", (_s(1, 2, 3), _s(1, 4), _s(2, 4)),
+    "OTP12": ComponentSig((_s(1, 2),), ((_s(1, 2),),)),
+    "Cmp1": ComponentSig((_s(1, 2, 3), _s(1, 2, 4)), ((_s(1, 2, 3), _s(1, 2, 4)),)),
+    "Cmp2": ComponentSig((_s(1), _s(2)), ((_s(1),), (_s(2),))),
+    "Cmp3": ComponentSig((_s(2), _s(1, 3), _s(1, 4)), ((_s(2),), (_s(1, 3), _s(1, 4)))),
+    "Cmp4": ComponentSig((_s(1, 2, 3), _s(1, 4), _s(2, 4)),
                          ((_s(1, 2, 3), _s(2, 4)), (_s(1, 2, 3), _s(1, 4)))),
-    "Cmp5": ComponentSig("Cmp5", (_s(2), _s(1, 4), _s(1, 2, 3)),
+    "Cmp5": ComponentSig((_s(2), _s(1, 4), _s(1, 2, 3)),
                          ((_s(2),), (_s(1, 2, 3), _s(1, 4)))),
-    "Cmp6": ComponentSig("Cmp6", (_s(1, 3), _s(1, 4), _s(2, 3), _s(2, 4)),
+    "Cmp6": ComponentSig((_s(1, 3), _s(1, 4), _s(2, 3), _s(2, 4)),
                          ((_s(1, 3), _s(1, 4)), (_s(2, 3), _s(2, 4)))),
 }
 
-_COMPONENT_ORDER = ("OTP12", "Cmp1", "Cmp2", "Cmp3", "Cmp4", "Cmp5", "Cmp6")
-
 # Subsets that can contribute: touch a qualified receiver, not known to
-# both eavesdroppers.
+# both eavesdroppers.  In ascending mask order, the order of the layout.
 USEFUL_SUBSETS: tuple[frozenset[int], ...] = (
     _s(1), _s(2), _s(1, 2), _s(1, 3), _s(2, 3), _s(1, 2, 3),
     _s(1, 4), _s(2, 4), _s(1, 2, 4))
@@ -155,15 +150,12 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
     counts, case = component_counts(sizes)
     lw = sum(counts.values())
     lx = sum(COMPONENTS[name].tx_bits * n for name, n in counts.items())
-    layout = tuple((subset, sizes[subset]) for subset in sorted(
-        USEFUL_SUBSETS, key=lambda s: sum(1 << (k - 1) for k in s))
-        if sizes[subset] > 0)
+    layout = tuple((subset, sizes[subset]) for subset in USEFUL_SUBSETS if sizes[subset])
     alloc = SegmentAllocator(layout)
     a = np.zeros((lx, lw), dtype=np.int64)
     b = np.zeros((lx, alloc.total), dtype=np.int64)
     row = msg = 0
-    for name in _COMPONENT_ORDER:
-        sig = COMPONENTS[name]
+    for name, sig in COMPONENTS.items():
         for _ in range(counts.get(name, 0)):
             bit = {subset: alloc.take(subset)[0] for subset in sig.consumes}
             for row_subsets in sig.rows:
@@ -175,5 +167,5 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
     return build_verified(LinearScheme(
         field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
         A=FMatrix(_F2, a), B=FMatrix(_F2, b),
-        meta={"builder": "groupcast_2of4", "case": case, "counts": dict(counts),
+        meta={"builder": "groupcast_2of4", "case": case, "counts": counts,
               "seed": seed, "escalations": 0}).relabeled(invert_perm(perm)))

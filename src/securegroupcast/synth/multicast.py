@@ -32,7 +32,7 @@ def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     if config.N != config.K - 1:
         raise WrongShapeError(
             f"multicast needs exactly one eavesdropper, got {config.K - config.N}")
-    useful = [(m, size) for m, size in config.key_items() if not m & ~config.qualified_mask]
+    useful = [(m, size) for m, size in config.keys.items() if not m & ~config.qualified_mask]
     lw = rate_converse(config)
     if lw == 0:
         return empty_scheme(config, "multicast", seed)
@@ -55,9 +55,6 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
     l1 + l12: the larger it is, the more of receivers 2/3's private keys
     can be dropped, down to sending nothing but a truncated {2,3} block.
     """
-    if config.K != 4 or config.N != 3:
-        raise WrongShapeError(f"need K=4 with 3 qualified receivers, got "
-                              f"K={config.K}, N={config.N}")
     norm, perm = normalize_labels(config, "multicast_k4")
     l1 = norm.key_size({1})
     l12 = norm.key_size({1, 2})
@@ -84,7 +81,7 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
         blocks.append((frozenset({2, 3}), l23))
     blocks = [(s, rows) for s, rows in blocks if rows > 0]
     lx = sum(rows for _, rows in blocks)
-    layout = tuple((set_of(m), size) for m, size in norm.key_items()
+    layout = tuple((set_of(m), size) for m, size in norm.keys.items()
                    if not m & 0b1000)
     alloc = SegmentAllocator(layout)
     b = np.zeros((lx, alloc.total), dtype=np.int64)

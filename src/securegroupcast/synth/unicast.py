@@ -23,7 +23,7 @@ def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
     """Capacity- and bandwidth-optimal scheme for |qualified| = 1."""
     if config.N != 1:
         raise WrongShapeError(f"unicast needs exactly one qualified receiver, got {config.N}")
-    keys = [(m, size) for m, size in config.key_items() if m & config.qualified_mask]
+    keys = [(m, size) for m, size in config.keys.items() if m & config.qualified_mask]
     lw = rate_converse(config)
     if lw == 0:
         return empty_scheme(config, "unicast", seed)

@@ -4,11 +4,15 @@ from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from securegroupcast import (KeyCollection, KeyConfig, aligned_2of5_key_size,
-                             bw_converse, canonical_relabel, entropy_of,
-                             exact_capacity, mask_of, rate_converse, report,
-                             set_of)
+from securegroupcast import (KeyConfig, aligned_2of5_key_size, bw_converse,
+                             canonical_relabel, entropy_of, exact_capacity,
+                             mask_of, rate_converse, report, set_of)
 from securegroupcast.bounds import ALIGNED_2OF5_KEYS, BoundsReport, BwBound
+
+
+def held_by(config, k):
+    """Receiver k's whole keys, as entropy_of's `given`."""
+    return {m: size for m, size in config.keys.items() if m >> (k - 1) & 1}
 
 
 # -- reference converses: the group-by-group loops, one entropy_of per term ------
@@ -16,7 +20,7 @@ from securegroupcast.bounds import ALIGNED_2OF5_KEYS, BoundsReport, BwBound
 def _rate_converse_loop(config):
     best = None
     for e in sorted(config.eavesdroppers):
-        given = KeyCollection.of_receiver(config, e)
+        given = held_by(config, e)
         for q in sorted(config.qualified):
             h = entropy_of(config, {q}, given)
             if best is None or h < best:
@@ -30,7 +34,7 @@ def _bw_converse_loop(config, rate):
     best_witness = None
     qmask = config.qualified_mask
     for e in sorted(config.eavesdroppers):
-        given = KeyCollection.of_receiver(config, e)
+        given = held_by(config, e)
         sub = qmask
         while sub:
             members = set_of(sub)

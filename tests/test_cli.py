@@ -413,6 +413,36 @@ def test_verify_well_formed_scheme_parses(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["correct"] == {"1": True}
 
 
+@pytest.mark.parametrize("changes", [
+    {"A": [[1.5]]}, {"A": [["3"]]}, {"A": [[True]]}, {"A": None}, {"A": []},
+], ids=["float-entry", "string-entry", "bool-entry", "null-matrix", "no-rows-with-Lx-1"])
+def test_verify_non_integer_matrix_exit_code(tmp_path, capsys, changes):
+    """Matrix entries are JSON integers; nothing else is read as one, and
+    `[]` is a matrix with no rows, never an all-zero one."""
+    assert main(["verify", write(tmp_path, "s.json", otp_scheme_obj(**changes))]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: invalid scheme: ")
+
+
+@pytest.mark.parametrize("changes, correct", [
+    ({"Lx": 0, "A": [], "B": []}, {"1": False}),
+    ({"Lw": 0, "A": [[]]}, {"1": True}),
+    ({"p": 3, "A": [[-2]], "B": [[-1]]}, {"1": True}),
+], ids=["no-rows", "no-columns", "negative-entries"])
+def test_verify_reads_empty_and_negative_matrices(tmp_path, capsys, changes, correct):
+    obj = otp_scheme_obj(**changes)
+    main(["verify", write(tmp_path, "s.json", obj)])
+    assert json.loads(capsys.readouterr().out)["correct"] == correct
+    scheme = scheme_from_obj(obj)
+    assert (scheme.L_X, scheme.L_W, scheme.D) == (obj["Lx"], obj["Lw"], 1)
+    assert scheme.A.tolist() == [[r % scheme.p for r in row] for row in obj["A"]]
+
+
+def test_verify_receiver_count_bounded(tmp_path, capsys):
+    assert main(["verify", write(tmp_path, "s.json", otp_scheme_obj(K=21))]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: 'K' must be an integer in [1, 20], got 21\n"
+
+
 @pytest.mark.parametrize("raw", ["abc", "3"])
 def test_verify_bad_oracle_cap_exit_code(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("SGC_ORACLE_CAP", raw)

@@ -172,6 +172,25 @@ def test_column_ranks_match_gathered_ranks(p, r, c, data):
     assert got == (rank(FMatrix(f, m.array[:, left])), rank(FMatrix(f, m.array[:, left + right])))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_gf2_column_ranks_wide_interleaved(seed):
+    """The packed GF(2) rows of ColumnRanks span more than one 64-bit word
+    here, and left and right columns interleave; `rank` eliminates each
+    gathered block on its own."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 70), rng.randint(65, 130)
+    entries = low_rank_rows(rng, 2, rows, cols, rng.randint(0, min(rows, cols)))
+    m = FMatrix(F2, np.array(entries, dtype=np.int64).reshape(rows, cols))
+    column_ranks = ColumnRanks(m)
+    for _ in range(20):
+        left, right = [], []
+        for c in rng.sample(range(cols), cols):
+            (left, right, [])[rng.randrange(3)].append(c)
+        assert left and right and max(left) > min(right)
+        assert column_ranks.ranks(left, right) == (
+            rank(FMatrix(F2, m.array[:, left])), rank(FMatrix(F2, m.array[:, left + right])))
+
+
 # -- rref / solve ------------------------------------------------------------
 
 def test_rref_pivots_are_leading_ones():

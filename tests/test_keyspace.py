@@ -5,19 +5,23 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securegroupcast import (KeyCollection, KeyConfig, WrongShapeError,
-                             canonical_relabel, entropy_of, invert_perm,
-                             is_symmetric, mask_of, normalize_labels, set_of)
-from securegroupcast.keyspace import EMPTY_COLLECTION
+from securegroupcast import (KeyConfig, WrongShapeError, canonical_relabel,
+                             entropy_of, invert_perm, is_symmetric, mask_of,
+                             normalize_labels, set_of)
 
 
 def all_subset_masks(k):
     return range(1, 1 << k)
 
 
+def held_by(config, k):
+    """Receiver k's whole keys, as entropy_of's `given`."""
+    return {m: size for m, size in config.keys.items() if m >> (k - 1) & 1}
+
+
 def brute_common(config, a, b, given):
     """I(z_A ; z_B | given): residual symbols of the keys reaching both A and B."""
-    return sum(max(0, config.keys.get(m, 0) - given.count(m))
+    return sum(max(0, config.keys.get(m, 0) - given.get(m, 0))
                for m in all_subset_masks(config.K) if m & a and m & b)
 
 
@@ -27,23 +31,23 @@ def brute_entropy(config, receivers, given):
     total = 0
     for m in all_subset_masks(config.K):
         if m & a:
-            total += max(0, config.keys.get(m, 0) - given.count(m))
+            total += max(0, config.keys.get(m, 0) - given.get(m, 0))
     return total
 
 
 # -- entropy_of ----------------------------------------------------------------
 
 def test_entropy_given_other_receiver_keys(ex1):
-    given = KeyCollection.of_receiver(ex1, 2)
+    given = held_by(ex1, 2)
     assert entropy_of(ex1, {1}, given) == 6  # 2 + 1 + 3
 
 
 def test_entropy_empty_arguments(ex1):
-    assert entropy_of(ex1, frozenset(), EMPTY_COLLECTION) == 0
+    assert entropy_of(ex1, frozenset(), {}) == 0
 
 
 def test_entropy_fully_conditioned(ex1):
-    given = KeyCollection.of_receiver(ex1, 1)
+    given = held_by(ex1, 1)
     assert entropy_of(ex1, {1}, given) == 0
 
 
@@ -59,7 +63,7 @@ def test_chain_rule_identity_exhaustive(k, data):
     config = KeyConfig(K=k, qualified_mask=qualified,
                        keys={m: s for m, s in sizes.items() if s})
     e = data.draw(st.sampled_from(sorted(config.eavesdroppers)))
-    given = KeyCollection.of_receiver(config, e)
+    given = held_by(config, e)
     for a in range(1 << k):
         for b in range(1 << k):
             joint = entropy_of(config, a | b, given)
@@ -82,9 +86,9 @@ def conditions(draw, config):
     """A receiver's whole key collection, or arbitrary per-key symbol counts
     (absent keys and counts beyond a key's size included)."""
     if draw(st.booleans()):
-        return KeyCollection.of_receiver(config, draw(st.integers(1, config.K)))
+        return held_by(config, draw(st.integers(1, config.K)))
     masks = draw(st.sets(st.integers(1, (1 << config.K) - 1), max_size=6))
-    return KeyCollection(counts={m: draw(st.integers(0, 4)) for m in masks})
+    return {m: draw(st.integers(0, 4)) for m in masks}
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,8 +106,8 @@ def test_entropy_of_matches_brute_entropy(k, data):
 
 
 def test_entropy_monotone_antitone(ex3):
-    given_small = KeyCollection(counts={mask_of((1, 3)): ex3.key_size((1, 3))})
-    given_large = KeyCollection.of_receiver(ex3, 3)
+    given_small = {mask_of((1, 3)): ex3.key_size((1, 3))}
+    given_large = held_by(ex3, 3)
     assert entropy_of(ex3, {1}) <= entropy_of(ex3, {1, 2})
     assert entropy_of(ex3, {1}, given_large) <= entropy_of(ex3, {1}, given_small)
 
@@ -218,7 +222,7 @@ def test_eavesdropper_tables_match_entropies(k, data):
     assert [e for e, _, _ in tables] == sorted(config.eavesdroppers)
     for e, w, a in tables:
         assert isinstance(w, tuple) and isinstance(a, tuple)
-        given_e = KeyCollection.of_receiver(config, e)
+        given_e = held_by(config, e)
         assert a == tuple(entropy_of(config, {q}, given_e) for q in local)
         for t, wt in enumerate(w):
             part = sum(1 << (q - 1) for i, q in enumerate(local) if t >> i & 1)
@@ -327,7 +331,7 @@ def test_normalize_2of4_orders_eavesdroppers():
 
 def test_normalize_multicast_k4(ex2):
     norm, perm = normalize_labels(ex2, "multicast_k4")
-    e_keys = KeyCollection.of_receiver(norm, 4)
+    e_keys = held_by(norm, 4)
     h1 = entropy_of(norm, {1}, e_keys)
     assert h1 <= entropy_of(norm, {2}, e_keys)
     assert h1 <= entropy_of(norm, {3}, e_keys)
@@ -339,7 +343,7 @@ def _multicast_k4_perm_by_entropy(config):
     """The K=4 ordering from the entropy calculus: canonical labels, then
     H(z_q | z_4) ascending, then the pair key with the first receiver."""
     base, perm0 = canonical_relabel(config)
-    e_keys = KeyCollection.of_receiver(base, 4)
+    e_keys = held_by(base, 4)
     order = sorted((1, 2, 3), key=lambda q: entropy_of(base, {q}, e_keys))
     first = order[0]
     rest = sorted((q for q in (1, 2, 3) if q != first),

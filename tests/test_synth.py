@@ -77,6 +77,12 @@ def test_multicast_k4_bw_example(ex2):
     assert verify(s).ok
 
 
+def test_multicast_k4_bw_rejects_other_shapes(ex1, ex3):
+    for config in (ex1, ex3):
+        with pytest.raises(WrongShapeError):
+            multicast_k4_bw(config)
+
+
 def test_multicast_k4_bw_equal_entropies_sends_every_key():
     config = KeyConfig.of(4, [1, 2, 3], {(1,): 2, (2,): 2, (3,): 1, (1, 2): 1,
                                          (1, 3): 2, (2, 3): 2, (1, 2, 3): 1})
