@@ -163,20 +163,29 @@ class LinearScheme:
 
     def known_columns(self, k: int) -> tuple[int, ...]:
         """Columns of B (key symbols) held by receiver k."""
-        return self._split(self.layout, k)[0]
+        return self._columns_of(k)[0]
 
     def unknown_columns(self, k: int) -> tuple[int, ...]:
-        return self._split(self.layout, k)[1]
+        return self._columns_of(k)[1]
 
     def message_columns(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(demanded, forbidden): the columns of A that receiver k must
         decode and those it must learn nothing about."""
-        return self._split(self.messages, k)
+        return self._columns_of(k)[2]
+
+    def _columns_of(self, k: int):
+        if not 1 <= k <= self.K:
+            raise ValueError(f"receiver {k} outside [1..{self.K}]")
+        return self._columns[k - 1]
+
+    @cached_property
+    def _columns(self):
+        """(known, unknown, message_columns) of receiver k at k - 1, read once."""
+        return [(*self._split(self.layout, k), self._split(self.messages, k))
+                for k in range(1, self.K + 1)]
 
     def _split(self, blocks, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(columns of the blocks whose subset holds k, the other columns)."""
-        if not 1 <= k <= self.K:
-            raise ValueError(f"receiver {k} outside [1..{self.K}]")
         inside: list[int] = []
         outside: list[int] = []
         start = 0
@@ -184,17 +193,6 @@ class LinearScheme:
             (inside if k in subset else outside).extend(range(start, start + width))
             start += width
         return tuple(inside), tuple(outside)
-
-    def relabeled(self, perm: Mapping[int, int]) -> "LinearScheme":
-        """Apply a receiver permutation (old label -> new label)."""
-        def moved(blocks):
-            return tuple((frozenset(perm[k] for k in subset), width) for subset, width in blocks)
-
-        return LinearScheme(
-            field=self.field, L=self.L, K=self.K,
-            qualified=frozenset(perm[k] for k in self.qualified),
-            layout=moved(self.layout), A=self.A, B=self.B, meta=dict(self.meta),
-            messages=moved(self.messages))
 
     @classmethod
     def empty(cls, K: int, qualified: Iterable[int], L: int = 1,

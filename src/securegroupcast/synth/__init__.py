@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..bounds import (ALIGNED_2OF5, GROUPCAST_2OF4, MULTICAST, SYMMETRIC,
                       UNICAST, ZERO_RATE, aligned_2of5_key_size, exact_capacity)
-from ..keyspace import KeyConfig, invert_perm
+from ..keyspace import KeyConfig
 from ..scheme import LinearScheme
 from ._common import (SegmentAllocator, SynthesisError, UnsolvedSettingError,
                       build_verified, empty_scheme)
@@ -59,7 +59,7 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
         scheme = groupcast_2of4(config, seed)
     elif setting == ALIGNED_2OF5:
         ell, perm = aligned_2of5_key_size(config)
-        scheme = build_verified(_instance_2of5(ell, seed).relabeled(invert_perm(perm)))
+        scheme = _instance_2of5(ell, seed, perm)
     elif setting == SYMMETRIC:
         scheme = symmetric(config, seed)
     else:  # ZERO_RATE: C = beta* = 0

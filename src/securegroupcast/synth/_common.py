@@ -12,9 +12,9 @@ scheme is a builder bug and raises SynthesisError (exit 4).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from ..keyspace import KeyConfig
+from ..keyspace import KeyConfig, invert_perm
 from ..scheme import LinearScheme, verify
 
 
@@ -45,6 +45,15 @@ def build_verified(scheme: LinearScheme) -> LinearScheme:
         raise SynthesisError(
             f"{scheme.meta.get('builder')} output failed verification{case}")
     return scheme
+
+
+def in_caller_labels(perm: Mapping[int, int], qualified: Iterable[int],
+                     layout: Iterable[tuple[frozenset[int], int]]):
+    """The qualified set and layout of a scheme built in the labels of
+    perm (caller label -> builder label), written in the caller's."""
+    back = invert_perm(perm)
+    return (frozenset(back[k] for k in qualified),
+            tuple((frozenset(back[k] for k in subset), width) for subset, width in layout))
 
 
 class SegmentAllocator:

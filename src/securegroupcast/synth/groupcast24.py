@@ -18,14 +18,15 @@ and after cancelling them sees the same W + s123 twice, so the repeats
 align instead of leaking.  Keys held by both eavesdroppers or by neither
 qualified receiver cannot help and are ignored.
 
-Invocation counts come from a greedy case split on the key sizes (after
-relabeling so l1 <= l2 and l124 <= l123): s12, the s123/s124 overlap and
-the s1/s2 overlap are always spent first; the remaining budget of s2,
+Invocation counts come from a greedy case split on the key sizes in
+normalized labels (l1 <= l2 and l124 <= l123): s12, the s123/s124 overlap
+and the s1/s2 overlap are always spent first; the remaining budget of s2,
 then the pair keys with the eavesdroppers, determine how many of Cmp3..6
 fit.  Every branch lands exactly on the capacity
 l12 + min(l1+l14+l124, l1+l13+l123, l2+l24+l124, l2+l23+l123) with
 bandwidth 2C - l12 - l124, the closed forms of bounds.exact_capacity
-that synthesize holds the scheme to.
+that synthesize holds the scheme to.  The scheme is written in the
+caller's labels.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import numpy as np
 
 from ..fmatrix import FMatrix
 from ..gf import Field
-from ..keyspace import KeyConfig, invert_perm, normalize_labels
+from ..keyspace import KeyConfig, normalize_labels
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified
+from ._common import SegmentAllocator, build_verified, in_caller_labels
 
 _F2 = Field(2)
 
@@ -164,8 +165,9 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
                     b[row, bit[subset]] = 1
                 row += 1
             msg += 1
+    qualified, layout = in_caller_labels(perm, _s(1, 2), layout)
     return build_verified(LinearScheme(
-        field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
+        field=_F2, L=1, K=4, qualified=qualified, layout=layout,
         A=FMatrix(_F2, a), B=FMatrix(_F2, b),
         meta={"builder": "groupcast_2of4", "case": case, "counts": counts,
-              "seed": seed, "escalations": 0}).relabeled(invert_perm(perm)))
+              "seed": seed, "escalations": 0}))

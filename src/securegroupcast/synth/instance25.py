@@ -21,6 +21,7 @@ repeats W1 + b1 in rows 1 and 6: the repeat is aligned, the same message
 combination under the same noise, so the 10 rows span only 9 dimensions
 and nothing leaks.  Eavesdropper 5 (knows c, e) aligns W4 + b2 in rows 2
 and 8 the same way.  Larger key sizes take fresh-key copies of the base.
+synthesize computes in these labels and writes the scheme in the caller's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..bounds import ALIGNED_2OF5_KEYS
 from ..fmatrix import FMatrix
 from ..gf import Field
 from ..scheme import LinearScheme
-from ._common import build_verified
+from ._common import build_verified, in_caller_labels
 
 _F2 = Field(2)
 
@@ -62,21 +63,19 @@ def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
     Emits key_size fresh-key copies of the base scheme: 5 * key_size
     message bits in 10 * key_size transmit bits over L = 3 blocks.
     """
-    return build_verified(_instance_2of5(key_size, seed))
+    return _instance_2of5(key_size, seed, {k: k for k in range(1, 6)})
 
 
-def _instance_2of5(key_size: int, seed: int) -> LinearScheme:
-    """instance_2of5's scheme before the gate, for callers that relabel
-    it first and verify what they return."""
-    ell = key_size
+def _instance_2of5(ell: int, seed: int, perm: dict[int, int]) -> LinearScheme:
+    """instance_2of5's scheme for a caller whose labels perm maps into
+    those of ALIGNED_2OF5_KEYS, written in the caller's labels."""
     if ell < 0:
         raise ValueError("key size must be nonnegative")
-    if ell == 0:
-        return LinearScheme.empty(K=5, qualified={1, 2}, L=BLOCKS_PER_COPY,
-                                  meta={"builder": "instance_2of5", "key_size": 0,
-                                        "seed": seed, "escalations": 0})
     width = BLOCKS_PER_COPY * ell
-    layout = tuple((subset, width) for subset in ALIGNED_2OF5_KEYS)
+    qualified, layout = in_caller_labels(perm, {1, 2}, [(s, width) for s in ALIGNED_2OF5_KEYS])
+    meta = {"builder": "instance_2of5", "key_size": ell, "seed": seed, "escalations": 0}
+    if ell == 0:
+        return build_verified(LinearScheme.empty(5, qualified, L=BLOCKS_PER_COPY, meta=meta))
     lw = MSG_BITS_PER_COPY * ell
     lx = TX_BITS_PER_COPY * ell
     a = np.zeros((lx, lw), dtype=np.int64)
@@ -88,8 +87,6 @@ def _instance_2of5(key_size: int, seed: int) -> LinearScheme:
             a[r0 + r, m0 + msg] = 1
             for key_idx, block in pads:
                 b[r0 + r, key_idx * width + BLOCKS_PER_COPY * copy + block] = 1
-    return LinearScheme(
-        field=_F2, L=BLOCKS_PER_COPY, K=5, qualified=frozenset({1, 2}),
-        layout=layout, A=FMatrix(_F2, a), B=FMatrix(_F2, b),
-        meta={"builder": "instance_2of5", "key_size": ell, "seed": seed,
-              "escalations": 0})
+    return build_verified(LinearScheme(
+        field=_F2, L=BLOCKS_PER_COPY, K=5, qualified=qualified, layout=layout,
+        A=FMatrix(_F2, a), B=FMatrix(_F2, b), meta=meta))

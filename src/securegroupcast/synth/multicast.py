@@ -8,11 +8,11 @@ qualified receiver collects at least L_W generic message combinations.
 
 The plain builder is capacity-optimal at bandwidth sum-of-key-sizes; as
 every key it uses lacks the eavesdropper, it builds in the caller's
-labels.  For K = 4 the bandwidth-optimal variant trims redundancy: after
-relabeling so receiver 1 has the smallest secure key entropy, receiver
-1's four blocks are kept whole and the {2}, {3}, {2,3} blocks are
-truncated according to how the pair key compares with receiver 1's
-private and pair keys.
+labels.  For K = 4 the bandwidth-optimal variant trims redundancy: in
+normalized labels, where receiver 1 has the smallest secure key entropy,
+receiver 1's four blocks are kept whole and the {2}, {3}, {2,3} blocks
+are truncated according to how the pair key compares with receiver 1's
+private and pair keys; the scheme is written in the caller's labels.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
-from ..keyspace import KeyConfig, WrongShapeError, invert_perm, normalize_labels, set_of
+from ..keyspace import KeyConfig, WrongShapeError, normalize_labels, set_of
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, empty_scheme
+from ._common import SegmentAllocator, build_verified, empty_scheme, in_caller_labels
 
 
 def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -91,8 +91,9 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
             b[r, col] = 1
             r += 1
     field = Field(least_prime_at_least(lx + lw))
+    qualified, layout = in_caller_labels(perm, {1, 2, 3}, layout)
     return build_verified(LinearScheme(
-        field=field, L=1, K=4, qualified=frozenset({1, 2, 3}), layout=layout,
+        field=field, L=1, K=4, qualified=qualified, layout=layout,
         A=cauchy(lx, lw, field), B=FMatrix(field, b),
         meta={"builder": "multicast_k4_bw", "case": case, "escalations": 0,
-              "seed": seed}).relabeled(invert_perm(perm)))
+              "seed": seed}))

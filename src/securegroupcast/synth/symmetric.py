@@ -28,10 +28,9 @@ import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
-from ..keyspace import (KeyConfig, WrongShapeError, canonical_relabel, invert_perm,
-                        is_symmetric, mask_of)
+from ..keyspace import KeyConfig, WrongShapeError, canonical_relabel, is_symmetric, mask_of
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, empty_scheme
+from ._common import SegmentAllocator, build_verified, empty_scheme, in_caller_labels
 
 
 def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -99,8 +98,9 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
                     vs.array[:, j * ell:(j + 1) * ell]
             row += b
         msg += m
+    caller_qualified, layout = in_caller_labels(perm, qualified, layout)
     return build_verified(LinearScheme(
-        field=field, L=1, K=K, qualified=frozenset(qualified), layout=layout,
+        field=field, L=1, K=K, qualified=caller_qualified, layout=layout,
         A=FMatrix(field, a), B=FMatrix(field, bmat),
         meta={"builder": "symmetric", "groups": groups_meta, "escalations": 0,
-              "seed": seed}).relabeled(invert_perm(perm)))
+              "seed": seed}))

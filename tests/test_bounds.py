@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from securegroupcast import (KeyConfig, aligned_2of5_key_size, bw_converse,
                              canonical_relabel, entropy_of, exact_capacity,
-                             mask_of, rate_converse, report, set_of)
-from securegroupcast.bounds import ALIGNED_2OF5_KEYS, BoundsReport, BwBound
+                             invert_perm, mask_of, normalize_labels, rate_converse,
+                             report, set_of)
+from securegroupcast.bounds import (ALIGNED_2OF5, ALIGNED_2OF5_KEYS, GROUPCAST_2OF4,
+                                    MULTICAST, SYMMETRIC, UNICAST, ZERO_RATE,
+                                    BoundsReport, BwBound)
 
 
 def held_by(config, k):
@@ -542,10 +545,58 @@ def test_exact_capacity_never_exceeds_rate_converse():
             assert exact.C <= rate_converse(config)
 
 
-def test_bw_lower_never_exceeds_beta_star():
-    rng = random.Random(78)
-    for _ in range(60):
-        config = random_config(rng)
+def _settled_configs(rng, fig4, rounds):
+    """Configs of every setting with a known beta*: drawn ones (mostly
+    unicast and one eavesdropper), K = 4 (one eavesdropper, 2-of-4),
+    symmetric profiles at K = 3..6, relabeled aligned 2-of-5 topologies,
+    and sparse K = 5 ones whose rate converse is mostly 0."""
+    for _ in range(rounds):
+        yield random_config(rng)
+        yield random_config(rng, 4)
+        k = rng.randint(3, 6)
+        profile = [rng.randint(0, 2) for _ in range(k)]
+        yield KeyConfig.of(k, rng.sample(range(1, k + 1), rng.randint(1, k - 1)),
+                           {m: profile[m.bit_count() - 1] for m in range(1, 1 << k)})
+        perm = rng.sample(range(1, 6), 5)
+        yield fig4.scaled(rng.randint(1, 3)).relabeled(dict(zip(range(1, 6), perm)))
+        yield KeyConfig.of(5, rng.sample(range(1, 6), rng.randint(2, 3)),
+                           {rng.randint(1, 31): rng.randint(1, 2) for _ in range(3)})
+
+
+def _beta_star_witnesses(config, setting):
+    """The (e, Q) pairs among which bw_converse's objective reaches beta*."""
+    if setting in (UNICAST, ZERO_RATE):
+        return [(e, {q}) for e in config.eavesdroppers for q in config.qualified]
+    if setting == MULTICAST and len(set(config.eavesdropper_tables[0][2])) > 1:
+        _, perm = normalize_labels(config, "multicast_k4")
+        back = invert_perm(perm)
+        return [(back[4], {back[q] for q in group}) for group in ({1, 2}, {1, 2, 3})]
+    return [(e, config.qualified) for e in config.eavesdroppers]
+
+
+def test_bw_lower_never_exceeds_beta_star(fig4):
+    """bw_converse(config, C) equals beta* wherever beta* is known.
+
+    beta* is the bandwidth of a verified scheme at rate C, so no converse
+    exceeds it; equality needs one witness (e, Q) whose objective
+    |Q| C - penalty(e, Q) reaches beta*.  Q = {q} gives C - 0 = C for
+    unicast and 0 at rate 0.  Q = all qualified reaches it for one
+    eavesdropper with equal H(z_q | z_e) (|Q| C = sum over keys U without
+    e of |U| l_U, the penalty takes (|U| - 1) l_U, and sum l_U = beta*
+    is left), for 2-of-4 (e is the eavesdropper whose {1, 2, e} key is
+    larger: penalty l12 + min l12e), for symmetric profiles and for
+    aligned 2-of-5 (e = the eavesdropper in the shared key: penalty 0).
+    For one eavesdropper at K = 4 with unequal entropies, Q = {1, 2} and
+    Q = {1, 2, 3} in normalized labels give the two terms of the max.
+    """
+    seen = set()
+    for config in _settled_configs(random.Random(78), fig4, 400):
         exact = exact_capacity(config)
-        if exact is not None and exact.beta_star is not None:
-            assert bw_converse(config, exact.C).value <= exact.beta_star
+        if exact is None or exact.beta_star is None:
+            continue
+        seen.add(exact.setting)
+        assert bw_converse(config, exact.C).value == exact.beta_star
+        assert max(len(group) * Fraction(exact.C) - _penalty(config, e, group)
+                   for e, group in _beta_star_witnesses(config, exact.setting)) \
+            == exact.beta_star
+    assert seen == {UNICAST, MULTICAST, GROUPCAST_2OF4, SYMMETRIC, ALIGNED_2OF5, ZERO_RATE}

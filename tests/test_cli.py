@@ -262,26 +262,42 @@ SYNTH_DIGESTS = {
     ("multicast_e3", 3): "f2eeee05e98dc7664288b5287aac6b54923191cf913066b07718be20e27a88c0",
     ("fig4_relabeled", 0): "0b8d8cdd0e3cd2fbbc8c62af7bf96cf179038cd2fb89790aadc930befd23aa07",
     ("fig4_relabeled", 3): "36afcd3a47eecab356a2e55eae7f78c643ce38c4d0babe6c83ca8c5a8db79801",
+    ("ex2_relabeled", 0): "255f19a7a8a6d87515dff160165b0d72d07d7a476e763ee4dd50def6e3140a16",
+    ("ex2_relabeled", 3): "ae7d3c295664d4a48d18cb40a91b9233c1b9479bd8043581dbca81b57f9242f1",
+    ("ex3_swapped", 0): "a5d95f0623628648b78d97cfe50253adfc9ae960084687fff3518710919fcdc0",
+    ("ex3_swapped", 3): "f0c96f6ee8a8a7c6619bacd0afd64f6a417ea8772959b9ca18406c83ae8faa56",
+    ("ex4_relabeled", 0): "21ac5c2192ed883130876716ad3a3f60645371273946dddd60857ef4fb2eb7d3",
+    ("ex4_relabeled", 3): "17a8d9c121417844cfb143fdf555004d554ce63189cbd836623cffb407cebcd2",
+}
+
+
+# Demo configs moved out of the builders' canonical labels, so every
+# label-dependent builder writes its scheme through a non-identity map.
+RELABELED_DEMOS = {
+    "ex1_q3": ("ex1", {1: 3, 2: 2, 3: 1, 4: 4}),    # receiver 3 is the qualified one
+    "ex2_relabeled": ("ex2", {1: 3, 2: 4, 3: 1, 4: 2}),    # case "pair23 covers both"
+    "ex3_swapped": ("ex3", {1: 2, 2: 1, 3: 4, 4: 3}),    # both pairs swapped, case 2.3
+    "ex4_relabeled": ("ex4", {1: 2, 2: 4, 3: 6, 4: 1, 5: 3, 6: 5}),    # qualified {2, 4, 6}
+    "fig4_relabeled": ("fig4", {1: 2, 2: 1, 3: 5, 4: 3, 5: 4}),
 }
 
 
 def _synth_input(name):
-    """The pinned synth inputs: the demos, a rate-0 unicast, and three
-    configs whose labels are not the builders' canonical ones."""
+    """The pinned synth inputs: the demos, a rate-0 unicast, a plain
+    multicast and the demos moved out of the builders' canonical labels."""
     from securegroupcast.cli import demo_configs
     demos = demo_configs()
     if name == "degenerate":
         return {"K": 4, "qualified": [1], "keys": [{"subset": [2, 3], "symbols": 2}]}
-    if name == "ex1_q3":    # receiver 3 is the qualified one
-        return config_to_obj(demos["ex1"].relabeled({1: 3, 2: 2, 3: 1, 4: 4}))
+    if name in RELABELED_DEMOS:
+        demo, perm = RELABELED_DEMOS[name]
+        return config_to_obj(demos[demo].relabeled(perm))
     if name == "multicast_e3":    # plain multicast, receiver 3 eavesdrops
         return {"K": 5, "qualified": [1, 2, 4, 5], "keys": [
             {"subset": [1], "symbols": 2}, {"subset": [1, 2], "symbols": 1},
             {"subset": [1, 3], "symbols": 1}, {"subset": [2, 4], "symbols": 2},
             {"subset": [4, 5], "symbols": 1}, {"subset": [2, 3, 5], "symbols": 2},
             {"subset": [5], "symbols": 3}, {"subset": [1, 4, 5], "symbols": 1}]}
-    if name == "fig4_relabeled":
-        return config_to_obj(demos["fig4"].relabeled({1: 2, 2: 1, 3: 5, 4: 3, 5: 4}))
     return config_to_obj(demos[name])
 
 

@@ -47,6 +47,12 @@ def test_known_columns_examples():
     assert scheme.known_columns(2) == (0, 1)
     assert scheme.known_columns(3) == ()
     assert scheme.known_columns(1) == (0, 1, 2)
+    assert scheme.unknown_columns(3) == (0, 1, 2)
+    for k in (0, -1, 4):    # the per-receiver table must not wrap or overrun
+        for columns in (scheme.known_columns, scheme.unknown_columns,
+                        scheme.message_columns):
+            with pytest.raises(ValueError, match="outside"):
+                columns(k)
 
 
 # -- algebraic verification --------------------------------------------------

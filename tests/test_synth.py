@@ -360,6 +360,30 @@ def test_synthesize_aligned_2of5_relabeled_builds_one_echelon_form(fig4, monkeyp
     assert builds == 1
 
 
+@pytest.mark.parametrize("name, perm", [
+    ("ex2", {1: 3, 2: 4, 3: 1, 4: 2}),
+    ("ex3", {1: 2, 2: 1, 3: 4, 4: 3}),
+    ("ex4", {1: 2, 2: 4, 3: 6, 4: 1, 5: 3, 6: 5}),
+    ("fig4", {1: 2, 2: 1, 3: 5, 4: 3, 5: 4}),
+])
+def test_label_dependent_synthesis_builds_one_scheme(name, perm, request, monkeypatch):
+    # the builders compute in normalized labels but write the one scheme
+    # they return in the caller's, with no relabeled second copy
+    config = request.getfixturevalue(name).relabeled(perm)
+    built = 0
+    post_init = LinearScheme.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(LinearScheme, "__post_init__", counting_post_init)
+    s = synthesize(config)
+    assert built == 1
+    assert s.qualified == config.qualified
+
+
 def test_synthesize_plain_multicast_for_k5():
     config = KeyConfig.of(5, [1, 2, 3, 4], {(1, 2): 1, (3, 4): 1, (1, 3): 1,
                                             (2, 4): 1, (1, 4): 1, (2, 3): 1})
