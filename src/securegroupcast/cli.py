@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -167,6 +168,9 @@ def _matrix(field: Field, rows: Any, name: str, cols: int) -> FMatrix:
     if a.dtype.kind != "i" and a.size:   # [[], ...] comes out float64
         raise ConfigError(f"invalid scheme: {name!r} must hold integers in "
                           f"[-2^63, 2^63), got {a.dtype} entries")
+    # numpy reads a bool among integers as an integer
+    if a.ndim == 2 and bool in set(map(type, chain.from_iterable(rows))):
+        raise ConfigError(f"invalid scheme: {name!r} must hold integers, got a boolean entry")
     return FMatrix(field, a.reshape(0, cols) if a.shape == (0,) else a)
 
 

@@ -13,7 +13,8 @@ so after t updates since the last reduction every entry lies in
 Only what the next step reads is reduced before that: the pivot column,
 whose zeros decide the pivot and whose entries are the row factors, and
 the pivot row, which is scaled by an inverse.  ColumnRanks answers many
-column-subset rank queries on one matrix from a single echelon form; over
+column-subset rank queries on one matrix from a single echelon form, each
+subset given as a column mask (an int, bit j for column j); over
 GF(2), where the verification sweeps spend their time, it holds that form
 as packed bitset rows, the one packed path.
 """
@@ -297,9 +298,23 @@ def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
     return FMatrix._reduced(m.field, a.astype(np.int64, copy=False)), tuple(pivots)
 
 
+def mask_columns(mask: int) -> list[int]:
+    """The columns of a column mask (bit j = column j), ascending, read
+    one run of ones at a time."""
+    columns: list[int] = []
+    while mask:
+        low = mask & -mask
+        carried = mask + low          # carries through the lowest run of ones
+        high = carried & -carried     # the bit just above that run
+        columns.extend(range(low.bit_length() - 1, high.bit_length() - 1))
+        mask = carried ^ high         # the mask without that run
+    return columns
+
+
 class ColumnRanks:
     """Ranks of column subsets of one matrix M, read off a single echelon
-    form of M.
+    form of M.  A column subset is a mask, an int with bit j set for
+    column j.
 
     Row operations keep the rank of every column subset, so M is reduced
     once to its reduced row echelon form R with pivot columns P.  For
@@ -309,9 +324,10 @@ class ColumnRanks:
     to S = left and to S = left + right with the same I, and reads both
     residual ranks from one prefix-rank pass.
 
-    Over GF(p) the echelon rows are a numpy array.  Over GF(2) they are
-    packed Python ints (bit j = column j); a residual row is then
-    `row & mask`, since R is zero on P outside the pivot rows.
+    Over GF(p) the echelon rows are a numpy array, indexed by the masks'
+    column lists.  Over GF(2) they are packed Python ints (bit j =
+    column j); a residual row is then `row & (left | right)`, since R is
+    zero on P outside the pivot rows.
     """
 
     def __init__(self, m: FMatrix):
@@ -326,39 +342,37 @@ class ColumnRanks:
                         v ^= basis[later]
                 basis[c] = v
                 done.append(c)
-            self._rows = basis
+            self._rows = [(1 << c, v) for c, v in basis.items()]   # (pivot bit, row)
+            self._pivots = sum(bit for bit, _ in self._rows)
         else:
             reduced, pivots = rref(m)
             self._rows = reduced.array[:len(pivots)]
-            self._pivot_row = {c: i for i, c in enumerate(pivots)}
+            self._pivot_row = np.full(m.cols, -1, dtype=np.int64)   # -1 off the pivots
+            self._pivot_row[list(pivots)] = np.arange(len(pivots))
 
-    def ranks(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, int]:
-        """(rank of M[:, left], rank of M[:, left + right]) for disjoint
-        column lists."""
+    def ranks(self, left: int, right: int) -> tuple[int, int]:
+        """(rank of M[:, left], rank of M[:, left | right]) for disjoint
+        column masks."""
         if self.field.p == 2:
             return self._gf2_ranks(left, right)
-        held = [self._pivot_row[c] for c in left if c in self._pivot_row]
-        free = [c for c in left if c not in self._pivot_row]
-        rest = np.delete(self._rows, held, axis=0)
-        block = FMatrix._reduced(self.field, rest[:, free + list(right)])
-        base, total = prefix_ranks(block, len(free))
-        return len(held) + base, len(held) + total
+        columns = np.array(mask_columns(left), dtype=np.intp)
+        rows = self._pivot_row[columns]
+        keep = np.ones(len(self._rows), dtype=bool)
+        keep[rows[rows >= 0]] = False
+        free = columns[rows < 0]
+        block = self._rows[keep][:, free.tolist() + mask_columns(right)]
+        base, total = prefix_ranks(FMatrix._reduced(self.field, block), len(free))
+        held = len(columns) - len(free)
+        return held + base, held + total
 
-    def _gf2_ranks(self, left: Sequence[int], right: Sequence[int]) -> tuple[int, int]:
-        if left and right and max(left) > min(right):
+    def _gf2_ranks(self, left: int, right: int) -> tuple[int, int]:
+        if right and left.bit_length() > (right & -right).bit_length():
             # the prefix count needs every left bit below every right bit
-            return (self._gf2_ranks(left, ())[0],
-                    self._gf2_ranks(list(left) + list(right), ())[1])
-        left_mask = right_mask = 0
-        for c in left:
-            left_mask |= 1 << c
-        for c in right:
-            right_mask |= 1 << c
-        held = sum(1 for c in self._rows if left_mask >> c & 1)
-        mask = left_mask | right_mask
+            return self._gf2_ranks(left, 0)[0], self._gf2_ranks(left | right, 0)[1]
+        held = (left & self._pivots).bit_count()
+        mask = left | right
         base, total = _gf2_prefix_ranks(
-            (v & mask for c, v in self._rows.items() if not left_mask >> c & 1),
-            left_mask.bit_length())
+            [v & mask for bit, v in self._rows if not left & bit], left.bit_length())
         return held + base, held + total
 
 

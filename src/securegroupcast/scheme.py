@@ -24,7 +24,8 @@ Verification is exact, never statistical:
   rank(M[:, U]) = |I| + rank(R[not I, U minus P]) and
   rank(M[:, U + T]) = |I| + rank(R[not I, (U minus P) + T]) for the target
   columns T, both read from one prefix-rank pass over that small residual
-  block;
+  block.  U and T are column masks over M (bit j for column j), each
+  receiver's built once per scheme with one run of ones per block;
 * an independent brute-force oracle enumerates the (W, S) states, counts
   the joint distributions and reports mutual information in bits and
   decode success directly, with no linear-algebra shortcuts.  It counts
@@ -48,7 +49,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import ColumnRanks, FMatrix, NoSolutionError, hstack, solve_right, vstack
+from .fmatrix import (ColumnRanks, FMatrix, NoSolutionError, hstack, mask_columns, solve_right,
+                      vstack)
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -147,7 +149,7 @@ class LinearScheme:
     def bandwidth(self) -> Fraction:
         return Fraction(self.L_X, self.L)
 
-    @property
+    @cached_property
     def eavesdroppers(self) -> frozenset[int]:
         """The receivers that must learn nothing about some message block:
         those outside some block's subset."""
@@ -156,10 +158,38 @@ class LinearScheme:
 
     @cached_property
     def column_ranks(self) -> ColumnRanks:
-        """The echelon form of [B | A] that every receiver's rank test reads."""
-        return ColumnRanks(hstack([self.B, self.A]))
+        """The echelon form of M = [B | A] that every receiver's rank test reads."""
+        return ColumnRanks(FMatrix._reduced(
+            self.field, np.concatenate([self.B.array, self.A.array], axis=1)))
 
     # -- key layout ------------------------------------------------------
+
+    def column_masks(self, k: int) -> tuple[int, int, int]:
+        """(unknown, demanded, forbidden): receiver k's column masks over
+        M = [B | A], bit j for column j.  unknown holds the key columns of
+        B that k lacks; demanded and forbidden hold the columns of A,
+        shifted by D, that k must decode and that it must learn nothing
+        about."""
+        if not 1 <= k <= self.K:
+            raise ValueError(f"receiver {k} outside [1..{self.K}]")
+        return self._masks[k - 1]
+
+    @cached_property
+    def _masks(self) -> list[tuple[int, int, int]]:
+        """column_masks(k) at k - 1, summed from one run of ones per block."""
+        def runs(blocks, start: int):
+            for subset, width in blocks:
+                yield subset, ((1 << width) - 1) << start
+                start += width
+
+        keys, messages = list(runs(self.layout, 0)), list(runs(self.messages, self.D))
+        every_message = ((1 << self.L_W) - 1) << self.D
+        table = []
+        for k in range(1, self.K + 1):
+            demanded = sum(mask for subset, mask in messages if k in subset)
+            table.append((sum(mask for subset, mask in keys if k not in subset),
+                          demanded, every_message ^ demanded))
+        return table
 
     def known_columns(self, k: int) -> tuple[int, ...]:
         """Columns of B (key symbols) held by receiver k."""
@@ -174,25 +204,17 @@ class LinearScheme:
         return self._columns_of(k)[2]
 
     def _columns_of(self, k: int):
-        if not 1 <= k <= self.K:
-            raise ValueError(f"receiver {k} outside [1..{self.K}]")
+        self.column_masks(k)   # checks k
         return self._columns[k - 1]
 
     @cached_property
     def _columns(self):
-        """(known, unknown, message_columns) of receiver k at k - 1, read once."""
-        return [(*self._split(self.layout, k), self._split(self.messages, k))
-                for k in range(1, self.K + 1)]
-
-    def _split(self, blocks, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(columns of the blocks whose subset holds k, the other columns)."""
-        inside: list[int] = []
-        outside: list[int] = []
-        start = 0
-        for subset, width in blocks:
-            (inside if k in subset else outside).extend(range(start, start + width))
-            start += width
-        return tuple(inside), tuple(outside)
+        """(known, unknown, message_columns) of receiver k at k - 1, read
+        off the masks on first use: the rank tests never need them."""
+        d = self.D
+        return [(tuple(mask_columns(((1 << d) - 1) ^ unknown)), tuple(mask_columns(unknown)),
+                 (tuple(mask_columns(demanded >> d)), tuple(mask_columns(forbidden >> d))))
+                for unknown, demanded, forbidden in self._masks]
 
     @classmethod
     def empty(cls, K: int, qualified: Iterable[int], L: int = 1,
@@ -216,13 +238,11 @@ class VerifyReport:
         return all(self.correct.values()) and not any(self.leakage.values())
 
 
-def _gain(scheme: LinearScheme, k: int, noise: Sequence[int], target: Sequence[int]) -> int:
-    """rank([B_unk | A_noise | A_target]) - rank([B_unk | A_noise]) for
-    receiver k: the dimensions of the target message columns that survive
-    k's unknown keys and the noise message columns."""
-    d = scheme.D
-    base, total = scheme.column_ranks.ranks(
-        scheme.unknown_columns(k) + tuple(d + c for c in noise), [d + c for c in target])
+def _gain(scheme: LinearScheme, noise: int, target: int) -> int:
+    """rank(M[:, noise | target]) - rank(M[:, noise]) for column masks over
+    M = [B | A]: the dimensions of the target columns that survive the
+    noise columns."""
+    base, total = scheme.column_ranks.ranks(noise, target)
     return total - base
 
 
@@ -231,8 +251,8 @@ def verify_correctness(scheme: LinearScheme, k: int) -> bool:
     from (X, Z_k)."""
     if k not in scheme.qualified:
         raise ValueError(f"receiver {k} is not qualified")
-    demanded, forbidden = scheme.message_columns(k)
-    return _gain(scheme, k, forbidden, demanded) == len(demanded)
+    unknown, demanded, forbidden = scheme.column_masks(k)
+    return _gain(scheme, unknown | forbidden, demanded) == demanded.bit_count()
 
 
 def verify_security(scheme: LinearScheme, e: int) -> int:
@@ -245,8 +265,8 @@ def verify_security(scheme: LinearScheme, e: int) -> int:
     """
     if e not in scheme.eavesdroppers:
         raise ValueError(f"receiver {e} is not an eavesdropper")
-    demanded, forbidden = scheme.message_columns(e)
-    return _gain(scheme, e, demanded, forbidden)
+    unknown, demanded, forbidden = scheme.column_masks(e)
+    return _gain(scheme, unknown | demanded, forbidden)
 
 
 def verify(scheme: LinearScheme) -> VerifyReport:

@@ -431,7 +431,11 @@ def test_verify_well_formed_scheme_parses(tmp_path, capsys):
 
 @pytest.mark.parametrize("changes", [
     {"A": [[1.5]]}, {"A": [["3"]]}, {"A": [[True]]}, {"A": None}, {"A": []},
-], ids=["float-entry", "string-entry", "bool-entry", "null-matrix", "no-rows-with-Lx-1"])
+    # a bool among integers: numpy would read the whole matrix as integers
+    {"p": 3, "Lw": 2, "Lx": 2, "layout": [{"subset": [1], "width": 2}],
+     "A": [[1, True], [0, 1]], "B": [[1, 0], [0, 1]]},
+], ids=["float-entry", "string-entry", "bool-entry", "null-matrix", "no-rows-with-Lx-1",
+        "bool-among-ints"])
 def test_verify_non_integer_matrix_exit_code(tmp_path, capsys, changes):
     """Matrix entries are JSON integers; nothing else is read as one, and
     `[]` is a matrix with no rows, never an all-zero one."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from securegroupcast import (ColumnRanks, Field, FieldTooSmallError, FMatrix,
                              NoSolutionError, cauchy, hstack,
                              prefix_ranks, rank, rref, solve_right, vstack)
+from securegroupcast.fmatrix import mask_columns
 
 F2 = Field(2)
 F5 = Field(5)
@@ -156,6 +157,16 @@ def test_elimination_matches_python_int_reference(p):
 
 # -- ranks of column subsets from one echelon form ------------------------------
 
+def mask(columns):
+    """The column mask of a column list, bit j for column j."""
+    return sum(1 << c for c in columns)
+
+
+@given(st.integers(0, (1 << 200) - 1) | st.sets(st.integers(0, 4000)).map(mask))
+def test_mask_columns_lists_the_set_bits(m):
+    assert mask_columns(m) == [j for j in range(m.bit_length()) if m >> j & 1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 173, 1073741827, LARGE_P]), st.integers(0, 5),
        st.integers(0, 7), st.data())
@@ -168,15 +179,15 @@ def test_column_ranks_match_gathered_ranks(p, r, c, data):
     cut = data.draw(st.integers(0, c))
     end = data.draw(st.integers(cut, c))
     left, right = list(cols[:cut]), list(cols[cut:end])
-    got = ColumnRanks(m).ranks(left, right)
+    got = ColumnRanks(m).ranks(mask(left), mask(right))
     assert got == (rank(FMatrix(f, m.array[:, left])), rank(FMatrix(f, m.array[:, left + right])))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_gf2_column_ranks_wide_interleaved(seed):
     """The packed GF(2) rows of ColumnRanks span more than one 64-bit word
-    here, and left and right columns interleave; `rank` eliminates each
-    gathered block on its own."""
+    here, and left and right columns interleave, so the ranks take the
+    two-pass path; `rank` eliminates each gathered block on its own."""
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 70), rng.randint(65, 130)
     entries = low_rank_rows(rng, 2, rows, cols, rng.randint(0, min(rows, cols)))
@@ -186,8 +197,9 @@ def test_gf2_column_ranks_wide_interleaved(seed):
         left, right = [], []
         for c in rng.sample(range(cols), cols):
             (left, right, [])[rng.randrange(3)].append(c)
+        # a left column above a right one: the masks take the two-pass path
         assert left and right and max(left) > min(right)
-        assert column_ranks.ranks(left, right) == (
+        assert column_ranks.ranks(mask(left), mask(right)) == (
             rank(FMatrix(F2, m.array[:, left])), rank(FMatrix(F2, m.array[:, left + right])))
 
 

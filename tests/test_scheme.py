@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -48,9 +49,10 @@ def test_known_columns_examples():
     assert scheme.known_columns(3) == ()
     assert scheme.known_columns(1) == (0, 1, 2)
     assert scheme.unknown_columns(3) == (0, 1, 2)
+    assert scheme.column_masks(2) == (0b100, 0, 0)
     for k in (0, -1, 4):    # the per-receiver table must not wrap or overrun
         for columns in (scheme.known_columns, scheme.unknown_columns,
-                        scheme.message_columns):
+                        scheme.message_columns, scheme.column_masks):
             with pytest.raises(ValueError, match="outside"):
                 columns(k)
 
@@ -87,6 +89,17 @@ def test_verify_report(ex3):
     assert rep.ok
     assert set(rep.correct) == {1, 2}
     assert set(rep.leakage) == {3, 4}
+
+
+def test_gf2_verify_is_linear_in_unknown_width():
+    """Receiver 1 lacks one key of 2,000,000 symbols that enters nothing
+    (L_X = 0): its test masks are built per segment, not per column."""
+    scheme = LinearScheme(field=F2, L=1, K=2, qualified=frozenset({1}),
+                          layout=((frozenset({2}), 2_000_000),),
+                          A=FMatrix.zeros(F2, 0, 1), B=FMatrix.zeros(F2, 0, 2_000_000))
+    start = time.perf_counter()
+    assert verify(scheme).correct == {1: False}
+    assert time.perf_counter() - start < 2.0
 
 
 def test_wrong_role_queries_rejected():
@@ -281,7 +294,8 @@ def test_shared_echelon_ranks_match_direct_ranks(p):
         for k in range(1, scheme.K + 1):
             unk = scheme.unknown_columns(k)
             expect = direct_ranks(scheme, k)
-            assert scheme.column_ranks.ranks(unk, range(scheme.D, scheme.D + scheme.L_W)) == expect
+            a_mask = ((1 << scheme.L_W) - 1) << scheme.D
+            assert scheme.column_ranks.ranks(scheme.column_masks(k)[0], a_mask) == expect
             if k in scheme.qualified:
                 assert verify_correctness(scheme, k) == (expect[1] - expect[0] == scheme.L_W)
             else:

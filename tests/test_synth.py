@@ -117,6 +117,23 @@ def test_multicast_k4_bw_matches_formula_on_sweep():
         assert verify(s).ok
 
 
+@pytest.mark.parametrize("config, builder, states", [
+    (KeyConfig.of(4, [1, 2, 3], {(1,): 1, (1, 2): 1, (2, 3): 1}), "multicast_k4_bw", 27),
+    (KeyConfig.of(5, [1, 2], {(k,): 1 for k in range(1, 6)}), "symmetric", 27),
+    (KeyConfig.of(6, [1, 2, 3], {(k,): 1 for k in range(1, 7)}), "symmetric", 625),
+], ids=["k4_multicast_small", "sym_5_2", "sym_6_3"])
+def test_cauchy_builder_schemes_agree_with_oracle(config, builder, states):
+    """The Cauchy builders' schemes are small enough for the oracle, whose
+    verdicts must match the rank verifier's."""
+    s = synthesize(config)
+    assert s.meta["builder"] == builder and s.p > 2
+    rep, oracle = verify(s), oracle_verify(s)
+    assert oracle.states == states
+    assert oracle.correct == rep.correct
+    assert oracle.secure == {e: leak == 0 for e, leak in rep.leakage.items()}
+    assert rep.ok
+
+
 # -- 2-of-4 ------------------------------------------------------------------
 
 def test_components_all_verified_by_oracle():
