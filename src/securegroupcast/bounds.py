@@ -14,10 +14,11 @@ Two converse bounds apply to every configuration:
 On recognized shapes (single qualified receiver, single eavesdropper,
 2-of-4, symmetric profiles, and the five-key aligned 2-of-5 topology)
 the exact capacity and, where known, the exact minimum bandwidth are
-returned in closed form; any other configuration whose rate converse is
-0 has C = beta* = 0.  The aligned 2-of-5 topology is the one setting
-where the conditional-entropy rate bound is strictly loose, so a gap
-flag is raised there.  exact_capacity is the only shape recognizer:
+returned in closed form, save the K = 4 single-eavesdropper beta*, which
+is the bandwidth converse at C; any other configuration whose rate
+converse is 0 has C = beta* = 0.  The aligned 2-of-5 topology is the one
+setting where the conditional-entropy rate bound is strictly loose, so a
+gap flag is raised there.  exact_capacity is the only shape recognizer:
 synth.synthesize picks its builder from the setting returned here and
 holds the scheme to this C and beta*.
 """
@@ -32,7 +33,7 @@ from operator import add
 from typing import Optional, Union
 
 from . import keyspace
-from .keyspace import KeyConfig, mask_of, normalize_labels, set_of
+from .keyspace import KeyConfig, mask_of, set_of
 
 Number = Union[int, Fraction]
 
@@ -183,20 +184,16 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
 
 # -- closed-form capacities ----------------------------------------------
 
-def _multicast_beta_star(config: KeyConfig) -> Optional[Number]:
-    """Minimum bandwidth at capacity for the single-eavesdropper setting."""
+def _multicast_beta_star(config: KeyConfig, c: int) -> Optional[Number]:
+    """Minimum bandwidth at capacity c for one eavesdropper e: the size of
+    every key e lacks when the H(z_q | z_e) are equal; at K = 4 the
+    bandwidth converse at c, which equals the paper's closed form and
+    which multicast_k4_bw meets."""
     ((e, _, conds),) = config.eavesdropper_tables
     if len(set(conds)) == 1:
         return sum(size for m, size in config.keys.items() if not m & (1 << (e - 1)))
     if config.K == 4:
-        norm, _ = normalize_labels(config, "multicast_k4")
-        l1 = norm.key_size({1})
-        l12 = norm.key_size({1, 2})
-        l13 = norm.key_size({1, 3})
-        l23 = norm.key_size({2, 3})
-        l123 = norm.key_size({1, 2, 3})
-        return l123 + max(2 * l1 + l12 + 2 * l13,
-                          3 * l1 + 2 * l12 + 2 * l13 - l23)
+        return bw_converse(config, c).value
     return None  # open problem for K >= 5 with unequal conditional entropies
 
 
@@ -257,7 +254,7 @@ def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:
         return ExactCapacity(setting=UNICAST, C=c, beta_star=c)
     if N == K - 1:
         return ExactCapacity(setting=MULTICAST, C=c,
-                             beta_star=_multicast_beta_star(config))
+                             beta_star=_multicast_beta_star(config, c))
     if N == 2 and K == 4:
         l_q = config.keys.get(config.qualified_mask, 0)
         pair_plus_eve = min(config.keys.get(config.qualified_mask | (1 << (e - 1)), 0)

@@ -571,7 +571,7 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
         cap = oracle_cap()
     p = scheme.p
     b = scheme.B.array
-    used = [j for j in range(scheme.D) if np.any(b[:, j])]
+    used = np.flatnonzero(b.any(axis=0)).tolist()
     m = scheme.L_W + len(used)
     states = p ** m
     if states > cap:

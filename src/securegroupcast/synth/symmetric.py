@@ -38,13 +38,13 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     flag, profile = is_symmetric(config)
     if not flag:
         raise WrongShapeError("symmetric needs one key size per subset cardinality")
-    norm, perm = canonical_relabel(config)
-    K, N = norm.K, norm.N
+    _, perm = canonical_relabel(config)
+    K, N = config.K, config.N
     qualified = list(range(1, N + 1))
     eavesdroppers = list(range(N + 1, K + 1))
 
-    # One entry per (u, i) with actual content: the I-blocks, their keys,
-    # the per-block row count b, and the message width m.
+    # One entry per (u, i) with actual content: each I-block's keys in
+    # ascending mask order, the per-block row count b, the message width m.
     plan = []
     p_floor = 2
     for u in range(1, K + 1):
@@ -57,12 +57,9 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
             if b == 0:
                 continue
             groups = list(combinations(qualified, i))
-            blocks = []
-            for members in groups:
-                key_subsets = [frozenset(members) | frozenset(extra)
-                               for extra in combinations(eavesdroppers, u - i)]
-                key_subsets.sort(key=lambda s: mask_of(s))
-                blocks.append((frozenset(members), key_subsets))
+            blocks = [sorted((frozenset(members + extra)
+                              for extra in combinations(eavesdroppers, u - i)), key=mask_of)
+                      for members in groups]
             plan.append({"u": u, "i": i, "ell": ell, "b": b, "m": m,
                          "blocks": blocks})
             p_floor = max(p_floor,
@@ -75,7 +72,7 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     lx = sum(len(g["blocks"]) * g["b"] for g in plan)
     layout_subsets: list[frozenset[int]] = []
     for g in plan:
-        for _, key_subsets in g["blocks"]:
+        for key_subsets in g["blocks"]:
             layout_subsets.extend(key_subsets)
     layout_subsets.sort(key=mask_of)
     layout = tuple((s, profile[len(s) - 1]) for s in layout_subsets)
@@ -91,7 +88,7 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
         b, m, ell = g["b"], g["m"], g["ell"]
         vw = cauchy(len(g["blocks"]) * b, m, field)
         vs = cauchy(b, comb(K - N, g["u"] - g["i"]) * ell, field)
-        for t, (_, key_subsets) in enumerate(g["blocks"]):
+        for t, key_subsets in enumerate(g["blocks"]):
             a[row:row + b, msg:msg + m] = vw.array[t * b:(t + 1) * b]
             for j, subset in enumerate(key_subsets):
                 bmat[row:row + b, alloc.take(subset, ell)] = \

@@ -4,6 +4,7 @@ from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
+from paper_reference import k4_beta_star
 from securegroupcast import (KeyConfig, aligned_2of5_key_size, bw_converse,
                              canonical_relabel, entropy_of, exact_capacity,
                              invert_perm, mask_of, normalize_labels, rate_converse,
@@ -587,7 +588,9 @@ def test_bw_lower_never_exceeds_beta_star(fig4):
     larger: penalty l12 + min l12e), for symmetric profiles and for
     aligned 2-of-5 (e = the eavesdropper in the shared key: penalty 0).
     For one eavesdropper at K = 4 with unequal entropies, Q = {1, 2} and
-    Q = {1, 2, 3} in normalized labels give the two terms of the max.
+    Q = {1, 2, 3} in normalized labels give the two terms of the paper's
+    max, so exact_capacity reads beta* off bw_converse there; the test
+    holds that reading to the paper's formula.
     """
     seen = set()
     for config in _settled_configs(random.Random(78), fig4, 400):
@@ -596,6 +599,8 @@ def test_bw_lower_never_exceeds_beta_star(fig4):
             continue
         seen.add(exact.setting)
         assert bw_converse(config, exact.C).value == exact.beta_star
+        if exact.setting == MULTICAST and config.K == 4:
+            assert exact.beta_star == k4_beta_star(config), config
         assert max(len(group) * Fraction(exact.C) - _penalty(config, e, group)
                    for e, group in _beta_star_witnesses(config, exact.setting)) \
             == exact.beta_star

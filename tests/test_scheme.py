@@ -93,12 +93,18 @@ def test_verify_report(ex3):
 
 def test_gf2_verify_is_linear_in_unknown_width():
     """Receiver 1 lacks one key of 2,000,000 symbols that enters nothing
-    (L_X = 0): its test masks are built per segment, not per column."""
+    (L_X = 0): its test masks are built per segment, not per column, and
+    the oracle finds the used key columns in one pass over B, not one
+    NumPy call per column."""
     scheme = LinearScheme(field=F2, L=1, K=2, qualified=frozenset({1}),
                           layout=((frozenset({2}), 2_000_000),),
                           A=FMatrix.zeros(F2, 0, 1), B=FMatrix.zeros(F2, 0, 2_000_000))
     start = time.perf_counter()
     assert verify(scheme).correct == {1: False}
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    oracle = oracle_verify(scheme)
+    assert (oracle.states, oracle.correct) == (2, {1: False})
     assert time.perf_counter() - start < 2.0
 
 

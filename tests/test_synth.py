@@ -1,10 +1,13 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from paper_reference import k4_beta_star
 from securegroupcast import (KeyConfig, UnsolvedSettingError, WrongShapeError,
-                             oracle_verify, rate_converse, verify)
+                             keyspace, oracle_verify, rate_converse, verify)
 from securegroupcast.bounds import exact_capacity
 from securegroupcast.scheme import LinearScheme
 from securegroupcast.synth import (COMPONENTS, SegmentAllocator, SynthesisError,
@@ -101,11 +104,16 @@ def test_multicast_k4_bw_truncates_when_pair_key_huge():
     assert leftover == [9]  # budget kept, surplus columns simply unused
 
 
+# The keys that receiver 4, the eavesdropper of the K = 4 one-eavesdropper
+# setting, lacks.
+K4_SECURE_KEYS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
 def test_multicast_k4_bw_matches_formula_on_sweep():
     rng = random.Random(7)
     for _ in range(80):
         keys = {}
-        for subset in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
+        for subset in K4_SECURE_KEYS:
             size = rng.randint(0, 3)
             if size:
                 keys[subset] = size
@@ -113,8 +121,37 @@ def test_multicast_k4_bw_matches_formula_on_sweep():
         s = multicast_k4_bw(config, seed=1)
         exact = exact_capacity(config)
         assert s.rate == exact.C
-        assert s.bandwidth == exact.beta_star
+        assert s.bandwidth == exact.beta_star == k4_beta_star(config)
         assert verify(s).ok
+
+
+def test_k4_one_eavesdropper_exhaustive_meets_paper_beta_star():
+    """Every K = 4 config with qualified {1, 2, 3} whose seven secure keys
+    are sized 0..2 (3^7 = 2,187): synthesize verifies, meets C, and sends
+    exact_capacity's beta*, which is the paper's closed form."""
+    for sizes in product(range(3), repeat=len(K4_SECURE_KEYS)):
+        config = KeyConfig.of(4, [1, 2, 3], dict(zip(K4_SECURE_KEYS, sizes)))
+        exact = exact_capacity(config)
+        s = synthesize(config)
+        assert verify(s).ok and s.rate == exact.C, sizes
+        assert s.bandwidth == exact.beta_star == k4_beta_star(config), sizes
+
+
+def test_k4_one_eavesdropper_synthesis_normalizes_once(ex2, monkeypatch):
+    """exact_capacity reads the K = 4 beta* off bw_converse, so only the
+    builder relabels the config."""
+    original = keyspace.normalize_labels
+    calls = []
+
+    def counting(config, setting):
+        calls.append(setting)
+        return original(config, setting)
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "securegroupcast"
+                and getattr(module, "normalize_labels", None) is original):
+            monkeypatch.setattr(module, "normalize_labels", counting)
+    assert synthesize(ex2).meta["builder"] == "multicast_k4_bw"
+    assert calls == ["multicast_k4"]
 
 
 @pytest.mark.parametrize("config, builder, states", [
