@@ -242,6 +242,9 @@ def cmd_synth(args) -> int:
     except synth_mod.UnsolvedSettingError as exc:
         print(f"unsolved: {exc}", file=sys.stderr)
         return EXIT_UNSOLVED
+    except synth_mod.TooManyKeySymbolsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except synth_mod.SynthesisError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

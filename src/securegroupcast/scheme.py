@@ -8,7 +8,8 @@ columns of B whose segment subset contains k; it must decode the message
 blocks whose subset contains k (its demanded columns of A) and learn
 nothing about the others (its forbidden columns).  A single-message scheme
 is one block owned by the qualified receivers: they demand all of W, and
-every other receiver, an eavesdropper, forbids all of it.
+every other receiver, an eavesdropper, forbids all of it.  A scheme holds
+these column sets only as masks over M = [B | A] (`column_masks`).
 
 Verification is exact, never statistical:
 
@@ -24,8 +25,8 @@ Verification is exact, never statistical:
   rank(M[:, U]) = |I| + rank(R[not I, U minus P]) and
   rank(M[:, U + T]) = |I| + rank(R[not I, (U minus P) + T]) for the target
   columns T, both read from one prefix-rank pass over that small residual
-  block.  U and T are column masks over M (bit j for column j), each
-  receiver's built once per scheme with one run of ones per block;
+  block.  U and T are unions of a receiver's column masks, built once per
+  scheme with one run of ones per block;
 * an independent brute-force oracle enumerates the (W, S) states, counts
   the joint distributions and reports mutual information in bits and
   decode success directly, with no linear-algebra shortcuts.  It counts
@@ -191,31 +192,6 @@ class LinearScheme:
                           demanded, every_message ^ demanded))
         return table
 
-    def known_columns(self, k: int) -> tuple[int, ...]:
-        """Columns of B (key symbols) held by receiver k."""
-        return self._columns_of(k)[0]
-
-    def unknown_columns(self, k: int) -> tuple[int, ...]:
-        return self._columns_of(k)[1]
-
-    def message_columns(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(demanded, forbidden): the columns of A that receiver k must
-        decode and those it must learn nothing about."""
-        return self._columns_of(k)[2]
-
-    def _columns_of(self, k: int):
-        self.column_masks(k)   # checks k
-        return self._columns[k - 1]
-
-    @cached_property
-    def _columns(self):
-        """(known, unknown, message_columns) of receiver k at k - 1, read
-        off the masks on first use: the rank tests never need them."""
-        d = self.D
-        return [(tuple(mask_columns(((1 << d) - 1) ^ unknown)), tuple(mask_columns(unknown)),
-                 (tuple(mask_columns(demanded >> d)), tuple(mask_columns(forbidden >> d))))
-                for unknown, demanded, forbidden in self._masks]
-
     @classmethod
     def empty(cls, K: int, qualified: Iterable[int], L: int = 1,
               meta: Optional[dict] = None) -> "LinearScheme":
@@ -284,19 +260,19 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
     """
     if k not in scheme.qualified:
         raise ValueError(f"receiver {k} is not qualified")
-    demanded, forbidden = scheme.message_columns(k)
-    a, b, f = scheme.A.array, scheme.B.array, scheme.field
-    # M1 @ [A_dem | A_forb | B_unk] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0]
-    g = FMatrix(f, np.concatenate(
-        [a[:, list(demanded)], a[:, list(forbidden)], b[:, list(scheme.unknown_columns(k))]],
-        axis=1))
-    rhs = vstack([FMatrix.identity(f, len(demanded)),
-                  FMatrix.zeros(f, g.cols - len(demanded), len(demanded))])
+    unknown, demanded, forbidden = scheme.column_masks(k)
+    f = scheme.field
+    m = np.concatenate([scheme.B.array, scheme.A.array], axis=1)
+    dem = mask_columns(demanded)
+    # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0]
+    g = FMatrix(f, m[:, dem + mask_columns(unknown | forbidden)])
+    rhs = vstack([FMatrix.identity(f, len(dem)),
+                  FMatrix.zeros(f, g.cols - len(dem), len(dem))])
     try:
         m1 = solve_right(g.transpose(), rhs).transpose()
     except NoSolutionError as exc:
         raise NotDecodableError(f"receiver {k} cannot decode") from exc
-    m2 = -(m1 @ FMatrix(f, b[:, list(scheme.known_columns(k))]))
+    m2 = -(m1 @ FMatrix(f, m[:, mask_columns(((1 << scheme.D) - 1) ^ unknown)]))
     return hstack([m1, m2])
 
 
@@ -329,9 +305,10 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
     x = scheme.A @ w + scheme.B @ s
     decoded = {}
     for k in sorted(scheme.qualified):
-        known = FMatrix(f, s.array[list(scheme.known_columns(k))])
+        unknown, demanded, _ = scheme.column_masks(k)
+        known = FMatrix(f, s.array[mask_columns(((1 << scheme.D) - 1) ^ unknown)])
         w_hat = (decoder_for(scheme, k) @ vstack([x, known])).array[:, 0]
-        want = w.array[list(scheme.message_columns(k)[0]), 0]
+        want = w.array[mask_columns(demanded >> scheme.D), 0]
         if not np.array_equal(w_hat, want):
             raise DecodeFailureError(f"receiver {k} decoded {w_hat.tolist()} != {want.tolist()}")
         decoded[k] = tuple(int(v) for v in w_hat)
@@ -578,21 +555,21 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
         raise TooLargeError(
             f"p^(L_W + D_used) = {p}^{m} = {states} exceeds the oracle cap {cap}")
     x_forms = np.concatenate([scheme.A.array, b[:, used]], axis=1)
-    digit = {col: scheme.L_W + i for i, col in enumerate(used)}
 
-    def groups(k: int, message: Sequence[int]) -> GroupCounts:
-        held = [digit[c] for c in scheme.known_columns(k) if c in digit]
-        return view_groups(p, x_forms, held, message)
+    def groups(k: int, message: int) -> GroupCounts:
+        unknown = scheme.column_masks(k)[0]
+        held = [scheme.L_W + i for i, c in enumerate(used) if not unknown >> c & 1]
+        return view_groups(p, x_forms, held, mask_columns(message >> scheme.D))
 
     correct: dict[int, bool] = {}
     success: dict[int, float] = {}
     leakage: dict[int, float] = {}
     secure: dict[int, bool] = {}
     for k in sorted(scheme.qualified):
-        correct[k] = groups(k, scheme.message_columns(k)[0]).decodes()
-        success[k] = _decode_success(scheme, k, x_forms, digit)
+        correct[k] = groups(k, scheme.column_masks(k)[1]).decodes()
+        success[k] = _decode_success(scheme, k, x_forms, used)
     for e in sorted(scheme.eavesdroppers):
-        view = groups(e, scheme.message_columns(e)[1])
+        view = groups(e, scheme.column_masks(e)[2])
         secure[e] = view.independent()
         leakage[e] = view.leakage_bits()
     return OracleReport(correct=correct, decode_success=success,
@@ -600,7 +577,7 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
 
 
 def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,
-                    digit: Mapping[int, int]) -> float:
+                    used: Sequence[int]) -> float:
     """Fraction of states where k's constructed decoder returns its
     demanded message columns exactly.
 
@@ -614,16 +591,19 @@ def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,
     except NotDecodableError:
         return 0.0
     f, lx = scheme.field, scheme.L_X
-    demanded = list(scheme.message_columns(k)[0])
+    unknown, demanded, _ = scheme.column_masks(k)
+    wanted = mask_columns(demanded >> scheme.D)
     # the decoder's coefficients on the state digits outside X: its column
-    # for each held used key, and -1 on each demanded message digit; an
-    # unused key column is zero in B, so the decoder's coefficient on it is
-    # zero too
-    direct = np.zeros((len(demanded), x_forms.shape[1]), dtype=np.int64)
-    direct[np.arange(len(demanded)), demanded] = scheme.p - 1
-    for i, c in enumerate(scheme.known_columns(k)):
-        if c in digit:
-            direct[:, digit[c]] = dec.array[:, lx + i]
+    # for each held used key c (its key columns are k's held ones in
+    # ascending order, so c is the one after c - |unknown below c| others),
+    # and -1 on each demanded message digit; an unused key column is zero
+    # in B, so the decoder's coefficient on it is zero too
+    direct = np.zeros((len(wanted), x_forms.shape[1]), dtype=np.int64)
+    direct[np.arange(len(wanted)), wanted] = scheme.p - 1
+    for i, c in enumerate(used):
+        if not unknown >> c & 1:
+            held = c - (unknown & ((1 << c) - 1)).bit_count()
+            direct[:, scheme.L_W + i] = dec.array[:, lx + held]
     error = (FMatrix(f, dec.array[:, :lx]) @ FMatrix(f, x_forms) + FMatrix(f, direct)).array
     live = error[:, error.any(axis=0)]
     code, _ = state_code(scheme.p, live.shape[1], live)

@@ -26,6 +26,13 @@ class UnsolvedSettingError(ValueError):
     """No capacity-achieving construction is known for this shape."""
 
 
+class TooManyKeySymbolsError(ValueError):
+    """The config's key symbols total KEY_SYMBOL_LIMIT or more."""
+
+
+KEY_SYMBOL_LIMIT = 1 << 63   # the int64 range of scheme-file entries
+
+
 def empty_scheme(config: KeyConfig, builder: str, seed: int) -> LinearScheme:
     """The rate-0 scheme a builder returns when the capacity is 0."""
     return LinearScheme.empty(K=config.K, qualified=config.qualified,

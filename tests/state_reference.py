@@ -38,6 +38,26 @@ def random_scheme(rng, p):
                         layout=tuple(segments), A=FMatrix(field, a), B=FMatrix(field, b))
 
 
+def _split_columns(blocks, k):
+    """(inside, outside): the columns of consecutive (subset, width) blocks
+    whose subset does and does not contain receiver k."""
+    inside, outside, start = [], [], 0
+    for subset, width in blocks:
+        (inside if k in subset else outside).extend(range(start, start + width))
+        start += width
+    return tuple(inside), tuple(outside)
+
+
+def key_columns(scheme, k):
+    """(held, unknown) columns of B, read off the key layout."""
+    return _split_columns(scheme.layout, k)
+
+
+def message_columns(scheme, k):
+    """(demanded, forbidden) columns of A, read off the message blocks."""
+    return _split_columns(scheme.messages, k)
+
+
 def group_by_view(n_digits, p, observe):
     """view -> Counter of messages over all states; observe(state) gives
     the (view, message) pair seen in one state."""
@@ -83,8 +103,8 @@ def reference_oracle(scheme):
 
     correct, success, leakage, secure = {}, {}, {}, {}
     for k in range(1, scheme.K + 1):
-        known = scheme.known_columns(k)
-        demanded, forbidden = scheme.message_columns(k)
+        known = key_columns(scheme, k)[0]
+        demanded, forbidden = message_columns(scheme, k)
         if any(k not in subset for subset, _ in scheme.messages):
             _, secure[k], leakage[k] = verdicts(known, forbidden)
         if k not in scheme.qualified:

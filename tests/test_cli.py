@@ -229,6 +229,32 @@ def test_synth_unsolved_exit_code(tmp_path, capsys):
     assert "unsolved" in capsys.readouterr().err
 
 
+def huge_key_config(K, qualified, *keys):
+    return {"K": K, "qualified": qualified,
+            "keys": [{"subset": subset, "symbols": symbols} for subset, symbols in keys]}
+
+
+@pytest.mark.parametrize("obj, c, code", [
+    (huge_key_config(4, [1, 2], ([1, 3], 1 << 64)), 0, EXIT_PARSE),                    # 2-of-4
+    (huge_key_config(3, [1, 2], ([1, 2], 1 << 64)), 1 << 64, EXIT_PARSE),              # multicast
+    (huge_key_config(4, [1, 2, 3], ([1], 1), ([2, 3], 1 << 64)), 1, EXIT_PARSE),       # K = 4
+    (huge_key_config(4, [1, 2, 3], ([1], 1), ([2, 3], (1 << 63) - 1)), 1, EXIT_PARSE),
+    (huge_key_config(2, [1], ([1, 2], 1 << 64)), 0, EXIT_PARSE),                       # unicast
+    (huge_key_config(2, [1], ([1, 2], (1 << 63) - 1)), 0, EXIT_OK),
+], ids=["2of4", "multicast", "multicast_k4", "sum_at_limit", "unicast_rate0", "below_limit"])
+def test_synth_refuses_key_symbols_past_int64(tmp_path, capsys, obj, c, code):
+    """bounds answers exactly; synth exits 2 naming the limit once the key
+    symbols total 2^63, before any builder allocates a matrix that wide."""
+    cfg = write(tmp_path, "c.json", obj)
+    assert main(["bounds", cfg]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["C"] == c
+    out_path = tmp_path / "s.json"
+    assert main(["synth", cfg, "-o", str(out_path)]) == code
+    refused = code == EXIT_PARSE
+    assert ("2^63" in capsys.readouterr().err) == refused
+    assert out_path.exists() != refused
+
+
 def test_synth_seeds_give_verifiable_schemes(tmp_path, capsys):
     obj = config_to_obj(KeyConfig.of(6, [1, 2, 3],
                                      {c: 1 for c in _threes()}))

@@ -11,7 +11,7 @@ from securegroupcast import (Field, FMatrix, LinearScheme, oracle_verify, simula
 from securegroupcast.cli import scheme_to_obj
 from securegroupcast.synth import (InfeasibleRates, min_bandwidth, multimessage,
                                    region_violation)
-from state_reference import reference_oracle
+from state_reference import message_columns, reference_oracle
 
 F2 = Field(2)
 OWNERS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
@@ -80,9 +80,11 @@ def test_sizes_and_rates_are_the_block_widths():
     assert (ms.K, ms.qualified) == (3, frozenset({1, 2}))
     assert ms.layout == tuple(zip(OWNERS, (3, 2, 1)))
     assert ms.messages == tuple(zip(OWNERS, (2, 1, 2)))
-    assert ms.message_columns(1) == ((0, 1, 3, 4), (2,))
-    assert ms.message_columns(2) == ((2, 3, 4), (0, 1))
-    assert ms.message_columns(3) == ((), (0, 1, 2, 3, 4))
+    want = {1: ((0, 1, 3, 4), (2,)), 2: ((2, 3, 4), (0, 1)), 3: ((), (0, 1, 2, 3, 4))}
+    for k, columns in want.items():
+        assert message_columns(ms, k) == columns
+        assert ms.column_masks(k)[1:] == tuple(sum(1 << (ms.D + c) for c in cols)
+                                               for cols in columns)
     assert ms.eavesdroppers == frozenset({1, 2, 3})
 
 
@@ -159,7 +161,7 @@ def assert_matches_reference(scheme):
     assert orep.correct == alg.correct == correct
     assert orep.secure == secure == {e: v == 0 for e, v in alg.leakage.items()}
     assert orep.decode_success == success
-    assert all((success[k] == 1.0) == correct[k] for k in correct)
+    assert success == {k: 1.0 if c else 0.0 for k, c in correct.items()}
     for e, bits in leakage.items():
         assert abs(orep.leakage_bits[e] - bits) < 1e-12
         assert abs(alg.leakage[e] * math.log2(scheme.p) - bits) < 1e-9

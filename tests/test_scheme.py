@@ -17,7 +17,7 @@ import securegroupcast.scheme as scheme_module
 from securegroupcast.scheme import state_code, view_groups
 from securegroupcast.synth import component_instance
 from securegroupcast.synth.multimessage import multimessage
-from state_reference import (group_by_view, random_scheme, reference_oracle,
+from state_reference import (group_by_view, key_columns, random_scheme, reference_oracle,
                              reference_verdicts)
 
 F2 = Field(2)
@@ -45,16 +45,12 @@ def test_known_columns_examples():
     scheme = LinearScheme(field=F2, L=1, K=3, qualified=frozenset({1}),
                           layout=((frozenset({1, 2}), 2), (frozenset({1}), 1)),
                           A=FMatrix.zeros(F2, 0, 0), B=FMatrix.zeros(F2, 0, 3))
-    assert scheme.known_columns(2) == (0, 1)
-    assert scheme.known_columns(3) == ()
-    assert scheme.known_columns(1) == (0, 1, 2)
-    assert scheme.unknown_columns(3) == (0, 1, 2)
+    assert scheme.column_masks(1) == (0, 0, 0)
     assert scheme.column_masks(2) == (0b100, 0, 0)
+    assert scheme.column_masks(3) == (0b111, 0, 0)
     for k in (0, -1, 4):    # the per-receiver table must not wrap or overrun
-        for columns in (scheme.known_columns, scheme.unknown_columns,
-                        scheme.message_columns, scheme.column_masks):
-            with pytest.raises(ValueError, match="outside"):
-                columns(k)
+        with pytest.raises(ValueError, match="outside"):
+            scheme.column_masks(k)
 
 
 # -- algebraic verification --------------------------------------------------
@@ -259,7 +255,7 @@ ECHELON_PRIMES = [2, 3, 5, 173, LARGE_P]
 
 
 def direct_ranks(scheme, k):
-    unk = list(scheme.unknown_columns(k))
+    unk = list(key_columns(scheme, k)[1])
     gathered = hstack([FMatrix(scheme.field, scheme.B.array[:, unk]), scheme.A])
     return prefix_ranks(gathered, len(unk))
 
@@ -298,7 +294,7 @@ def test_shared_echelon_ranks_match_direct_ranks(p):
         scheme = echelon_scheme(rng, p)
         pivots = set(rref(hstack([scheme.B, scheme.A]))[1])
         for k in range(1, scheme.K + 1):
-            unk = scheme.unknown_columns(k)
+            unk = key_columns(scheme, k)[1]
             expect = direct_ranks(scheme, k)
             a_mask = ((1 << scheme.L_W) - 1) << scheme.D
             assert scheme.column_ranks.ranks(scheme.column_masks(k)[0], a_mask) == expect
@@ -512,6 +508,9 @@ def test_oracle_matches_state_by_state_reference(p):
         assert orc.states == p ** (scheme.L_W + used)
         assert orc.correct == correct
         assert orc.decode_success == success
+        # the decoder succeeds everywhere exactly where the brute force
+        # decodes, so a wrong decoder_for cannot be matched by the oracle
+        assert success == {k: 1.0 if c else 0.0 for k, c in correct.items()}
         assert orc.secure == secure
         assert orc.leakage_bits.keys() == leakage.keys()
         for e, bits in leakage.items():
@@ -528,7 +527,7 @@ def test_oracle_matches_state_by_state_reference(p):
         # a held key that enters X: its digits are sliced off k's view
         seen["held used key"] += any(scheme.B.array[:, c].any()
                                      for k in range(1, scheme.K + 1)
-                                     for c in scheme.known_columns(k))
+                                     for c in key_columns(scheme, k)[0])
         seen["leaks"] += not all(orc.secure.values())
         seen["undecodable"] += not all(orc.correct.values())
         seen["ok"] += orc.ok
@@ -557,7 +556,7 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
         rep = oracle_verify(scheme)
         assert rep.states == scheme.p ** (scheme.L_W + len(used))
         receivers = sorted(scheme.qualified) + sorted(scheme.eavesdroppers)
-        want = [scheme.L_W + len(used - set(scheme.known_columns(k))) for k in receivers]
+        want = [scheme.L_W + len(used - set(key_columns(scheme, k)[0])) for k in receivers]
         assert digit_counts == want, scheme
         sliced += any(w < scheme.L_W + len(used) for w in want)
     assert sliced
