@@ -93,20 +93,6 @@ class BoundsReport:
     gap: bool
 
 
-def _subset_sums(w: tuple[int, ...], n: int) -> list[int]:
-    """Zeta transform: f[S] = sum of w[t] over t subset of S, len(w) = 2^n.
-
-    Each round adds the even entries into the odd ones (the transform
-    over the lowest index bit) and moves the odd entries to the back,
-    which rotates the index bits; after n rounds they are back in place.
-    """
-    f = list(w)
-    for _ in range(n):
-        even = f[0::2]
-        f = even + list(map(add, even, f[1::2]))
-    return f
-
-
 @lru_cache(maxsize=None)
 def _groups_by_size(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(size, nonempty masks of that popcount below 2^n) for size 1..n.
@@ -140,11 +126,12 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
 
     With e fixed, the subtracted term is the penalty
     sum_{U not containing e} max(|U cap Q| - 1, 0) * l_U.  In the terms of
-    the per-eavesdropper table (w, a, W = sum w) it reads
-    penalty(Q) = sum_{i in Q} a[i] - W + f[~Q], where f is the subset-sum
-    transform of w: the keys missing Q contribute f[~Q] to make up for
-    the -1 they do not owe.  So every group costs O(1) after an
-    O(N 2^N) transform, and one eavesdropper costs O(#keys + N 2^N).
+    the per-eavesdropper table (f, a; keyspace module docstring), with
+    W = f[full] the size of the keys e lacks that reach a qualified
+    receiver, it reads penalty(Q) = sum_{i in Q} a[i] - W + f[~Q]: the
+    keys missing Q contribute f[~Q] to make up for the -1 they do not
+    owe.  The table is built once per config, in O(#keys + N 2^N) per
+    eavesdropper, and then every group costs O(1).
     Only the least penalty of each group size |Q| can win.  With
     R = num/den the search compares the integers |Q| num - penalty(Q) den
     and builds one Fraction at the end.
@@ -160,16 +147,14 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
     num, den = rate.numerator, rate.denominator
     best = 0                           # best value times den
     best_at = None                     # (e, penalty + W per group mask, W)
-    for e, w, a in config.eavesdropper_tables:
-        n = len(a)
-        f = _subset_sums(w, n)
+    for e, f, a in config.eavesdropper_tables:
         sums = [0]                     # sums[Q] = sum_{i in Q} a[i]
         for ai in a:
             sums = sums + list(map(ai.__add__, sums))
         pens = list(map(add, sums, reversed(f)))   # f[~Q] = f[full - Q]
         total = f[-1]
         value = max(size * num - (min(map(pens.__getitem__, qs)) - total) * den
-                    for size, qs in _groups_by_size(n))
+                    for size, qs in _groups_by_size(len(a)))
         if value > best:
             best, best_at = value, (e, pens, total)
     witness = None
@@ -185,15 +170,15 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
 # -- closed-form capacities ----------------------------------------------
 
 def _multicast_beta_star(config: KeyConfig, c: int) -> Optional[Number]:
-    """Minimum bandwidth at capacity c for one eavesdropper e: the size of
-    every key e lacks when the H(z_q | z_e) are equal; at K = 4 the
-    bandwidth converse at c, which equals the paper's closed form and
-    which multicast_k4_bw meets."""
-    ((e, _, conds),) = config.eavesdropper_tables
-    if len(set(conds)) == 1:
-        return sum(size for m, size in config.keys.items() if not m & (1 << (e - 1)))
+    """Minimum bandwidth at capacity c for one eavesdropper e: at K = 4
+    the bandwidth converse at c, which equals the paper's closed form and
+    which multicast_k4_bw meets; else the size of every key e lacks when
+    the H(z_q | z_e) are equal."""
     if config.K == 4:
         return bw_converse(config, c).value
+    ((_, f, conds),) = config.eavesdropper_tables
+    if len(set(conds)) == 1:
+        return f[-1]   # every key e lacks reaches a qualified receiver
     return None  # open problem for K >= 5 with unequal conditional entropies
 
 
@@ -280,7 +265,9 @@ def report(config: KeyConfig) -> BoundsReport:
     known rate, exact values where recognized, and the looseness flag."""
     upper = rate_converse(config)
     exact = exact_capacity(config)
-    best_rate: Number = exact.C if exact is not None else upper
-    bw = bw_converse(config, best_rate)
+    if exact is not None and exact.setting == MULTICAST and config.K == 4:
+        bw_lower = exact.beta_star     # bw_converse(config, exact.C) already
+    else:
+        bw_lower = bw_converse(config, exact.C if exact is not None else upper).value
     gap = exact is not None and exact.C < upper
-    return BoundsReport(rate_upper=upper, bw_lower=bw.value, exact=exact, gap=gap)
+    return BoundsReport(rate_upper=upper, bw_lower=bw_lower, exact=exact, gap=gap)

@@ -96,7 +96,10 @@ def config_from_obj(obj: Any) -> KeyConfig:
         qualified_mask = _receivers_mask(qualified, k)
     except ConfigError as exc:
         raise ConfigError(f"'qualified': {exc}") from None
-    key_map: dict[int, Any] = {}
+    if not 0 < qualified_mask < (1 << k) - 1:
+        raise ConfigError("'qualified' must be a nonempty subset of [1..K] that "
+                          "leaves at least one eavesdropper")
+    sizes: dict[int, int] = {}
     for i, entry in enumerate(keys):
         try:
             subset = entry["subset"]
@@ -107,13 +110,15 @@ def config_from_obj(obj: Any) -> KeyConfig:
             m = _receivers_mask(subset, k)
         except ConfigError as exc:
             raise ConfigError(f"keys[{i}].subset: {exc}") from None
-        if m in key_map:
+        if not m:
+            raise ConfigError(f"keys[{i}].subset is empty")
+        if m in sizes:
             raise ConfigError(f"keys[{i}]: duplicate subset {sorted(set_of(m))}")
-        key_map[m] = symbols
-    try:
-        return KeyConfig.of(k, qualified_mask, key_map)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+        if type(symbols) is not int or symbols < 0:
+            raise ConfigError(f"keys[{i}].symbols must be a nonnegative integer, "
+                              f"got {symbols!r}")
+        sizes[m] = symbols
+    return KeyConfig(k, qualified_mask, {m: sizes[m] for m in sorted(sizes) if sizes[m]})
 
 
 def config_to_obj(config: KeyConfig) -> dict:

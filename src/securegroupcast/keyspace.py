@@ -13,9 +13,11 @@ the subset), which keeps the bound-search enumerations cheap.
 
 The converses and the K=4 normalizer read one table per eavesdropper e:
 with the qualified receivers q_1 < ... < q_N renumbered as local bits
-0..N-1, w[t] is the total size of the keys e lacks whose qualified part
-is t, and a[i] = H(z_{q_i} | z_e) is the sum of w[t] over t containing
-bit i.
+0..N-1, let w[t] be the total size of the keys e lacks whose qualified
+part is t.  The table holds its subset-sum transform f[S] = sum of w[t]
+over t subset of S, the size of the keys e lacks that reach no qualified
+receiver outside S, and a[i] = H(z_{q_i} | z_e) = f[full] - f[full ^ 2^i],
+the keys e lacks that reach q_i.
 `KeyConfig.eavesdropper_tables` builds these once per configuration, in
 one pass over the keys per eavesdropper, and caches them as tuples.
 `entropy_of` is the general H(z_A | given) they specialize, with the
@@ -27,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 MAX_RECEIVERS = 20
 
-# (e, w, a) for one eavesdropper; see the module docstring.
+# (e, f, a) for one eavesdropper; see the module docstring.
 EavesdropperTable = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
@@ -121,9 +124,9 @@ class KeyConfig:
 
     @cached_property
     def eavesdropper_tables(self) -> tuple[EavesdropperTable, ...]:
-        """(e, w, a) for each eavesdropper e, ascending (module docstring).
+        """(e, f, a) for each eavesdropper e, ascending (module docstring).
 
-        Keys held by no qualified receiver are left out of w.  Built on
+        Keys held by no qualified receiver are left out of f.  Built on
         first use and shared by every bound computed from this config.
         """
         qualified = sorted(self.qualified)
@@ -142,19 +145,17 @@ class KeyConfig:
         tables = []
         for e in sorted(self.eavesdroppers):
             ebit = 1 << (e - 1)
-            w = [0] * (1 << n)
+            f = [0] * (1 << n)
             for m, size, t in binned:
                 if not m & ebit:
-                    w[t] += size
-            # a[i] sums the odd entries once bit i is the lowest index bit;
-            # moving the odd entries to the back rotates the index bits.
-            a = []
-            rotated = w
+                    f[t] += size
+            # One index bit per round: add the even entries into the odd
+            # ones and move those to the back, which rotates the index bits
+            # back in place after n rounds.  f[full ^ 2^i] is f[-1 - 2^i].
             for _ in range(n):
-                odd = rotated[1::2]
-                a.append(sum(odd))
-                rotated = rotated[0::2] + odd
-            tables.append((e, tuple(w), tuple(a)))
+                even = f[0::2]
+                f = even + list(map(add, even, f[1::2]))
+            tables.append((e, tuple(f), tuple([f[-1] - f[-1 - (1 << i)] for i in range(n)])))
         return tuple(tables)
 
     # -- transforms ---------------------------------------------------------

@@ -485,6 +485,24 @@ def test_report_fields(ex3):
     assert not rep.gap
 
 
+def test_report_runs_bw_converse_once(ex2, monkeypatch):
+    """ex2 has one eavesdropper at K = 4 and unequal H(z_q | z_4), so its
+    beta* is the bandwidth converse at C and report reads bw_lower off it."""
+    import securegroupcast.bounds as bounds_module
+    real = bounds_module.bw_converse
+    rates = []
+
+    def counting(config, rate):
+        rates.append(rate)
+        return real(config, rate)
+
+    monkeypatch.setattr(bounds_module, "bw_converse", counting)
+    assert len(set(ex2.eavesdropper_tables[0][2])) > 1
+    rep = report(ex2)
+    assert rates == [rep.exact.C]
+    assert rep.bw_lower == rep.exact.beta_star == real(ex2, rep.exact.C).value
+
+
 # -- structural properties ----------------------------------------------------------------
 
 def random_config(rng, k=None):

@@ -102,6 +102,12 @@ def _with_qualified(qualified):
     return obj
 
 
+def _with_symbols(symbols):
+    obj = ex3_obj()
+    obj["keys"][3]["symbols"] = symbols
+    return obj
+
+
 @pytest.mark.parametrize("obj", [
     # an integer is a receiver list of neither kind (nor a bitmask)
     pytest.param(_with_qualified(3), id="qualified-int"),
@@ -112,6 +118,13 @@ def _with_qualified(qualified):
     pytest.param(_with_qualified(None), id="qualified-null"),
     pytest.param(_with_qualified([0, 1]), id="qualified-receiver-0"),
     pytest.param(_with_qualified([1, 5]), id="qualified-receiver-K+1"),
+    pytest.param(_with_qualified([1, 2, 3, 4]), id="qualified-all-receivers"),
+    pytest.param(_with_qualified([]), id="qualified-empty"),
+    pytest.param(_with_symbols(True), id="symbols-true"),
+    pytest.param(_with_symbols(1.5), id="symbols-float"),
+    pytest.param(_with_symbols(-1), id="symbols-negative"),
+    pytest.param(_with_symbols("2"), id="symbols-string"),
+    pytest.param(_with_symbols(None), id="symbols-null"),
     pytest.param(_with_subset(3), id="subset-int"),
     pytest.param(_with_subset(None), id="subset-null"),
     pytest.param(_with_subset("14"), id="subset-string"),

@@ -220,15 +220,19 @@ def test_eavesdropper_tables_match_entropies(k, data):
     assert isinstance(tables, tuple)
     local = sorted(qualified)
     assert [e for e, _, _ in tables] == sorted(config.eavesdroppers)
-    for e, w, a in tables:
-        assert isinstance(w, tuple) and isinstance(a, tuple)
+    for e, f, a in tables:
+        assert isinstance(f, tuple) and isinstance(a, tuple)
         given_e = held_by(config, e)
         assert a == tuple(entropy_of(config, {q}, given_e) for q in local)
-        for t, wt in enumerate(w):
+        w_ref = []
+        for t in range(len(f)):
             part = sum(1 << (q - 1) for i, q in enumerate(local) if t >> i & 1)
-            assert wt == sum(size for m, size in config.keys.items()
+            w_ref.append(sum(size for m, size in config.keys.items()
                              if m & config.qualified_mask == part and part
-                             and not m >> (e - 1) & 1)
+                             and not m >> (e - 1) & 1))
+        assert len(f) == 1 << len(local)
+        for s, fs in enumerate(f):
+            assert fs == sum(w_ref[t] for t in range(len(f)) if t & s == t)
 
 
 # -- relabelings against set-by-set and trial references ------------------------------
