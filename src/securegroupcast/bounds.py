@@ -265,8 +265,8 @@ def report(config: KeyConfig) -> BoundsReport:
     known rate, exact values where recognized, and the looseness flag."""
     upper = rate_converse(config)
     exact = exact_capacity(config)
-    if exact is not None and exact.setting == MULTICAST and config.K == 4:
-        bw_lower = exact.beta_star     # bw_converse(config, exact.C) already
+    if exact is not None and exact.setting == MULTICAST and exact.beta_star is not None:
+        bw_lower = exact.beta_star     # equals bw_converse(config, exact.C)
     else:
         bw_lower = bw_converse(config, exact.C if exact is not None else upper).value
     gap = exact is not None and exact.C < upper

@@ -96,10 +96,7 @@ def config_from_obj(obj: Any) -> KeyConfig:
         qualified_mask = _receivers_mask(qualified, k)
     except ConfigError as exc:
         raise ConfigError(f"'qualified': {exc}") from None
-    if not 0 < qualified_mask < (1 << k) - 1:
-        raise ConfigError("'qualified' must be a nonempty subset of [1..K] that "
-                          "leaves at least one eavesdropper")
-    sizes: dict[int, int] = {}
+    sizes = []
     for i, entry in enumerate(keys):
         try:
             subset = entry["subset"]
@@ -107,18 +104,13 @@ def config_from_obj(obj: Any) -> KeyConfig:
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"keys[{i}] needs 'subset' and 'symbols'") from exc
         try:
-            m = _receivers_mask(subset, k)
+            sizes.append((_receivers_mask(subset, k), symbols))
         except ConfigError as exc:
             raise ConfigError(f"keys[{i}].subset: {exc}") from None
-        if not m:
-            raise ConfigError(f"keys[{i}].subset is empty")
-        if m in sizes:
-            raise ConfigError(f"keys[{i}]: duplicate subset {sorted(set_of(m))}")
-        if type(symbols) is not int or symbols < 0:
-            raise ConfigError(f"keys[{i}].symbols must be a nonnegative integer, "
-                              f"got {symbols!r}")
-        sizes[m] = symbols
-    return KeyConfig(k, qualified_mask, {m: sizes[m] for m in sorted(sizes) if sizes[m]})
+    try:
+        return KeyConfig.from_masks(k, qualified_mask, sizes)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
 
 
 def config_to_obj(config: KeyConfig) -> dict:

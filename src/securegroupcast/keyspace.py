@@ -81,29 +81,37 @@ class KeyConfig:
     @classmethod
     def of(cls, K: int, qualified: Iterable[int] | int,
            keys: Mapping[Iterable[int] | int, int]) -> "KeyConfig":
+        """Config from receiver collections or masks; see `from_masks`."""
+        return cls.from_masks(K, mask_of(qualified),
+                              [(subset if type(subset) is int else mask_of(subset), size)
+                               for subset, size in keys.items()])
+
+    @classmethod
+    def from_masks(cls, K: int, qualified_mask: int,
+                   sizes: Iterable[tuple[int, int]]) -> "KeyConfig":
+        """Config from (subset mask, size) pairs, after the checks every
+        input goes through: K in range, a nonempty qualified set that
+        leaves an eavesdropper, nonempty subsets of [1..K] given once, and
+        nonnegative integer sizes.  Zero sizes are dropped and the keys
+        sorted by mask."""
         if not 1 <= K <= MAX_RECEIVERS:
             raise ValueError(f"K must be in [1, {MAX_RECEIVERS}], got {K}")
         full = (1 << K) - 1
-        q = mask_of(qualified)
-        if q == 0 or q & ~full:
-            raise ValueError("qualified set must be a nonempty subset of [1..K]")
-        if q == full:
-            raise ValueError("qualified set must leave at least one eavesdropper")
+        if not 0 < qualified_mask < full:
+            raise ValueError("qualified set must be a nonempty subset of [1..K] "
+                             "that leaves at least one eavesdropper")
         norm: dict[int, int] = {}
-        for subset, size in keys.items():
-            m = subset if type(subset) is int else mask_of(subset)
+        for m, size in sizes:
             if not 0 < m <= full:
-                raise ValueError(f"key subset {subset!r} outside [1..K]")
-            if isinstance(size, bool) or not isinstance(size, int):
-                raise ValueError(f"key size for {subset!r} must be an integer, "
-                                 f"got {size!r}")
-            if size < 0:
-                raise ValueError(f"key size for {subset!r} is negative")
+                raise ValueError(f"key subset {sorted(set_of(m))} is empty or "
+                                 f"outside [1..{K}]")
+            if type(size) is not int or size < 0:
+                raise ValueError(f"key size for {sorted(set_of(m))} must be a "
+                                 f"nonnegative integer, got {size!r}")
             if m in norm:
                 raise ValueError(f"duplicate key subset {sorted(set_of(m))}")
-            if size:
-                norm[m] = size
-        return cls(K=K, qualified_mask=q, keys={m: norm[m] for m in sorted(norm)})
+            norm[m] = size
+        return cls(K, qualified_mask, {m: norm[m] for m in sorted(norm) if norm[m]})
 
     # -- views ------------------------------------------------------------
 

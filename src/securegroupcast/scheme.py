@@ -262,10 +262,6 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
         raise ValueError(f"receiver {k} is not qualified")
     unknown, demanded, forbidden = scheme.column_masks(k)
     f = scheme.field
-    if not scheme.L_X:   # nothing to read: only an empty demand is decoded
-        if demanded:
-            raise NotDecodableError(f"receiver {k} cannot decode")
-        return FMatrix.zeros(f, 0, scheme.D - unknown.bit_count())
     m = np.concatenate([scheme.B.array, scheme.A.array], axis=1)
     dem = mask_columns(demanded)
     # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0]

@@ -487,7 +487,9 @@ def test_report_fields(ex3):
 
 def test_report_runs_bw_converse_once(ex2, monkeypatch):
     """ex2 has one eavesdropper at K = 4 and unequal H(z_q | z_4), so its
-    beta* is the bandwidth converse at C and report reads bw_lower off it."""
+    beta* is the bandwidth converse at C and report reads bw_lower off it.
+    With one eavesdropper and equal H(z_q | z_e), beta* is the size of the
+    keys e lacks, read off the table, and bw_converse does not run."""
     import securegroupcast.bounds as bounds_module
     real = bounds_module.bw_converse
     rates = []
@@ -501,6 +503,13 @@ def test_report_runs_bw_converse_once(ex2, monkeypatch):
     rep = report(ex2)
     assert rates == [rep.exact.C]
     assert rep.bw_lower == rep.exact.beta_star == real(ex2, rep.exact.C).value
+    rates.clear()
+    equal = KeyConfig.of(3, [1, 2], {(1,): 2, (2,): 2, (1, 2): 1, (2, 3): 1, (1, 3): 3})
+    assert len(set(equal.eavesdropper_tables[0][2])) == 1
+    rep = report(equal)
+    assert (rep.exact.setting, rep.exact.C, rep.exact.beta_star) == (MULTICAST, 3, 5)
+    assert rates == []
+    assert rep.bw_lower == rep.exact.beta_star == real(equal, rep.exact.C).value
 
 
 # -- structural properties ----------------------------------------------------------------

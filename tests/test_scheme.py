@@ -104,38 +104,6 @@ def test_gf2_verify_is_linear_in_unknown_width():
     assert time.perf_counter() - start < 2.0
 
 
-def test_decoder_without_rows_lists_no_columns(monkeypatch):
-    """With L_X = 0 a receiver reads nothing, so decoder_for answers from
-    its demanded mask alone: receiver 1 of the wide-key scheme cannot
-    decode, and neither the decoder nor the oracle lists the 2,000,000 key
-    columns it lacks.  A receiver that demands nothing gets the decoder
-    with no rows and one column per held key symbol."""
-    scheme = LinearScheme(field=F2, L=1, K=2, qualified=frozenset({1}),
-                          layout=((frozenset({2}), 2_000_000),),
-                          A=FMatrix.zeros(F2, 0, 1), B=FMatrix.zeros(F2, 0, 2_000_000))
-    listed = []
-    real = scheme_module.mask_columns
-
-    def listing(mask):
-        columns = real(mask)
-        listed.append(len(columns))
-        return columns
-
-    monkeypatch.setattr(scheme_module, "mask_columns", listing)
-    with pytest.raises(NotDecodableError):
-        decoder_for(scheme, 1)
-    assert listed == []
-    assert oracle_verify(scheme) == scheme_module.OracleReport(
-        correct={1: False}, decode_success={1: 0.0}, leakage_bits={2: 0.0},
-        secure={2: True}, states=2)
-    assert max(listed) < 2_000_000
-    keyed = LinearScheme(field=F3, L=1, K=3, qualified=frozenset({1, 2}),
-                         layout=((frozenset({1}), 2), (frozenset({2, 3}), 3)),
-                         A=FMatrix.zeros(F3, 0, 0), B=FMatrix.zeros(F3, 0, 5))
-    assert decoder_for(keyed, 1).array.shape == (0, 2)
-    assert decoder_for(keyed, 2).array.shape == (0, 3)
-
-
 def test_wrong_role_queries_rejected():
     s = otp()
     with pytest.raises(ValueError):
