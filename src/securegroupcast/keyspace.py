@@ -31,12 +31,14 @@ from functools import cached_property
 from math import comb
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 MAX_RECEIVERS = 20
 
 # (e, f, a) for one eavesdropper; see the module docstring.
 EavesdropperTable = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+T = TypeVar("T")
 
 
 class WrongShapeError(ValueError):
@@ -53,6 +55,17 @@ def mask_of(receivers: Iterable[int] | int) -> int:
     return m
 
 
+def relabel_mask(mask: int, perm: Mapping[int, int]) -> int:
+    """The mask of the receivers in `mask` after a receiver permutation
+    (old label -> new label)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (perm[low.bit_length()] - 1)
+        mask ^= low
+    return out
+
+
 def set_of(mask: int) -> frozenset[int]:
     out = []
     while mask > 0:
@@ -67,8 +80,9 @@ class KeyConfig:
     """K receivers, a qualified subset, and per-subset key sizes.
 
     `keys` maps subset masks to positive symbol counts in ascending mask
-    order; absent subsets mean size 0.  It is a read-only copy, so the
-    tables cached on a config never go stale.
+    order; absent subsets mean size 0.  It is a read-only copy, so what
+    is cached on a config (its views, eavesdropper tables and `memo`
+    facts) never goes stale.
     """
 
     K: int
@@ -115,17 +129,17 @@ class KeyConfig:
 
     # -- views ------------------------------------------------------------
 
-    @property
+    @cached_property
     def qualified(self) -> frozenset[int]:
         return set_of(self.qualified_mask)
 
-    @property
+    @cached_property
     def eavesdroppers(self) -> frozenset[int]:
         return frozenset(range(1, self.K + 1)) - self.qualified
 
-    @property
+    @cached_property
     def N(self) -> int:
-        return bin(self.qualified_mask).count("1")
+        return self.qualified_mask.bit_count()
 
     def key_size(self, subset: Iterable[int] | int) -> int:
         return self.keys.get(mask_of(subset), 0)
@@ -166,6 +180,19 @@ class KeyConfig:
             tables.append((e, tuple(f), tuple([f[-1] - f[-1 - (1 << i)] for i in range(n)])))
         return tuple(tables)
 
+    def memo(self, fact: Callable[["KeyConfig"], T]) -> T:
+        """fact(self), computed on the first call with that function and
+        kept on this config, for facts that layers above keyspace derive
+        from a config (bounds.exact_capacity)."""
+        facts = self._facts
+        if fact not in facts:
+            facts[fact] = fact(self)
+        return facts[fact]
+
+    @cached_property
+    def _facts(self) -> dict:
+        return {}
+
     # -- transforms ---------------------------------------------------------
 
     def scaled(self, t: int) -> "KeyConfig":
@@ -177,17 +204,8 @@ class KeyConfig:
 
     def relabeled(self, perm: Mapping[int, int]) -> "KeyConfig":
         """Apply a receiver permutation (old label -> new label)."""
-        bits = [1 << (perm[k] - 1) for k in range(1, self.K + 1)]
-
-        def pm(mask: int) -> int:
-            out = 0
-            while mask:
-                low = mask & -mask
-                out |= bits[low.bit_length() - 1]
-                mask ^= low
-            return out
-        return KeyConfig(self.K, pm(self.qualified_mask),
-                         dict(sorted((pm(m), s) for m, s in self.keys.items())))
+        return KeyConfig(self.K, relabel_mask(self.qualified_mask, perm),
+                         dict(sorted((relabel_mask(m, perm), s) for m, s in self.keys.items())))
 
 
 def entropy_of(config: KeyConfig, receivers: Iterable[int] | int,
@@ -229,23 +247,21 @@ def is_symmetric(config: KeyConfig) -> tuple[bool, tuple[int, ...]]:
 
 # -- canonical relabelings -------------------------------------------------
 
-def canonical_relabel(config: KeyConfig) -> tuple[KeyConfig, dict[int, int]]:
-    """Permutation sending qualified receivers to 1..N (order preserved).
-
-    Returns (relabeled config, permutation old->new).
-    """
+def canonical_relabel(config: KeyConfig) -> dict[int, int]:
+    """Permutation (old label -> new label) sending the qualified receivers
+    to 1..N and the eavesdroppers to N+1..K, order preserved in each."""
     qualified = sorted(config.qualified)
     eaves = sorted(config.eavesdroppers)
-    perm = {old: new for new, old in enumerate(qualified + eaves, start=1)}
-    return config.relabeled(perm), perm
+    return {old: new for new, old in enumerate(qualified + eaves, start=1)}
 
 
 def invert_perm(perm: Mapping[int, int]) -> dict[int, int]:
     return {new: old for old, new in perm.items()}
 
 
-def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[int, int]]:
-    """Relabel receivers into the canonical order a setting assumes.
+def normalize_labels(config: KeyConfig, setting: str) -> dict[int, int]:
+    """Permutation (old label -> new label) into the canonical order a
+    setting assumes; `config.relabeled(perm)` is the config in that order.
 
     multicast_k4:   K=4, |qualified|=3.  After relabeling, receiver 4 is
         the eavesdropper, H(z_1|z_4) <= min(H(z_2|z_4), H(z_3|z_4)), and
@@ -253,8 +269,8 @@ def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[i
     groupcast_2of4: K=4, |qualified|=2.  After relabeling, qualified is
         {1,2} with H(s_1) <= H(s_2) and H(s_124) <= H(s_123).
 
-    Returns (relabeled config, permutation old->new); the permutation is
-    what callers invert to map results back to original labels.
+    Builders read the normalized key sizes through the inverse
+    permutation, so no relabeled config is built.
     """
     if setting == "multicast_k4":
         if config.K != 4 or config.N != 3:
@@ -267,8 +283,7 @@ def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[i
         # is smallest for the receiver labeled 2.
         rest = sorted((q for q in qualified if q != first),
                       key=lambda q: config.key_size({first, q}))
-        perm = {first: 1, rest[0]: 2, rest[1]: 3, e: 4}
-        return config.relabeled(perm), perm
+        return {first: 1, rest[0]: 2, rest[1]: 3, e: 4}
     if setting == "groupcast_2of4":
         if config.K != 4 or config.N != 2:
             raise WrongShapeError(f"groupcast_2of4 needs K=4, N=2; got K={config.K}, N={config.N}")
@@ -278,6 +293,5 @@ def normalize_labels(config: KeyConfig, setting: str) -> tuple[KeyConfig, dict[i
         e1, e2 = sorted(config.eavesdroppers)
         q_swap = config.key_size({q1}) > config.key_size({q2})
         e_swap = config.key_size({q1, q2, e2}) > config.key_size({q1, q2, e1})
-        perm = {q1: 1 + q_swap, q2: 2 - q_swap, e1: 3 + e_swap, e2: 4 - e_swap}
-        return config.relabeled(perm), perm
+        return {q1: 1 + q_swap, q2: 2 - q_swap, e1: 3 + e_swap, e2: 4 - e_swap}
     raise ValueError(f"unknown setting {setting!r}")

@@ -163,6 +163,13 @@ class LinearScheme:
         return ColumnRanks(FMatrix._reduced(
             self.field, np.concatenate([self.B.array, self.A.array], axis=1)))
 
+    @cached_property
+    def _verdict(self) -> "VerifyReport":
+        """verify(self), built on first use."""
+        return VerifyReport(
+            correct={k: verify_correctness(self, k) for k in sorted(self.qualified)},
+            leakage={e: verify_security(self, e) for e in sorted(self.eavesdroppers)})
+
     # -- key layout ------------------------------------------------------
 
     def column_masks(self, k: int) -> tuple[int, int, int]:
@@ -202,12 +209,29 @@ class LinearScheme:
                    meta=meta or {})
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError; == and json.dumps still take
+    it for a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a verify report is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
 @dataclass(frozen=True)
 class VerifyReport:
-    """Exact algebraic verdicts: per-receiver decode, per-eavesdropper leak."""
+    """Exact algebraic verdicts: per-receiver decode, per-eavesdropper leak.
+
+    Both mappings are read-only, as every caller of verify(scheme) shares
+    the scheme's one report."""
 
     correct: Mapping[int, bool]
     leakage: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "correct", _ReadOnlyDict(self.correct))
+        object.__setattr__(self, "leakage", _ReadOnlyDict(self.leakage))
 
     @property
     def ok(self) -> bool:
@@ -246,10 +270,11 @@ def verify_security(scheme: LinearScheme, e: int) -> int:
 
 
 def verify(scheme: LinearScheme) -> VerifyReport:
-    """Run the algebraic correctness and security tests for all receivers."""
-    correct = {k: verify_correctness(scheme, k) for k in sorted(scheme.qualified)}
-    leakage = {e: verify_security(scheme, e) for e in sorted(scheme.eavesdroppers)}
-    return VerifyReport(correct=correct, leakage=leakage)
+    """The algebraic correctness and security tests for all receivers.
+
+    They run once per scheme; the report is cached on it, so
+    synth.build_verified's check also answers every later caller."""
+    return scheme._verdict
 
 
 def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:

@@ -14,9 +14,9 @@ from ..bounds import (ALIGNED_2OF5, GROUPCAST_2OF4, MULTICAST, SYMMETRIC,
                       UNICAST, ZERO_RATE, aligned_2of5_key_size, exact_capacity)
 from ..keyspace import KeyConfig
 from ..scheme import LinearScheme
-from ._common import (KEY_SYMBOL_LIMIT, SegmentAllocator, SynthesisError,
-                      TooManyKeySymbolsError, UnsolvedSettingError, build_verified,
-                      empty_scheme)
+from ._common import (KEY_SYMBOL_LIMIT, MatrixTooLargeError, SegmentAllocator,
+                      SynthesisError, TooManyKeySymbolsError, UnsolvedSettingError,
+                      build_verified, empty_scheme)
 from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
                           component_instance, groupcast_2of4)
 from .instance25 import _instance_2of5, instance_2of5
@@ -27,7 +27,7 @@ from .symmetric import symmetric
 from .unicast import unicast
 
 __all__ = [
-    "COMPONENTS", "ComponentSig", "InfeasibleRates", "SegmentAllocator",
+    "COMPONENTS", "ComponentSig", "InfeasibleRates", "MatrixTooLargeError", "SegmentAllocator",
     "SynthesisError", "TooManyKeySymbolsError", "UnsolvedSettingError", "build_verified",
     "component_counts", "component_instance", "groupcast_2of4",
     "instance_2of5", "min_bandwidth", "multicast", "multicast_k4_bw",
@@ -42,7 +42,8 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
     takes the bandwidth-optimal variant when K = 4; a zero rate converse
     takes the empty scheme).  Raises UnsolvedSettingError when no
     setting is recognized, TooManyKeySymbolsError when the config's key
-    symbols reach KEY_SYMBOL_LIMIT, and SynthesisError when the scheme
+    symbols reach KEY_SYMBOL_LIMIT, MatrixTooLargeError when a matrix of
+    the scheme would pass CELL_BUDGET, and SynthesisError when the scheme
     misses C or a known beta*.
     """
     exact = exact_capacity(config)

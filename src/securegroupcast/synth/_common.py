@@ -1,5 +1,5 @@
-"""Shared synthesis machinery: budgeted key-column allocation and the
-single verification gate every builder passes.
+"""Shared synthesis machinery: budgeted key-column allocation, the matrix
+cell budget and the single verification gate every builder passes.
 
 Every builder constructs its scheme once.  The Cauchy builders (unicast,
 multicast, symmetric) work over GF(least_prime_at_least(rows + cols)) of
@@ -31,6 +31,23 @@ class TooManyKeySymbolsError(ValueError):
 
 
 KEY_SYMBOL_LIMIT = 1 << 63   # the int64 range of scheme-file entries
+
+# int64 cells per builder matrix (2 GiB): each builder checks the shapes of
+# its A and B against it before it allocates either.
+CELL_BUDGET = 1 << 28
+
+
+class MatrixTooLargeError(ValueError):
+    """A builder's matrix would hold more than CELL_BUDGET cells."""
+
+
+def check_cells(*shapes: tuple[int, int]) -> None:
+    """Raise MatrixTooLargeError if a (rows, cols) shape passes CELL_BUDGET."""
+    for rows, cols in shapes:
+        if rows * cols > CELL_BUDGET:
+            raise MatrixTooLargeError(
+                f"the scheme needs a {rows} x {cols} matrix, more than the budget "
+                f"of 2^{CELL_BUDGET.bit_length() - 1} int64 cells per matrix")
 
 
 def empty_scheme(config: KeyConfig, builder: str, seed: int) -> LinearScheme:

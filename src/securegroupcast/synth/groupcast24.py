@@ -37,9 +37,9 @@ import numpy as np
 
 from ..fmatrix import FMatrix
 from ..gf import Field
-from ..keyspace import KeyConfig, normalize_labels
+from ..keyspace import KeyConfig, invert_perm, normalize_labels
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, in_caller_labels
+from ._common import SegmentAllocator, build_verified, check_cells
 
 _F2 = Field(2)
 
@@ -146,13 +146,16 @@ def component_counts(sizes: dict[frozenset[int], int]) -> tuple[dict[str, int], 
 
 def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
     """Capacity- and bandwidth-optimal GF(2) scheme for 2-of-4 groupcast."""
-    norm, perm = normalize_labels(config, "groupcast_2of4")
-    sizes = {subset: norm.key_size(subset) for subset in USEFUL_SUBSETS}
+    back = invert_perm(normalize_labels(config, "groupcast_2of4"))
+    # each useful subset in normalized labels, and its receivers in the caller's
+    subsets = [(subset, frozenset(back[k] for k in subset)) for subset in USEFUL_SUBSETS]
+    sizes = {subset: config.key_size(caller) for subset, caller in subsets}
     counts, case = component_counts(sizes)
     lw = sum(counts.values())
     lx = sum(COMPONENTS[name].tx_bits * n for name, n in counts.items())
     layout = tuple((subset, sizes[subset]) for subset in USEFUL_SUBSETS if sizes[subset])
     alloc = SegmentAllocator(layout)
+    check_cells((lx, lw), (lx, alloc.total))
     a = np.zeros((lx, lw), dtype=np.int64)
     b = np.zeros((lx, alloc.total), dtype=np.int64)
     row = msg = 0
@@ -165,9 +168,9 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
                     b[row, bit[subset]] = 1
                 row += 1
             msg += 1
-    qualified, layout = in_caller_labels(perm, _s(1, 2), layout)
     return build_verified(LinearScheme(
-        field=_F2, L=1, K=4, qualified=qualified, layout=layout,
+        field=_F2, L=1, K=4, qualified=config.qualified,
+        layout=tuple((caller, sizes[subset]) for subset, caller in subsets if sizes[subset]),
         A=FMatrix(_F2, a), B=FMatrix(_F2, b),
         meta={"builder": "groupcast_2of4", "case": case, "counts": counts,
               "seed": seed, "escalations": 0}))

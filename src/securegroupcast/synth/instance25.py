@@ -26,13 +26,15 @@ synthesize computes in these labels and writes the scheme in the caller's.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from ..bounds import ALIGNED_2OF5_KEYS
 from ..fmatrix import FMatrix
 from ..gf import Field
 from ..scheme import LinearScheme
-from ._common import build_verified, in_caller_labels
+from ._common import build_verified, check_cells, in_caller_labels
 
 _F2 = Field(2)
 
@@ -66,7 +68,7 @@ def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
     return _instance_2of5(key_size, seed, {k: k for k in range(1, 6)})
 
 
-def _instance_2of5(ell: int, seed: int, perm: dict[int, int]) -> LinearScheme:
+def _instance_2of5(ell: int, seed: int, perm: Mapping[int, int]) -> LinearScheme:
     """instance_2of5's scheme for a caller whose labels perm maps into
     those of ALIGNED_2OF5_KEYS, written in the caller's labels."""
     if ell < 0:
@@ -78,6 +80,7 @@ def _instance_2of5(ell: int, seed: int, perm: dict[int, int]) -> LinearScheme:
         return build_verified(LinearScheme.empty(5, qualified, L=BLOCKS_PER_COPY, meta=meta))
     lw = MSG_BITS_PER_COPY * ell
     lx = TX_BITS_PER_COPY * ell
+    check_cells((lx, lw), (lx, len(ALIGNED_2OF5_KEYS) * width))
     a = np.zeros((lx, lw), dtype=np.int64)
     b = np.zeros((lx, len(ALIGNED_2OF5_KEYS) * width), dtype=np.int64)
     for copy in range(ell):

@@ -30,6 +30,7 @@ import numpy as np
 from ..fmatrix import FMatrix
 from ..gf import Field
 from ..scheme import LinearScheme
+from ._common import check_cells
 
 _F2 = Field(2)
 _OWNERS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
@@ -79,14 +80,16 @@ def multimessage(sizes: tuple[int, int, int],
     l1, l2, l12 = sizes
     r1, r2, r12 = rates
     w12, overflow = r1 + r2, max(0, r12 - l12)   # first column of W12; common overflow
+    lx = r1 + r2 + r12 + overflow
+    check_cells((lx, r1 + r2 + r12), (lx, l1 + l2 + l12))
     # each transmitted bit is one message bit plus one key bit: (A column, B column)
     rows = ([(i, i) for i in range(r1)]                                   # W1[i] + s1[i]
             + [(r1 + i, l1 + i) for i in range(r2)]                       # W2[i] + s2[i]
             + [(w12 + i, l1 + l2 + i) for i in range(min(r12, l12))]      # W12[i] + s12[i]
             + [(w12 + l12 + i, r1 + i) for i in range(overflow)]          # under fresh s1 bits
             + [(w12 + l12 + i, l1 + r2 + i) for i in range(overflow)])    # and fresh s2 bits
-    a = np.zeros((len(rows), r1 + r2 + r12), dtype=np.int64)
-    b = np.zeros((len(rows), l1 + l2 + l12), dtype=np.int64)
+    a = np.zeros((lx, r1 + r2 + r12), dtype=np.int64)
+    b = np.zeros((lx, l1 + l2 + l12), dtype=np.int64)
     for row, (msg, key) in enumerate(rows):
         a[row, msg] = b[row, key] = 1
     return LinearScheme(field=_F2, L=1, K=3, qualified=frozenset({1, 2}),

@@ -30,7 +30,8 @@ from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
 from ..keyspace import KeyConfig, WrongShapeError, canonical_relabel, is_symmetric, mask_of
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, empty_scheme, in_caller_labels
+from ._common import (SegmentAllocator, build_verified, check_cells, empty_scheme,
+                      in_caller_labels)
 
 
 def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -38,7 +39,7 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     flag, profile = is_symmetric(config)
     if not flag:
         raise WrongShapeError("symmetric needs one key size per subset cardinality")
-    _, perm = canonical_relabel(config)
+    perm = canonical_relabel(config)
     K, N = config.K, config.N
     qualified = list(range(1, N + 1))
     eavesdroppers = list(range(N + 1, K + 1))
@@ -80,6 +81,7 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     groups_meta = [{"u": g["u"], "i": g["i"], "rate": g["m"],
                     "bandwidth": len(g["blocks"]) * g["b"]} for g in plan]
 
+    check_cells((lx, lw), (lx, alloc.total))
     field = Field(least_prime_at_least(p_floor))
     a = np.zeros((lx, lw), dtype=np.int64)
     bmat = np.zeros((lx, alloc.total), dtype=np.int64)

@@ -16,7 +16,7 @@ from ..gf import Field, least_prime_at_least
 from ..keyspace import KeyConfig, WrongShapeError, set_of
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import build_verified, empty_scheme
+from ._common import build_verified, check_cells, empty_scheme
 
 
 def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
@@ -29,7 +29,7 @@ def unicast(config: KeyConfig, seed: int = 0) -> LinearScheme:
         return empty_scheme(config, "unicast", seed)
     total = sum(size for _, size in keys)
     layout = tuple((set_of(m), size) for m, size in keys)
-
+    check_cells((lw, lw), (lw, total))
     field = Field(least_prime_at_least(lw + total))
     return build_verified(LinearScheme(
         field=field, L=1, K=config.K, qualified=config.qualified, layout=layout,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from paper_reference import k4_beta_star
@@ -346,7 +347,8 @@ def _aligned_2of5_by_search(config):
     sizes = set(config.keys.values())
     if config.K != 5 or config.N != 2 or len(config.keys) != 5 or len(sizes) != 1:
         return None
-    base, perm0 = canonical_relabel(config)
+    perm0 = canonical_relabel(config)
+    base = config.relabeled(perm0)
     for q_order in ((1, 2), (2, 1)):
         for e_order in permutations((3, 4, 5)):
             extra = dict(zip(range(1, 6), q_order + e_order))
@@ -455,6 +457,35 @@ def test_multicast_k4_formula_matches_sum_when_equal():
                                          (1, 3): 2, (2, 3): 2, (1, 2, 3): 1})
     got = exact_capacity(config)
     assert got.beta_star == 2 + 2 + 1 + 1 + 2 + 2 + 1
+
+
+@pytest.mark.parametrize("K, qualified, keys, setting, aligned", [
+    (4, [2, 3], {(2,): 1, (3,): 2, (1, 2): 2, (2, 4): 3, (1, 3): 1, (3, 4): 2,
+                 (1, 2, 3): 1, (2, 3, 4): 2}, GROUPCAST_2OF4, 0),
+    (5, [2, 4], {(2,): 1, (1, 2, 4): 1, (2, 3, 5): 1, (3, 4): 1, (4, 5): 1}, ALIGNED_2OF5, 1),
+], ids=["2of4", "aligned_2of5"])
+def test_report_and_synthesize_recognize_the_setting_once(monkeypatch, K, qualified, keys,
+                                                          setting, aligned):
+    """exact_capacity and the aligned 2-of-5 detection keep their answers
+    on the config: report and synthesize share one recognition, and an
+    equal config is recognized on its own."""
+    import securegroupcast.bounds as bounds_module
+    from securegroupcast import synthesize
+    calls = {"_recognize": [], "_aligned_2of5": []}
+    for name, got in calls.items():
+        def counting(config, original=getattr(bounds_module, name), got=got):
+            got.append(config)
+            return original(config)
+        monkeypatch.setattr(bounds_module, name, counting)
+    config = KeyConfig.of(K, qualified, keys)
+    rep = report(config)
+    scheme = synthesize(config)
+    assert [c is config for c in calls["_recognize"]] == [True]
+    assert [c is config for c in calls["_aligned_2of5"]] == [True] * aligned
+    assert rep.exact is exact_capacity(config)
+    assert rep.exact.setting == setting and scheme.rate == rep.exact.C
+    twin = KeyConfig.of(K, qualified, keys)
+    assert exact_capacity(twin) == rep.exact and len(calls["_recognize"]) == 2
 
 
 # -- gap diagnostics -------------------------------------------------------------------
@@ -596,8 +627,7 @@ def _beta_star_witnesses(config, setting):
     if setting in (UNICAST, ZERO_RATE):
         return [(e, {q}) for e in config.eavesdroppers for q in config.qualified]
     if setting == MULTICAST and len(set(config.eavesdropper_tables[0][2])) > 1:
-        _, perm = normalize_labels(config, "multicast_k4")
-        back = invert_perm(perm)
+        back = invert_perm(normalize_labels(config, "multicast_k4"))
         return [(back[4], {back[q] for q in group}) for group in ({1, 2}, {1, 2, 3})]
     return [(e, config.qualified) for e in config.eavesdroppers]
 

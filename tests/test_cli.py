@@ -3,10 +3,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securegroupcast import KeyConfig, synthesize
+from securegroupcast import KeyConfig, synthesize, verify
 from securegroupcast.cli import (EXIT_OK, EXIT_PARSE, EXIT_REJECTED,
                                  EXIT_UNSOLVED, config_from_obj, config_to_obj,
-                                 main, scheme_from_obj, scheme_to_obj)
+                                 main, scheme_from_obj, scheme_to_obj, verify_report_obj)
+from securegroupcast.fmatrix import ColumnRanks
+from securegroupcast.synth import MatrixTooLargeError
+from securegroupcast.synth._common import CELL_BUDGET, check_cells
 
 
 def write(tmp_path, name, obj):
@@ -266,6 +269,49 @@ def test_synth_refuses_key_symbols_past_int64(tmp_path, capsys, obj, c, code):
     refused = code == EXIT_PARSE
     assert ("2^63" in capsys.readouterr().err) == refused
     assert out_path.exists() != refused
+
+
+@pytest.mark.parametrize("obj", [
+    huge_key_config(3, [1, 2], ([1, 2], 1 << 62)),
+    huge_key_config(4, [1, 2, 3], ([1, 2, 3], 1 << 40)),
+    huge_key_config(4, [1, 2], ([1, 2], 1 << 40)),
+    huge_key_config(2, [1], ([1], 1 << 40)),
+    huge_key_config(5, [1, 2], *(([k], 1 << 20) for k in range(1, 6))),
+    huge_key_config(5, [1, 2], *((s, 1 << 20) for s in ([1], [1, 2, 3], [1, 4, 5],
+                                                         [2, 4], [2, 5]))),
+], ids=["multicast_2^62", "multicast_k4", "2of4", "unicast", "symmetric", "aligned_2of5"])
+def test_synth_refuses_matrix_past_cell_budget(tmp_path, capsys, obj):
+    """Below the int64 key-symbol limit, but a builder matrix would pass the
+    cell budget: synth exits 2 naming the budget, before it allocates."""
+    cfg = write(tmp_path, "c.json", obj)
+    out_path = tmp_path / "s.json"
+    assert main(["synth", cfg, "-o", str(out_path)]) == EXIT_PARSE
+    assert "budget of 2^28 int64 cells" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_cell_budget_bound():
+    assert CELL_BUDGET == 1 << 28
+    check_cells((1 << 14, 1 << 14), (0, 1 << 40))
+    with pytest.raises(MatrixTooLargeError):
+        check_cells((1, 1), ((1 << 14) + 1, 1 << 14))
+
+
+def test_scheme_is_ranked_once_through_synth_verify_and_cli(ex3, monkeypatch):
+    """build_verified's check answers the later verify and
+    verify_report_obj: one ColumnRanks.ranks call per receiver in all."""
+    calls = []
+    original = ColumnRanks.ranks
+
+    def counting(self, left, right):
+        calls.append((left, right))
+        return original(self, left, right)
+    monkeypatch.setattr(ColumnRanks, "ranks", counting)
+    scheme = synthesize(ex3)
+    assert verify(scheme).ok
+    out, ok = verify_report_obj(scheme, want_oracle=False)
+    assert ok and out["ok"]
+    assert len(calls) == scheme.K == 4
 
 
 def test_synth_seeds_give_verifiable_schemes(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -248,7 +248,8 @@ def _relabel_by_sets(config, perm):
 def _normalize_2of4_by_trials(config):
     """Try the four swaps of the qualified pair and the eavesdropper pair on
     relabeled copies, in order; keep the first that meets both orderings."""
-    base, perm0 = canonical_relabel(config)
+    perm0 = canonical_relabel(config)
+    base = config.relabeled(perm0)
     for q_swap in (False, True):
         for e_swap in (False, True):
             extra = {1: 2 if q_swap else 1, 2: 1 if q_swap else 2,
@@ -297,9 +298,9 @@ def test_normalize_2of4_matches_trial_relabelings():
         for _ in range(60):
             keys = {m: rng.choice(sizes) for m in range(1, 16)}
             config = KeyConfig.of(4, qualified, keys)
-            norm, perm = normalize_labels(config, "groupcast_2of4")
+            perm = normalize_labels(config, "groupcast_2of4")
             ref_norm, ref_perm = _normalize_2of4_by_trials(config)
-            assert norm == ref_norm
+            assert config.relabeled(perm) == ref_norm
             assert list(perm.items()) == list(ref_perm.items())
 
 
@@ -307,21 +308,22 @@ def test_normalize_2of4_matches_trial_relabelings():
 
 def test_canonical_relabel_moves_qualified_first():
     config = KeyConfig.of(4, [2, 4], {(2, 3): 5})
-    relabeled, perm = canonical_relabel(config)
+    perm = canonical_relabel(config)
+    relabeled = config.relabeled(perm)
     assert relabeled.qualified == {1, 2}
     assert perm[2] == 1 and perm[4] == 2
     assert relabeled.relabeled(invert_perm(perm)) == config
 
 
 def test_normalize_2of4_identity_when_already_ordered(ex3):
-    norm, perm = normalize_labels(ex3, "groupcast_2of4")
+    perm = normalize_labels(ex3, "groupcast_2of4")
     assert perm == {1: 1, 2: 2, 3: 3, 4: 4}
-    assert norm == ex3
+    assert ex3.relabeled(perm) == ex3
 
 
 def test_normalize_2of4_restores_swapped_labels(ex3):
     swapped = ex3.relabeled({1: 2, 2: 1, 3: 3, 4: 4})
-    norm, perm = normalize_labels(swapped, "groupcast_2of4")
+    norm = swapped.relabeled(normalize_labels(swapped, "groupcast_2of4"))
     assert norm.key_size({1}) <= norm.key_size({2})
     assert norm.key_size({1, 2, 4}) <= norm.key_size({1, 2, 3})
     assert norm == ex3
@@ -329,12 +331,13 @@ def test_normalize_2of4_restores_swapped_labels(ex3):
 
 def test_normalize_2of4_orders_eavesdroppers():
     config = KeyConfig.of(4, [1, 2], {(1, 2, 3): 1, (1, 2, 4): 2})
-    norm, _ = normalize_labels(config, "groupcast_2of4")
+    norm = config.relabeled(normalize_labels(config, "groupcast_2of4"))
     assert norm.key_size({1, 2, 4}) <= norm.key_size({1, 2, 3})
 
 
 def test_normalize_multicast_k4(ex2):
-    norm, perm = normalize_labels(ex2, "multicast_k4")
+    perm = normalize_labels(ex2, "multicast_k4")
+    norm = ex2.relabeled(perm)
     e_keys = held_by(norm, 4)
     h1 = entropy_of(norm, {1}, e_keys)
     assert h1 <= entropy_of(norm, {2}, e_keys)
@@ -346,7 +349,8 @@ def test_normalize_multicast_k4(ex2):
 def _multicast_k4_perm_by_entropy(config):
     """The K=4 ordering from the entropy calculus: canonical labels, then
     H(z_q | z_4) ascending, then the pair key with the first receiver."""
-    base, perm0 = canonical_relabel(config)
+    perm0 = canonical_relabel(config)
+    base = config.relabeled(perm0)
     e_keys = held_by(base, 4)
     order = sorted((1, 2, 3), key=lambda q: entropy_of(base, {q}, e_keys))
     first = order[0]
@@ -362,9 +366,7 @@ def test_normalize_multicast_k4_matches_entropy_order():
         qualified = rng.sample(range(1, 5), 3)
         keys = {m: rng.randint(0, 3) for m in range(1, 16)}
         config = KeyConfig.of(4, qualified, keys)
-        norm, perm = normalize_labels(config, "multicast_k4")
-        assert perm == _multicast_k4_perm_by_entropy(config)
-        assert norm == config.relabeled(perm)
+        assert normalize_labels(config, "multicast_k4") == _multicast_k4_perm_by_entropy(config)
 
 
 def test_normalize_wrong_shape(fig4):
@@ -379,9 +381,58 @@ def test_normalize_always_possible_for_2of4():
     for l1, l2, l123, l124 in [(0, 3, 1, 2), (3, 0, 2, 1), (1, 1, 5, 0)]:
         config = KeyConfig.of(4, [1, 2], {(1,): l1, (2,): l2,
                                           (1, 2, 3): l123, (1, 2, 4): l124})
-        norm, _ = normalize_labels(config, "groupcast_2of4")
+        norm = config.relabeled(normalize_labels(config, "groupcast_2of4"))
         assert norm.key_size({1}) <= norm.key_size({2})
         assert norm.key_size({1, 2, 4}) <= norm.key_size({1, 2, 3})
+
+
+def test_normalize_2of4_ordering_on_every_config_with_sizes_0_1():
+    """All 32,768 configs with sizes 0..1 over the 15 subsets, the qualified
+    pair cycling over all six: relabeled through the permutation, the
+    qualified pair is {1, 2}, l1 <= l2 and l124 <= l123."""
+    pairs = list(combinations(range(1, 5), 2))
+    for bits in range(1 << 15):
+        config = KeyConfig.of(4, pairs[bits % 6], {m: bits >> (m - 1) & 1 for m in range(1, 16)})
+        perm = normalize_labels(config, "groupcast_2of4")
+        assert sorted(perm) == sorted(perm.values()) == [1, 2, 3, 4]
+        norm = config.relabeled(perm)
+        assert norm.qualified == {1, 2}
+        assert norm.key_size({1}) <= norm.key_size({2})
+        assert norm.key_size({1, 2, 4}) <= norm.key_size({1, 2, 3})
+
+
+def test_normalize_multicast_k4_ordering_on_every_config_with_sizes_0_2():
+    """All 2,187 K = 4 one-eavesdropper configs whose seven keys the
+    eavesdropper lacks are sized 0..2, the eavesdropper cycling over 1..4:
+    relabeled through the permutation, receiver 4 is the eavesdropper,
+    H(z_1 | z_4) is least among the qualified and l12 <= l13."""
+    for i, sizes in enumerate(product(range(3), repeat=7)):
+        qualified = [k for k in range(1, 5) if k != 4 - i % 4]
+        subsets = [s for n in (1, 2, 3) for s in combinations(qualified, n)]
+        config = KeyConfig.of(4, qualified, dict(zip(subsets, sizes)))
+        perm = normalize_labels(config, "multicast_k4")
+        assert sorted(perm) == sorted(perm.values()) == [1, 2, 3, 4]
+        norm = config.relabeled(perm)
+        assert norm.eavesdroppers == {4}
+        h = [entropy_of(norm, {q}, held_by(norm, 4)) for q in (1, 2, 3)]
+        assert h[0] == min(h)
+        assert norm.key_size({1, 2}) <= norm.key_size({1, 3})
+
+
+def test_config_views_are_cached_per_config():
+    config = KeyConfig.of(5, [2, 4], {(2, 3): 1})
+    assert (config.qualified, config.eavesdroppers, config.N) == ({2, 4}, {1, 3, 5}, 2)
+    assert config.qualified is config.qualified
+    assert config.eavesdroppers is config.eavesdroppers
+    calls = []
+
+    def fact(c):
+        calls.append(c)
+        return c.N + 1
+    assert config.memo(fact) == config.memo(fact) == 3
+    twin = KeyConfig.of(5, [2, 4], {(2, 3): 1})
+    assert twin == config and twin.memo(fact) == 3
+    assert len(calls) == 2 and calls[1] is twin   # kept per config object, not per value
 
 
 # -- validation -----------------------------------------------------------------------------

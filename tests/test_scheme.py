@@ -1,4 +1,6 @@
+import json
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -85,6 +87,29 @@ def test_verify_report(ex3):
     assert rep.ok
     assert set(rep.correct) == {1, 2}
     assert set(rep.leakage) == {3, 4}
+
+
+def test_verify_report_is_shared_and_read_only(ex3):
+    """Every caller of verify(scheme) gets the scheme's one report, so its
+    mappings refuse changes, and the next call answers the same.  They
+    stay dicts to json.dumps and ==."""
+    from securegroupcast import synthesize
+    scheme = synthesize(ex3)
+    rep = verify(scheme)
+    assert verify(scheme) is rep
+    for mapping, key in ((rep.correct, 1), (rep.leakage, 3)):
+        for mutate in (lambda: operator.setitem(mapping, key, 0),
+                       lambda: operator.delitem(mapping, key),
+                       lambda: operator.ior(mapping, {key: 0}),
+                       lambda: mapping.update({key: 0}), lambda: mapping.pop(key),
+                       lambda: mapping.setdefault(9, 0), mapping.popitem, mapping.clear):
+            with pytest.raises(TypeError):
+                mutate()
+    again = verify(scheme)
+    assert again.ok
+    assert (again.correct, again.leakage) == ({1: True, 2: True}, {3: 0, 4: 0})
+    assert json.loads(json.dumps([again.correct, again.leakage])) == [
+        {"1": True, "2": True}, {"3": 0, "4": 0}]
 
 
 def test_gf2_verify_is_linear_in_unknown_width():
