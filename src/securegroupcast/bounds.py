@@ -30,11 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
-from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from . import keyspace
-from .keyspace import KeyConfig, mask_of, relabel_mask, set_of
+from .keyspace import KeyConfig, mask_of, set_of
 
 Number = Union[int, Fraction]
 
@@ -191,23 +190,17 @@ def _symmetric_capacity(config: KeyConfig, profile: tuple[int, ...]) -> ExactCap
     return ExactCapacity(setting=SYMMETRIC, C=c, beta_star=beta)
 
 
-def aligned_2of5_key_size(config: KeyConfig) -> Optional[tuple[int, Mapping[int, int]]]:
+def aligned_2of5_key_size(config: KeyConfig) -> Optional[tuple[int, dict[int, int]]]:
     """Detect the five-key aligned 2-of-5 topology up to relabeling.
 
     The topology has qualified pair {1,2} and exactly the keys
     {1}, {1,2,3}, {1,4,5}, {2,4}, {2,5}, all of one equal size.  Returns
-    (key size, read-only permutation old->new into those labels), or
-    None.  The labels are read off the keys: 1 holds the one-receiver
-    key, 2 is the other qualified receiver, 3 the eavesdropper in the key
-    both share, and 4, 5 the other two in ascending order; relabeling the
-    five key masks then confirms them.  Detected once per config
-    (`KeyConfig.memo`), so exact_capacity and synth.synthesize share it.
+    (key size, permutation old->new into those labels), or None.  The
+    labels are read off the keys: 1 holds the one-receiver key, 2 is the
+    other qualified receiver, 3 the eavesdropper in the key both share,
+    and 4, 5 the other two in ascending order; one relabeled copy then
+    confirms all five keys.
     """
-    return config.memo(_aligned_2of5)
-
-
-def _aligned_2of5(config: KeyConfig) -> Optional[tuple[int, Mapping[int, int]]]:
-    """aligned_2of5_key_size(config), computed."""
     if config.K != 5 or config.N != 2 or len(config.keys) != 5:
         return None
     sizes = set(config.keys.values())
@@ -225,9 +218,9 @@ def _aligned_2of5(config: KeyConfig) -> Optional[tuple[int, Mapping[int, int]]]:
     (second,) = config.qualified - {first}
     fourth, fifth = sorted(config.eavesdroppers - {third})
     perm = {first: 1, second: 2, third: 3, fourth: 4, fifth: 5}
-    if {relabel_mask(m, perm) for m in config.keys} != _ALIGNED_2OF5_MASKS:
+    if set(config.relabeled(perm).keys) != _ALIGNED_2OF5_MASKS:
         return None
-    return ell, MappingProxyType(perm)
+    return ell, perm
 
 
 def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:

@@ -55,17 +55,6 @@ def mask_of(receivers: Iterable[int] | int) -> int:
     return m
 
 
-def relabel_mask(mask: int, perm: Mapping[int, int]) -> int:
-    """The mask of the receivers in `mask` after a receiver permutation
-    (old label -> new label)."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (perm[low.bit_length()] - 1)
-        mask ^= low
-    return out
-
-
 def set_of(mask: int) -> frozenset[int]:
     out = []
     while mask > 0:
@@ -204,8 +193,17 @@ class KeyConfig:
 
     def relabeled(self, perm: Mapping[int, int]) -> "KeyConfig":
         """Apply a receiver permutation (old label -> new label)."""
-        return KeyConfig(self.K, relabel_mask(self.qualified_mask, perm),
-                         dict(sorted((relabel_mask(m, perm), s) for m, s in self.keys.items())))
+        bits = [1 << (perm[k] - 1) for k in range(1, self.K + 1)]
+
+        def pm(mask: int) -> int:
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= bits[low.bit_length() - 1]
+                mask ^= low
+            return out
+        return KeyConfig(self.K, pm(self.qualified_mask),
+                         dict(sorted((pm(m), s) for m, s in self.keys.items())))
 
 
 def entropy_of(config: KeyConfig, receivers: Iterable[int] | int,
@@ -269,8 +267,8 @@ def normalize_labels(config: KeyConfig, setting: str) -> dict[int, int]:
     groupcast_2of4: K=4, |qualified|=2.  After relabeling, qualified is
         {1,2} with H(s_1) <= H(s_2) and H(s_124) <= H(s_123).
 
-    Builders read the normalized key sizes through the inverse
-    permutation, so no relabeled config is built.
+    groupcast_2of4 reads its normalized key sizes through the inverse
+    permutation, so it builds no relabeled config.
     """
     if setting == "multicast_k4":
         if config.K != 4 or config.N != 3:

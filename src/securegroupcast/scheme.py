@@ -218,6 +218,10 @@ class _ReadOnlyDict(dict):
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild it through dict.__init__
+        return (_ReadOnlyDict, (dict(self),))
+
 
 @dataclass(frozen=True)
 class VerifyReport:

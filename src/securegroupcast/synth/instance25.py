@@ -26,8 +26,6 @@ synthesize computes in these labels and writes the scheme in the caller's.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from ..bounds import ALIGNED_2OF5_KEYS
@@ -68,7 +66,7 @@ def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
     return _instance_2of5(key_size, seed, {k: k for k in range(1, 6)})
 
 
-def _instance_2of5(ell: int, seed: int, perm: Mapping[int, int]) -> LinearScheme:
+def _instance_2of5(ell: int, seed: int, perm: dict[int, int]) -> LinearScheme:
     """instance_2of5's scheme for a caller whose labels perm maps into
     those of ALIGNED_2OF5_KEYS, written in the caller's labels."""
     if ell < 0:

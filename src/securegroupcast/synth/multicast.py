@@ -26,11 +26,11 @@ import numpy as np
 
 from ..fmatrix import FMatrix, cauchy
 from ..gf import Field, least_prime_at_least
-from ..keyspace import (KeyConfig, WrongShapeError, invert_perm, normalize_labels, relabel_mask,
-                        set_of)
+from ..keyspace import KeyConfig, WrongShapeError, normalize_labels, set_of
 from ..bounds import rate_converse
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, check_cells, empty_scheme
+from ._common import (SegmentAllocator, build_verified, check_cells, empty_scheme,
+                      in_caller_labels)
 
 Pairs = Sequence[tuple[frozenset[int], int]]
 
@@ -78,20 +78,20 @@ def multicast_k4_bw(config: KeyConfig, seed: int = 0) -> LinearScheme:
     receivers 2/3's private keys it replaces.
     """
     perm = normalize_labels(config, "multicast_k4")
+    norm = config.relabeled(perm)
     lw = rate_converse(config)
     if lw == 0:
         return empty_scheme(config, "multicast_k4_bw", seed)
-    back = invert_perm(perm)
-    l1, l12, l13, l23 = (config.key_size(back[k] for k in s)
-                         for s in ({1}, {1, 2}, {1, 3}, {2, 3}))
+    l1, l12, l13, l23 = (norm.key_size(s) for s in ({1}, {1, 2}, {1, 3}, {2, 3}))
     case = ("pair23 covers both" if l23 >= l1 + l13
             else "pair23 covers receiver 3" if l23 >= l1 + l12 else "pair23 short")
-    # the keys the eavesdropper lacks as (normalized mask, mask), in normalized order
-    lacking = sorted((relabel_mask(m, perm), m) for m in config.keys if not m >> (back[4] - 1) & 1)
-    layout = [(set_of(m), config.keys[m]) for _, m in lacking]
-    trimmed = [({2}, l1 + l13 - l23), ({3}, l1 + l12 - l23), ({2, 3}, min(l23, l1 + l13))]
-    sent = ([(set_of(m), config.keys[m]) for norm, m in lacking if norm & 1]
-            + [(frozenset(back[k] for k in s), n) for s, n in trimmed if n > 0])
+    layout = [(set_of(m), size) for m, size in norm.keys.items() if not m & 0b1000]
+    trimmed = [(frozenset({2}), l1 + l13 - l23), (frozenset({3}), l1 + l12 - l23),
+               (frozenset({2, 3}), min(l23, l1 + l13))]
+    sent = ([(s, n) for s, n in layout if 1 in s]
+            + [(s, n) for s, n in trimmed if n > 0])
+    _, layout = in_caller_labels(perm, (), layout)
+    _, sent = in_caller_labels(perm, (), sent)
     return _padded_cauchy(config, layout, sent, lw,
                           {"builder": "multicast_k4_bw", "case": case, "escalations": 0,
                            "seed": seed})

@@ -459,33 +459,33 @@ def test_multicast_k4_formula_matches_sum_when_equal():
     assert got.beta_star == 2 + 2 + 1 + 1 + 2 + 2 + 1
 
 
-@pytest.mark.parametrize("K, qualified, keys, setting, aligned", [
+@pytest.mark.parametrize("K, qualified, keys, setting", [
     (4, [2, 3], {(2,): 1, (3,): 2, (1, 2): 2, (2, 4): 3, (1, 3): 1, (3, 4): 2,
-                 (1, 2, 3): 1, (2, 3, 4): 2}, GROUPCAST_2OF4, 0),
-    (5, [2, 4], {(2,): 1, (1, 2, 4): 1, (2, 3, 5): 1, (3, 4): 1, (4, 5): 1}, ALIGNED_2OF5, 1),
+                 (1, 2, 3): 1, (2, 3, 4): 2}, GROUPCAST_2OF4),
+    (5, [2, 4], {(2,): 1, (1, 2, 4): 1, (2, 3, 5): 1, (3, 4): 1, (4, 5): 1}, ALIGNED_2OF5),
 ], ids=["2of4", "aligned_2of5"])
 def test_report_and_synthesize_recognize_the_setting_once(monkeypatch, K, qualified, keys,
-                                                          setting, aligned):
-    """exact_capacity and the aligned 2-of-5 detection keep their answers
-    on the config: report and synthesize share one recognition, and an
-    equal config is recognized on its own."""
+                                                          setting):
+    """exact_capacity keeps its answer on the config: report and
+    synthesize share one recognition, and an equal config is recognized
+    on its own."""
     import securegroupcast.bounds as bounds_module
     from securegroupcast import synthesize
-    calls = {"_recognize": [], "_aligned_2of5": []}
-    for name, got in calls.items():
-        def counting(config, original=getattr(bounds_module, name), got=got):
-            got.append(config)
-            return original(config)
-        monkeypatch.setattr(bounds_module, name, counting)
+    calls = []
+    original = bounds_module._recognize
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+    monkeypatch.setattr(bounds_module, "_recognize", counting)
     config = KeyConfig.of(K, qualified, keys)
     rep = report(config)
     scheme = synthesize(config)
-    assert [c is config for c in calls["_recognize"]] == [True]
-    assert [c is config for c in calls["_aligned_2of5"]] == [True] * aligned
+    assert [c is config for c in calls] == [True]
     assert rep.exact is exact_capacity(config)
     assert rep.exact.setting == setting and scheme.rate == rep.exact.C
     twin = KeyConfig.of(K, qualified, keys)
-    assert exact_capacity(twin) == rep.exact and len(calls["_recognize"]) == 2
+    assert exact_capacity(twin) == rep.exact and len(calls) == 2
 
 
 # -- gap diagnostics -------------------------------------------------------------------

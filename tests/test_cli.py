@@ -8,8 +8,6 @@ from securegroupcast.cli import (EXIT_OK, EXIT_PARSE, EXIT_REJECTED,
                                  EXIT_UNSOLVED, config_from_obj, config_to_obj,
                                  main, scheme_from_obj, scheme_to_obj, verify_report_obj)
 from securegroupcast.fmatrix import ColumnRanks
-from securegroupcast.synth import MatrixTooLargeError
-from securegroupcast.synth._common import CELL_BUDGET, check_cells
 
 
 def write(tmp_path, name, obj):
@@ -288,13 +286,6 @@ def test_synth_refuses_matrix_past_cell_budget(tmp_path, capsys, obj):
     assert main(["synth", cfg, "-o", str(out_path)]) == EXIT_PARSE
     assert "budget of 2^28 int64 cells" in capsys.readouterr().err
     assert not out_path.exists()
-
-
-def test_cell_budget_bound():
-    assert CELL_BUDGET == 1 << 28
-    check_cells((1 << 14, 1 << 14), (0, 1 << 40))
-    with pytest.raises(MatrixTooLargeError):
-        check_cells((1, 1), ((1 << 14) + 1, 1 << 14))
 
 
 def test_scheme_is_ranked_once_through_synth_verify_and_cli(ex3, monkeypatch):

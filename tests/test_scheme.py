@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import operator
+import pickle
 import random
 import time
 from collections import Counter
@@ -110,6 +112,10 @@ def test_verify_report_is_shared_and_read_only(ex3):
     assert (again.correct, again.leakage) == ({1: True, 2: True}, {3: 0, 4: 0})
     assert json.loads(json.dumps([again.correct, again.leakage])) == [
         {"1": True, "2": True}, {"3": 0, "4": 0}]
+    for twin in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert twin == rep and twin.ok
+        with pytest.raises(TypeError):
+            twin.correct[1] = False
 
 
 def test_gf2_verify_is_linear_in_unknown_width():
