@@ -35,7 +35,10 @@ Verification is exact, never statistical:
   by a constant, so every such slice has the same (view, message)
   partition and one slice is counted.  The message of a decoding check is
   the receiver's demanded digits and that of a security check its
-  forbidden digits; the other message digits are enumerated as noise.
+  forbidden digits; the other message digits count as noise.  Fixing the
+  message digits shifts X by a constant too, so when X has fewer live rows
+  than the check has noise digits, the repeating noise codes are counted
+  once each and shifted by every message value.
 """
 
 from __future__ import annotations
@@ -361,13 +364,21 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # slice of p^(m - |J|) states.  The message of a check is a list of message
 # digits: k's demanded digits when it decodes, its forbidden digits when it
 # must learn nothing; the other message digits are free digits like unknown
-# keys.  The message digits are enumerated lowest.  Per check one code per
-# state (int32 when it fits in 31 bits) holds X above the message digits;
-# one sort of it groups the states per (view, message) and per view.
-# Decoding is read off two group counts; group sizes are built only for
-# security checks.  The decoder's error is enumerated only on the digits
-# where it has a nonzero column, as no other digit can change whether it
-# vanishes.
+# keys (noise).  A check codes X above the message bits (int32 when it fits
+# in 31 bits); one sort groups the codes per (view, message) and per view.
+# Fixing the message digits likewise shifts X by a constant, X's value on
+# that message value.  So when X has fewer live forms (rows nonzero on the
+# free digits) than there are noise digits, pigeonhole makes the noise
+# codes repeat: they are coded once and each distinct code is kept once.
+# X is linear, so each distinct code stands for the same number of noise
+# states (a coset of the kernel), which becomes the weight of every entry.
+# Each message value's views are the distinct codes plus its shift, one
+# slot-wise mod-p add per code.  Any other check codes every free state,
+# message digits lowest.  Both give the same group sizes in the same
+# (view code, message) order.  Decoding is read off two group
+# counts; group sizes are built only for security checks.  The decoder's
+# error is enumerated only on the digits where it has a nonzero column, as
+# no other digit can change whether it vanishes.
 
 
 def oracle_cap() -> int:
@@ -389,11 +400,14 @@ def _slot_bits(p: int) -> int:
     return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _expand(p: int, m: int, forms: np.ndarray, low: int = 0) -> np.ndarray:
+def _expand(p: int, m: int, forms: np.ndarray, low: int = 0,
+            base: Optional[np.ndarray] = None) -> np.ndarray:
     """Values of the linear forms (rows of `forms`, one coefficient per
     state digit) on all p^m states, packed one residue per slot of
     _slot_bits(p) bits from bit `low` up, first form lowest; int32 when
-    every slot lies below bit 31, else int64.
+    every slot lies below bit 31, else int64.  Given `base`, codes of the
+    same forms on other digits, entry s * len(base) + i holds base[i] plus
+    the values on state s.
 
     The states with digit j equal to d are the states below p^j plus
     d * e_j, so the code is built digit by digit from its values on unit
@@ -404,13 +418,15 @@ def _expand(p: int, m: int, forms: np.ndarray, low: int = 0) -> np.ndarray:
     """
     w = _slot_bits(p)
     dtype = np.int32 if low + w * len(forms) <= 31 else np.int64
-    code = np.zeros(p ** m, dtype=dtype)
+    h = 1 if base is None else len(base)
+    code = np.zeros(p ** m * h, dtype=dtype)
+    if base is not None:
+        code[:h] = base
     spare = np.empty_like(code)   # scratch of the GF(p) reduction, shared by all digits
     shifts = low + np.arange(len(forms), dtype=np.int64) * w
     g = w - 1
     lift = dtype(np.sum(((1 << g) - p) << shifts))
     guards = dtype(np.sum(1 << (shifts + g)))
-    h = 1
     for j in range(m):
         # the code's values on d * e_j for d = 1 .. p-1
         units = ((np.arange(1, p)[:, None] * forms[:, j]) % p << shifts).sum(axis=1).astype(dtype)
@@ -464,11 +480,13 @@ def state_code(p: int, m: int, forms: np.ndarray, low: int = 0) -> tuple[np.ndar
     return code << low, bits + low
 
 
-def group_stats(joint: np.ndarray, message_bits: int, messages: int) -> GroupCounts:
+def group_stats(joint: np.ndarray, message_bits: int, messages: int,
+                weight: int = 1) -> GroupCounts:
     """Groups of one in-place sort of the joint code, whose low `message_bits`
-    bits hold the message and the rest the view."""
+    bits hold the message and the rest the view; each entry stands for
+    `weight` states."""
     joint.sort()
-    return GroupCounts(joint[1:] ^ joint[:-1], (1 << message_bits) - 1, messages)
+    return GroupCounts(joint[1:] ^ joint[:-1], (1 << message_bits) - 1, messages, weight)
 
 
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
@@ -486,22 +504,23 @@ class GroupCounts:
     states, messages uniform over `messages` values.  `step` is the XOR of
     neighbours in the sorted joint code: a nonzero step starts a joint
     group, and a step above `msg_mask`, the message bits, starts a view
-    group too.  The group sizes are built on first use; decodes() needs
-    only counts."""
+    group too.  Each sorted entry stands for `weight` states.  The group
+    sizes are built on first use; decodes() needs only counts."""
 
     step: np.ndarray
     msg_mask: int
     messages: int
+    weight: int = 1
 
     @cached_property
     def view(self) -> np.ndarray:
         """State count per view, in code order."""
-        return _sizes(self.step > self.msg_mask)
+        return _sizes(self.step > self.msg_mask) * self.weight
 
     @cached_property
     def joint(self) -> np.ndarray:
         """State count per (view, message), each view's consecutively."""
-        return _sizes(self.step != 0)
+        return _sizes(self.step != 0) * self.weight
 
     def decodes(self) -> bool:
         """Every view determines the message: every step that starts a
@@ -520,7 +539,7 @@ class GroupCounts:
         exactly 0.0 when independent()."""
         if self.independent():
             return 0.0
-        n = len(self.step) + 1
+        n = (len(self.step) + 1) * self.weight
         return (math.log2(self.messages) + _entropy_bits(self.view, n)
                 - _entropy_bits(self.joint, n))
 
@@ -532,17 +551,29 @@ def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
     holds one row of coefficients per entry of X, one column per state
     digit.
 
-    Only the other (free) digits are enumerated, message digits first:
-    every slice where the held digits are fixed has the same (view,
-    message) partition.  The message digits are the lowest, so the message
-    value of a free state is its index mod p^len(message), and it fills the
-    spare low bits of the view's code."""
+    Only the other (free) digits count: every slice where the held digits
+    are fixed has the same (view, message) partition.  The message value
+    fills the spare low bits of the view's code.  With fewer live forms
+    than noise digits (free digits outside the message) the noise codes
+    repeat, so each distinct one is kept once and shifted by the forms'
+    values on each message value.  The forms are linear, so every distinct
+    code repeats equally often, p^len(noise) / (distinct codes) times, the
+    weight of each entry.  Otherwise every free state is coded, message
+    digits lowest, so a state's message value is its index mod
+    p^len(message)."""
     skip = set(held).union(message)
-    free = list(message) + [j for j in range(x_forms.shape[1]) if j not in skip]
-    forms = x_forms[:, free]
+    noise = [j for j in range(x_forms.shape[1]) if j not in skip]
+    free = list(message) + noise
+    forms = x_forms[x_forms[:, free].any(axis=1)]
     q = p ** len(message)
     message_bits = (q - 1).bit_length()
-    code, _ = state_code(p, len(free), forms[forms.any(axis=1)], message_bits)
+    if len(forms) < len(noise) and _slot_bits(p) * len(forms) + message_bits <= _CODE_BITS:
+        codes = np.unique(_expand(p, len(noise), forms[:, noise], message_bits))
+        joint = _expand(p, len(message), forms[:, list(message)], message_bits, codes)
+        by_message = joint.reshape(q, -1)   # a view of joint, one row per message value
+        by_message |= np.arange(q, dtype=joint.dtype)[:, None]
+        return group_stats(joint, message_bits, q, p ** len(noise) // len(codes))
+    code, _ = state_code(p, len(free), forms[:, free], message_bits)
     by_message = code.reshape(-1, q)   # a view of code
     by_message |= np.arange(q, dtype=code.dtype)
     return group_stats(code, message_bits, q)
@@ -579,10 +610,11 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
     b = scheme.B.array
     used = np.flatnonzero(b.any(axis=0)).tolist()
     m = scheme.L_W + len(used)
+    # 2^m > cap needs no power; a decimal past 4,300 digits is refused by Python
+    if m > cap.bit_length() or p ** m > cap:
+        shown = f" = {p ** m}" if m * p.bit_length() <= 14_000 else ""
+        raise TooLargeError(f"p^(L_W + D_used) = {p}^{m}{shown} exceeds the oracle cap {cap}")
     states = p ** m
-    if states > cap:
-        raise TooLargeError(
-            f"p^(L_W + D_used) = {p}^{m} = {states} exceeds the oracle cap {cap}")
     x_forms = np.concatenate([scheme.A.array, b[:, used]], axis=1)
 
     def groups(k: int, message: int) -> GroupCounts:

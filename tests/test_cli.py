@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -562,6 +565,88 @@ def test_verify_oversized_oracle_falls_back(tmp_path, capsys, monkeypatch):
     rep = json.loads(captured.out)
     assert rep["ok"] and "skipped" in rep["oracle"]
     assert "authoritative" in captured.err
+
+
+@st.composite
+def mutated_scheme_objects(draw):
+    """A well-formed random scheme file, then a few of its p, Lx, widths,
+    subsets and matrix entries replaced by values in and out of range."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(2, 4))
+    labels = st.integers(1, k)
+    qualified = draw(st.lists(labels, min_size=1, max_size=k - 1, unique=True))
+    layout = [{"subset": draw(st.lists(labels, min_size=1, max_size=k, unique=True)),
+               "width": draw(st.integers(0, 3))} for _ in range(draw(st.integers(0, 3)))]
+    lw, lx = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    d = sum(seg["width"] for seg in layout)
+    entries = st.integers(0, p - 1)
+    obj = {"p": p, "L": 1, "Lw": lw, "Lx": lx, "K": k, "qualified": qualified,
+           "layout": layout, "A": [[draw(entries) for _ in range(lw)] for _ in range(lx)],
+           "B": [[draw(entries) for _ in range(d)] for _ in range(lx)], "meta": {}}
+    odd_int = st.sampled_from([-1, 0, 1, 2, 5, 10**6, 2**62, 2**63 - 1, 2**63, -2**63])
+    for kind in draw(st.lists(st.sampled_from(["p", "Lx", "width", "wide", "subset", "entry"]),
+                              max_size=3)):
+        if kind == "p":
+            obj["p"] = draw(st.sampled_from(
+                [0, 1, 4, 9, -3, 2, 3, 7, 13, 65537, 1099511627791, 2**61 - 1,
+                 2**64 + 13, 2.0, True, "3", None]))
+        elif kind == "Lx":
+            obj["Lx"] = draw(st.integers(-1, 5) | st.just(None))
+        elif kind == "width" and layout:
+            seg = draw(st.sampled_from(layout))
+            seg["width"] = draw(odd_int | st.just(1.5))
+        elif kind == "wide":
+            # thousands of used key columns: p^(L_W + D_used) has more
+            # decimal digits than Python prints
+            layout.append({"subset": [1], "width": 15_000})
+            for row in obj["B"]:
+                row.extend([1] * 15_000)
+        elif kind == "subset" and layout:
+            seg = draw(st.sampled_from(layout))
+            seg["subset"] = draw(st.sampled_from([[], [0], [k + 1], [1, 1], "1", [1.5], None])
+                                 | st.lists(labels, min_size=1, max_size=k))
+        elif kind == "entry":
+            rows = [row for row in obj["A"] + obj["B"] if row]
+            if rows:
+                row = draw(st.sampled_from(rows))
+                row[draw(st.integers(0, len(row) - 1))] = draw(
+                    odd_int | st.integers(-3 * p, 3 * p) | st.sampled_from([1.5, True, None]))
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_scheme_objects())
+def test_verify_oracle_survives_mutated_scheme_files(tmp_path_factory, obj):
+    """`sgc verify --oracle` on any such file accepts (0), refuses it as
+    malformed (2) or rejects the scheme (5), within a time bound, and never
+    ends in a traceback."""
+    path = write(tmp_path_factory.mktemp("mutated"), "s.json", obj)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", path, "--oracle"])
+    assert time.perf_counter() - start < 10.0
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_REJECTED), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_PARSE:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert json.loads(out.getvalue())["ok"] == (code == EXIT_OK)
+
+
+def test_verify_oracle_refuses_state_count_past_decimal_limit(tmp_path, capsys):
+    """2^15001 states has 4,516 decimal digits, past what Python prints; the
+    refusal names the power alone, while smaller counts keep their value."""
+    obj = otp_scheme_obj(layout=[{"subset": [1], "width": 15_000}], B=[[1] * 15_000])
+    assert main(["verify", write(tmp_path, "s.json", obj), "--oracle"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["oracle"] == {
+        "skipped": "p^(L_W + D_used) = 2^15001 exceeds the oracle cap 4194304"}
+    assert "Traceback" not in captured.err
+    obj = otp_scheme_obj(layout=[{"subset": [1], "width": 24}], B=[[1] * 24])
+    assert main(["verify", write(tmp_path, "s.json", obj), "--oracle"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["oracle"] == {
+        "skipped": "p^(L_W + D_used) = 2^25 = 33554432 exceeds the oracle cap 4194304"}
 
 
 # -- demos ----------------------------------------------------------------------------

@@ -503,6 +503,79 @@ def test_group_counts_match_brute_force_grouping(case):
     assert abs(groups.leakage_bits() - want_bits) < 1e-9
 
 
+def enumerated_groups(p, forms, held, message):
+    """view_groups' answer with every free state coded, message digits lowest."""
+    free = list(message) + [j for j in range(forms.shape[1])
+                            if j not in held and j not in message]
+    live = forms[:, free][forms[:, free].any(axis=1)]
+    q = p ** len(message)
+    message_bits = (q - 1).bit_length()
+    code, _ = state_code(p, len(free), live, message_bits)
+    by_message = code.reshape(-1, q)
+    by_message |= np.arange(q, dtype=code.dtype)
+    return scheme_module.group_stats(code, message_bits, q)
+
+
+@st.composite
+def compressible_view(draw):
+    """Forms, held digits and a message (in any digit order) whose live
+    forms are fewer than the noise digits; some forms are nonzero only on
+    held digits, so the view drops them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, {2: 10, 3: 6, 5: 4, 7: 3}[p]))
+    order = draw(st.permutations(range(m)))
+    n_held = draw(st.integers(0, m - 1))
+    n_message = draw(st.integers(0, m - 1 - n_held))
+    held, message = order[:n_held], order[n_held:n_held + n_message]
+    noise = order[n_held + n_message:]
+    entry = st.sampled_from([0, 1]) | st.integers(0, p - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, len(noise) - 1))):
+        rows.append(draw(st.lists(entry, min_size=m, max_size=m)))
+    for _ in range(draw(st.integers(0, 2)) if held else 0):
+        rows.append([draw(entry) if j in held else 0 for j in range(m)])
+    forms = np.array(draw(st.permutations(rows)), dtype=np.int64).reshape(len(rows), m)
+    return p, forms, held, message
+
+
+@settings(max_examples=200, deadline=None)
+@given(compressible_view())
+def test_message_shift_matches_enumeration(case):
+    """With fewer live forms than noise digits, each distinct noise code is
+    kept once, weighted by the count they share, and shifted by every
+    message value; the group sizes and the leakage float equal those of
+    coding every free state."""
+    p, forms, held, message = case
+    groups = view_groups(p, forms, held, message)
+    assert groups.weight > 1   # the compressed route ran
+    decodes = groups.decodes()
+    assert "view" not in vars(groups) and "joint" not in vars(groups)
+    full = enumerated_groups(p, forms, held, message)
+    assert full.weight == 1
+    for name in ("view", "joint"):
+        got, want = getattr(groups, name), getattr(full, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (groups.msg_mask, groups.messages) == (full.msg_mask, full.messages)
+    assert decodes == full.decodes()
+    assert groups.independent() == full.independent()
+    assert groups.leakage_bits() == full.leakage_bits()   # bit for bit
+
+    def observe(state):
+        return (tuple(sum(c * d for c, d in zip(row, state)) % p for row in forms.tolist())
+                + tuple(state[j] for j in held), tuple(state[j] for j in message))
+
+    ref = group_by_view(forms.shape[1], p, observe)
+    want_decodes, want_independent, want_bits = reference_verdicts(ref, p ** len(message))
+    assert (decodes, groups.independent()) == (want_decodes, want_independent)
+    assert abs(groups.leakage_bits() - want_bits) < 1e-9
+    # the reference's view holds the held digits, so each of the p^len(held)
+    # slices repeats the view's group sizes
+    assert sorted(groups.view.tolist() * p ** len(held)) == sorted(
+        sum(c.values()) for c in ref.values())
+    assert sorted(groups.joint.tolist() * p ** len(held)) == sorted(
+        v for c in ref.values() for v in c.values())
+
+
 def cross_check_scheme(rng, p):
     """A random scheme of at most 1024 states; some key columns unused."""
     field = Field(p)
@@ -528,9 +601,16 @@ def cross_check_scheme(rng, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_oracle_matches_state_by_state_reference(p):
+def test_oracle_matches_state_by_state_reference(p, monkeypatch):
     rng = random.Random(p * 7919)
     seen = Counter()
+
+    def recording(*args):
+        groups = view_groups(*args)
+        seen["compressed check"] += groups.weight > 1
+        return groups
+
+    monkeypatch.setattr(scheme_module, "view_groups", recording)
     for _ in range(40):
         scheme = cross_check_scheme(rng, p)
         orc = oracle_verify(scheme)
@@ -563,34 +643,47 @@ def test_oracle_matches_state_by_state_reference(p):
         seen["undecodable"] += not all(orc.correct.values())
         seen["ok"] += orc.ok
     assert all(seen[key] for key in ("no X", "no W", "unused key", "held used key", "leaks",
-                                     "undecodable", "ok")), seen
+                                     "undecodable", "ok", "compressed check")), seen
 
 
 def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
-    """Each receiver's view is counted over L_W + (used key digits it does
-    not hold) digits, while `states` still counts them all."""
+    """Each check is counted over the message digits and the used key digits
+    its receiver does not hold, while `states` still counts them all.  A
+    check with fewer live X forms than noise digits codes the noise digits
+    and the message digits in two separate calls, never both at once; any
+    other check codes all of them in one call."""
     rng = random.Random(2718)
-    digit_counts = []
+    calls = []
+    expand = scheme_module._expand
 
-    def recording(p, m, forms, low=0):
-        digit_counts.append(m)
-        return state_code(p, m, forms, low)
+    def recording(p, m, forms, low=0, base=None):
+        calls.append((m, base is not None))
+        return expand(p, m, forms, low, base)
 
-    monkeypatch.setattr(scheme_module, "state_code", recording)
+    monkeypatch.setattr(scheme_module, "_expand", recording)
     # the decoder's error is coded over its own digits, not a view's
     monkeypatch.setattr(scheme_module, "_decode_success", lambda *args: 1.0)
-    sliced = 0
-    for _ in range(60):
-        scheme = cross_check_scheme(rng, rng.choice([2, 3]))
-        used = {j for j in range(scheme.D) if scheme.B.array[:, j].any()}
-        digit_counts.clear()
+    seen = Counter()
+    for _ in range(80):
+        scheme = cross_check_scheme(rng, rng.choice([2, 3, 5]))
+        used = [j for j in range(scheme.D) if scheme.B.array[:, j].any()]
+        calls.clear()
         rep = oracle_verify(scheme)
         assert rep.states == scheme.p ** (scheme.L_W + len(used))
-        receivers = sorted(scheme.qualified) + sorted(scheme.eavesdroppers)
-        want = [scheme.L_W + len(used - set(key_columns(scheme, k)[0])) for k in receivers]
-        assert digit_counts == want, scheme
-        sliced += any(w < scheme.L_W + len(used) for w in want)
-    assert sliced
+        want = []
+        for k in sorted(scheme.qualified) + sorted(scheme.eavesdroppers):
+            # a single-message scheme's checks take all of W as the message
+            noise = [j for j in used if j not in key_columns(scheme, k)[0]]
+            free = np.concatenate([scheme.A.array, scheme.B.array[:, noise]], axis=1)
+            if np.count_nonzero(free.any(axis=1)) < len(noise):
+                want += [(len(noise), False), (scheme.L_W, True)]
+                seen["compressed"] += 1
+            else:
+                want.append((scheme.L_W + len(noise), False))
+                seen["enumerated"] += 1
+            seen["sliced"] += len(noise) < len(used)
+        assert calls == want, scheme
+    assert seen["compressed"] and seen["enumerated"] and seen["sliced"], seen
 
 
 def test_secure_views_leak_exactly_zero_bits():
