@@ -14,9 +14,9 @@ Only what the next step reads is reduced before that: the pivot column,
 whose zeros decide the pivot and whose entries are the row factors, and
 the pivot row, which is scaled by an inverse.  ColumnRanks answers many
 column-subset rank queries on one matrix from a single echelon form, each
-subset given as a column mask (an int, bit j for column j); over
-GF(2), where the verification sweeps spend their time, it holds that form
-as packed bitset rows, the one packed path.
+subset given as a column mask (an int, bit j for column j).  Over GF(2)
+ColumnRanks and rref (so solve_right too) reduce packed bitset rows
+instead, the one packed path.
 """
 
 from __future__ import annotations
@@ -239,10 +239,18 @@ def _eliminate(a: np.ndarray, p: int, reduce: bool) -> list[int]:
     return pivots
 
 
-def _pack_rows(arr: np.ndarray) -> list[int]:
-    """Rows of a 0/1 matrix as Python ints, bit j = column j."""
-    bits = np.packbits(arr.astype(np.uint8), axis=1, bitorder="little")
+def pack_rows(arr: np.ndarray) -> list[int]:
+    """Rows of a 0/1 (or boolean) matrix as Python ints, bit j = column j."""
+    bits = np.packbits(arr, axis=1, bitorder="little")
     return [int.from_bytes(r.tobytes(), "little") for r in bits]
+
+
+def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
+    """The inverse of pack_rows: a len(rows) x cols uint8 matrix of 0/1."""
+    nbytes = (cols + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), nbytes), axis=1, count=cols,
+                         bitorder="little")
 
 
 def _gf2_echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -257,6 +265,24 @@ def _gf2_echelon(rows: Iterable[int]) -> dict[int, int]:
                 basis[low] = v
                 break
             v ^= piv
+    return basis
+
+
+def _gf2_reduced(rows: Iterable[int]) -> dict[int, int]:
+    """Packed GF(2) rows in reduced echelon form, pivot column -> row.
+    Back-substitution from the highest pivot down clears only the pivot
+    bits a row holds; the rows it adds are reduced, so it sets no other."""
+    basis = _gf2_echelon(rows)
+    done = 0   # pivot bits of the rows already reduced
+    for c in sorted(basis, reverse=True):
+        v = basis[c]
+        hit = v & done
+        while hit:
+            low = hit & -hit
+            v ^= basis[low.bit_length() - 1]
+            hit ^= low
+        basis[c] = v
+        done |= 1 << c
     return basis
 
 
@@ -292,6 +318,12 @@ def rank(m: FMatrix) -> int:
 def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     p = m.field.p
+    if p == 2:
+        basis = _gf2_reduced(pack_rows(m.array))
+        pivots = sorted(basis)
+        a = np.zeros(m.array.shape, dtype=np.int64)
+        a[:len(pivots)] = unpack_rows([basis[c] for c in pivots], m.cols)
+        return FMatrix._reduced(m.field, a), tuple(pivots)
     a = _work_copy(m.array, p)
     pivots = _eliminate(a, p, reduce=True)
     a %= p
@@ -333,15 +365,7 @@ class ColumnRanks:
     def __init__(self, m: FMatrix):
         self.field = m.field
         if m.field.p == 2:
-            basis = _gf2_echelon(_pack_rows(m.array))
-            done: list[int] = []   # pivots whose rows are zero on the other pivots
-            for c in sorted(basis, reverse=True):
-                v = basis[c]
-                for later in done:
-                    if v >> later & 1:
-                        v ^= basis[later]
-                basis[c] = v
-                done.append(c)
+            basis = _gf2_reduced(pack_rows(m.array))
             self._rows = [(1 << c, v) for c, v in basis.items()]   # (pivot bit, row)
             self._pivots = sum(bit for bit, _ in self._rows)
         else:

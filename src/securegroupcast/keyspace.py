@@ -232,15 +232,16 @@ def is_symmetric(config: KeyConfig) -> tuple[bool, tuple[int, ...]]:
     no u-subset has a key, or every one of the C(K, u) subsets has the
     same positive size.
     """
-    by_class: dict[int, list[int]] = {}
+    profile, count = [0] * (config.K + 1), [0] * (config.K + 1)
     for m, size in config.keys.items():
-        by_class.setdefault(m.bit_count(), []).append(size)
-    profile = [0] * config.K
-    for u, sizes in by_class.items():
-        if len(sizes) != comb(config.K, u) or min(sizes) != max(sizes):
+        u = m.bit_count()
+        if count[u] and size != profile[u]:
             return False, ()
-        profile[u - 1] = sizes[0]
-    return True, tuple(profile)
+        profile[u] = size
+        count[u] += 1
+    if any(n and n != comb(config.K, u) for u, n in enumerate(count)):
+        return False, ()
+    return True, tuple(profile[1:])
 
 
 # -- canonical relabelings -------------------------------------------------

@@ -53,8 +53,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import (ColumnRanks, FMatrix, NoSolutionError, hstack, mask_columns, solve_right,
-                      vstack)
+from .fmatrix import (ColumnRanks, FMatrix, NoSolutionError, hstack, mask_columns, pack_rows,
+                      solve_right, vstack)
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -187,20 +187,19 @@ class LinearScheme:
 
     @cached_property
     def _masks(self) -> list[tuple[int, int, int]]:
-        """column_masks(k) at k - 1, summed from one run of ones per block."""
-        def runs(blocks, start: int):
+        """column_masks(k) at k - 1, from one pass over the blocks: each
+        block's run of ones goes to the receivers of its subset."""
+        held, demanded = [0] * (self.K + 1), [0] * (self.K + 1)
+        start = 0
+        for blocks, owned in ((self.layout, held), (self.messages, demanded)):
             for subset, width in blocks:
-                yield subset, ((1 << width) - 1) << start
+                run = ((1 << width) - 1) << start
+                for k in subset:
+                    owned[k] |= run
                 start += width
-
-        keys, messages = list(runs(self.layout, 0)), list(runs(self.messages, self.D))
-        every_message = ((1 << self.L_W) - 1) << self.D
-        table = []
-        for k in range(1, self.K + 1):
-            demanded = sum(mask for subset, mask in messages if k in subset)
-            table.append((sum(mask for subset, mask in keys if k not in subset),
-                          demanded, every_message ^ demanded))
-        return table
+        every_key, every_message = (1 << self.D) - 1, ((1 << self.L_W) - 1) << self.D
+        return [(every_key ^ held[k], demanded[k], every_message ^ demanded[k])
+                for k in range(1, self.K + 1)]
 
     @classmethod
     def empty(cls, K: int, qualified: Iterable[int], L: int = 1,
@@ -296,8 +295,10 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
     f = scheme.field
     m = np.concatenate([scheme.B.array, scheme.A.array], axis=1)
     dem = mask_columns(demanded)
-    # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0]
-    g = FMatrix(f, m[:, dem + mask_columns(unknown | forbidden)])
+    # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0];
+    # a zero column of B_unk or A_forb asks nothing of M1: gather live ones
+    live = pack_rows(m.any(axis=0)[None])[0]
+    g = FMatrix(f, m[:, dem + mask_columns((unknown | forbidden) & live)])
     rhs = vstack([FMatrix.identity(f, len(dem)),
                   FMatrix.zeros(f, g.cols - len(dem), len(dem))])
     try:

@@ -26,18 +26,25 @@ fit.  Every branch lands exactly on the capacity
 l12 + min(l1+l14+l124, l1+l13+l123, l2+l24+l124, l2+l23+l123) with
 bandwidth 2C - l12 - l124, the closed forms of bounds.exact_capacity
 that synthesize holds the scheme to.  The scheme is written in the
-caller's labels.
+caller's labels, read off a table with one entry per label permutation.
+
+Assembly stamps templates: a component invoked n times spends n
+consecutive bits of each key it consumes (one SegmentAllocator take, which
+refuses to pass the key's width), so each template row is one packed
+[B | A] row, shifted left by i for invocation i; one np.unpackbits turns
+the rows into A and B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
-from ..fmatrix import FMatrix
+from ..fmatrix import FMatrix, unpack_rows
 from ..gf import Field
-from ..keyspace import KeyConfig, invert_perm, normalize_labels
+from ..keyspace import KeyConfig, invert_perm, mask_of, normalize_labels, set_of
 from ..scheme import LinearScheme
 from ._common import SegmentAllocator, build_verified, check_cells
 
@@ -81,21 +88,39 @@ USEFUL_SUBSETS: tuple[frozenset[int], ...] = (
     _s(1), _s(2), _s(1, 2), _s(1, 3), _s(2, 3), _s(1, 2, 3),
     _s(1, 4), _s(2, 4), _s(1, 2, 4))
 
+# The caller's labels of normalized receivers 1..4 -> each useful subset
+# in the caller's labels, with its mask (one shared pair per mask).
+_PAIRS = {m: (set_of(m), m) for m in range(1, 16)}
+_CALLER_SUBSETS = {back: tuple(_PAIRS[mask_of(back[k - 1] for k in subset)]
+                               for subset in USEFUL_SUBSETS)
+                   for back in permutations(range(1, 5))}
+
+
+def _stamp(counts: dict[str, int], alloc: SegmentAllocator) -> tuple[FMatrix, FMatrix]:
+    """(A, B) of each component invoked counts[name] times, in COMPONENTS
+    order, on fresh key columns from alloc (module docstring)."""
+    rows: list[int] = []   # packed rows of [B | A], bit j = column j
+    msg = d = alloc.total  # the next message column, as a bit of [B | A]
+    for name, sig in COMPONENTS.items():
+        n = counts.get(name, 0)
+        if n < 1:
+            continue
+        # each consumed key's first bit in this component's run of n bits
+        first = {subset: 1 << alloc.take(subset, n)[0] for subset in sig.consumes}
+        template = [sum(first[subset] for subset in row) | 1 << msg for row in sig.rows]
+        rows += [pattern << i for i in range(n) for pattern in template]
+        msg += n
+    m = unpack_rows(rows, msg)
+    return (FMatrix._reduced(_F2, m[:, d:].astype(np.int64)),
+            FMatrix._reduced(_F2, m[:, :d].astype(np.int64)))
+
 
 def component_instance(name: str) -> LinearScheme:
     """The one-invocation scheme of a component on its own fresh key bits."""
-    sig = COMPONENTS[name]
-    layout = tuple((subset, 1) for subset in sig.consumes)
-    col = {subset: i for i, subset in enumerate(sig.consumes)}
-    a = np.zeros((sig.tx_bits, 1), dtype=np.int64)
-    b = np.zeros((sig.tx_bits, len(sig.consumes)), dtype=np.int64)
-    for r, row_subsets in enumerate(sig.rows):
-        a[r, 0] = 1
-        for subset in row_subsets:
-            b[r, col[subset]] = 1
+    layout = tuple((subset, 1) for subset in COMPONENTS[name].consumes)
+    a, b = _stamp({name: 1}, SegmentAllocator(layout))
     return LinearScheme(field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
-                        A=FMatrix(_F2, a), B=FMatrix(_F2, b),
-                        meta={"builder": name})
+                        A=a, B=b, meta={"builder": name})
 
 
 def component_counts(sizes: dict[frozenset[int], int]) -> tuple[dict[str, int], str]:
@@ -147,30 +172,18 @@ def component_counts(sizes: dict[frozenset[int], int]) -> tuple[dict[str, int], 
 def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
     """Capacity- and bandwidth-optimal GF(2) scheme for 2-of-4 groupcast."""
     back = invert_perm(normalize_labels(config, "groupcast_2of4"))
-    # each useful subset in normalized labels, and its receivers in the caller's
-    subsets = [(subset, frozenset(back[k] for k in subset)) for subset in USEFUL_SUBSETS]
-    sizes = {subset: config.key_size(caller) for subset, caller in subsets}
+    callers = _CALLER_SUBSETS[tuple(back[k] for k in range(1, 5))]
+    sizes = {subset: config.keys.get(mask, 0)
+             for subset, (_, mask) in zip(USEFUL_SUBSETS, callers)}
     counts, case = component_counts(sizes)
     lw = sum(counts.values())
     lx = sum(COMPONENTS[name].tx_bits * n for name, n in counts.items())
-    layout = tuple((subset, sizes[subset]) for subset in USEFUL_SUBSETS if sizes[subset])
-    alloc = SegmentAllocator(layout)
+    alloc = SegmentAllocator((subset, sizes[subset]) for subset in USEFUL_SUBSETS if sizes[subset])
     check_cells((lx, lw), (lx, alloc.total))
-    a = np.zeros((lx, lw), dtype=np.int64)
-    b = np.zeros((lx, alloc.total), dtype=np.int64)
-    row = msg = 0
-    for name, sig in COMPONENTS.items():
-        for _ in range(counts.get(name, 0)):
-            bit = {subset: alloc.take(subset)[0] for subset in sig.consumes}
-            for row_subsets in sig.rows:
-                a[row, msg] = 1
-                for subset in row_subsets:
-                    b[row, bit[subset]] = 1
-                row += 1
-            msg += 1
+    a, b = _stamp(counts, alloc)
     return build_verified(LinearScheme(
         field=_F2, L=1, K=4, qualified=config.qualified,
-        layout=tuple((caller, sizes[subset]) for subset, caller in subsets if sizes[subset]),
-        A=FMatrix(_F2, a), B=FMatrix(_F2, b),
-        meta={"builder": "groupcast_2of4", "case": case, "counts": counts,
-              "seed": seed, "escalations": 0}))
+        layout=tuple((caller, sizes[subset])
+                     for subset, (caller, _) in zip(USEFUL_SUBSETS, callers) if sizes[subset]),
+        A=a, B=b, meta={"builder": "groupcast_2of4", "case": case, "counts": counts,
+                        "seed": seed, "escalations": 0}))

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import securegroupcast
 from securegroupcast import KeyConfig, synthesize, verify
 from securegroupcast.cli import (EXIT_OK, EXIT_PARSE, EXIT_REJECTED,
                                  EXIT_UNSOLVED, config_from_obj, config_to_obj,
@@ -632,6 +637,26 @@ def test_verify_oracle_survives_mutated_scheme_files(tmp_path_factory, obj):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     else:
         assert json.loads(out.getvalue())["ok"] == (code == EXIT_OK)
+
+
+def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path):
+    """A zero-row file whose key of 10^8 symbols receiver 1 lacks: the
+    decoder gathers only live (nonzero) columns, so `sgc verify --oracle`
+    rejects it (exit 5) under a 3 GB address-space limit, set in the child
+    process alone; gathering every unknown column ran out of memory."""
+    path = write(tmp_path, "wide.json", {
+        "p": 2, "L": 1, "Lw": 1, "Lx": 0, "K": 2, "qualified": [1],
+        "layout": [{"subset": [2], "width": 10**8}], "A": [], "B": []})
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)\n"
+             "from securegroupcast.cli import main\n"
+             "sys.exit(main(['verify', sys.argv[1], '--oracle']))\n")
+    src = str(Path(securegroupcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", child, path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_REJECTED, done.stderr
+    assert json.loads(done.stdout)["oracle"]["decode_success"] == {"1": 0.0}
 
 
 def test_verify_oracle_refuses_state_count_past_decimal_limit(tmp_path, capsys):

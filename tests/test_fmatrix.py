@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from securegroupcast import (ColumnRanks, Field, FieldTooSmallError, FMatrix,
                              NoSolutionError, cauchy, hstack,
                              prefix_ranks, rank, rref, solve_right, vstack)
-from securegroupcast.fmatrix import mask_columns
+from securegroupcast.fmatrix import _eliminate, mask_columns
 
 F2 = Field(2)
 F5 = Field(5)
@@ -246,6 +246,61 @@ def test_solve_right_recovers_consistent_systems(p, r, c, k, data):
     b = a @ x_true
     x = solve_right(a, b)
     assert a @ x == b
+
+
+def random_bits(rng, rows, cols):
+    """A 0/1 matrix that is dense, sparse, all zeros or has repeated rows."""
+    kind = rng.randrange(4)
+    if kind == 2:
+        return np.zeros((rows, cols), dtype=np.int64)
+    density = 0.5 if kind == 0 else 0.15
+    a = (np.array([rng.random() for _ in range(rows * cols)]) < density).reshape(rows, cols)
+    if kind == 3 and rows > 1:
+        a[rng.randrange(rows)] = a[rng.randrange(rows)]
+    return a.astype(np.int64)
+
+
+def numpy_rref(a, p):
+    """The reduced echelon form of the NumPy elimination loop, mod p."""
+    work = a.copy()
+    pivots = _eliminate(work, p, reduce=True)
+    return work % p, pivots
+
+
+def test_packed_gf2_rref_matches_numpy_elimination():
+    """rref over GF(2) runs the packed routine; the NumPy loop is its
+    reference, on shapes with no rows, no columns and more than one word."""
+    rng = random.Random(2)
+    for trial in range(2000):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12 if trial % 4 else 150)
+        a = random_bits(rng, rows, cols)
+        want, want_pivots = numpy_rref(a, 2)
+        got, pivots = rref(FMatrix(F2, a))
+        assert list(pivots) == want_pivots
+        assert got.array.dtype == np.int64 and np.array_equal(got.array, want)
+
+
+def test_gf2_solve_right_matches_numpy_elimination():
+    """solve_right over GF(2) against the NumPy loop's reduced form: the same
+    solution (free variables zero) or no solution on both paths."""
+    rng = random.Random(3)
+    solved = refused = 0
+    for _ in range(1000):
+        r, c, k = rng.randint(1, 8), rng.randint(0, 8), rng.randint(1, 3)
+        a = random_bits(rng, r, c)
+        b = (a @ random_bits(rng, c, k)) % 2 if rng.random() < 0.5 else random_bits(rng, r, k)
+        red, pivots = numpy_rref(np.concatenate([a, b], axis=1), 2)
+        if any(col >= c for col in pivots):
+            with pytest.raises(NoSolutionError):
+                solve_right(FMatrix(F2, a), FMatrix(F2, b))
+            refused += 1
+            continue
+        want = np.zeros((c, k), dtype=np.int64)
+        for i, col in enumerate(pivots):
+            want[col] = red[i, c:]
+        assert np.array_equal(solve_right(FMatrix(F2, a), FMatrix(F2, b)).array, want)
+        solved += 1
+    assert solved > 200 and refused > 200
 
 
 # -- stacking ------------------------------------------------------------------

@@ -206,6 +206,32 @@ def test_is_symmetric_matches_per_class_loop_seeded():
     assert outcomes >= {(True, True), (False, False), (False, True)}
 
 
+def test_is_symmetric_stops_early_yet_sees_the_last_key_and_a_missing_subset():
+    """Whole symmetric configs, then the same with only the last key (in
+    mask order) resized, or with one subset of a class left out: the early
+    return must still see a difference at the very end, and the closing
+    count check a class that lacks one subset."""
+    rng = random.Random(23)
+    for _ in range(200):
+        k = rng.randint(2, 9)
+        # no key of all k receivers, so the last key shares its class
+        sizes = {u: rng.randint(0, 2) if u < k else 0 for u in range(1, k + 1)}
+        keys = {m: sizes[m.bit_count()] for m in range(1, 1 << k) if sizes[m.bit_count()]}
+        variants = [dict(keys)]
+        if keys:
+            last = max(keys)
+            variants.append({**keys, last: keys[last] + 1})
+            dropped = dict(keys)
+            del dropped[rng.choice(sorted(keys))]
+            variants.append(dropped)
+        for variant in variants:
+            config = KeyConfig.of(k, [1], variant)
+            assert list(config.keys) == sorted(config.keys)
+            expected = _is_symmetric_by_class(config)
+            _assert_same_verdict(is_symmetric(config), expected)
+            assert expected[0] == (variant is variants[0])
+
+
 # -- the per-eavesdropper tables ----------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)

@@ -57,6 +57,35 @@ def test_known_columns_examples():
             scheme.column_masks(k)
 
 
+def test_column_masks_match_the_per_receiver_definition():
+    """The one-pass masks against their definition, column by column:
+    multi-message layouts with repeated subsets and zero widths."""
+    rng = random.Random(23)
+    for _ in range(500):
+        k = rng.randint(2, 6)
+        qualified = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k - 1)))
+
+        def blocks(pool, n):
+            return [(frozenset(rng.sample(pool, rng.randint(1, len(pool)))), rng.randint(0, 3))
+                    for _ in range(n)]
+
+        layout = blocks(range(1, k + 1), rng.randint(0, 6))
+        layout += layout[:rng.randint(0, 2)]   # a subset given twice
+        messages = blocks(sorted(qualified), rng.randint(0, 4)) + [(qualified, rng.randint(0, 2))]
+        d, lw = sum(w for _, w in layout), sum(w for _, w in messages)
+        scheme = LinearScheme(field=F2, L=1, K=k, qualified=qualified, layout=tuple(layout),
+                              A=FMatrix.zeros(F2, 1, lw), B=FMatrix.zeros(F2, 1, d),
+                              messages=tuple(messages))
+        key_owner = [subset for subset, w in layout for _ in range(w)]
+        message_owner = [subset for subset, w in messages for _ in range(w)]
+        for r in range(1, k + 1):
+            unknown = sum(1 << j for j, subset in enumerate(key_owner) if r not in subset)
+            demanded = sum(1 << (d + j) for j, subset in enumerate(message_owner) if r in subset)
+            forbidden = sum(1 << (d + j) for j, subset in enumerate(message_owner)
+                            if r not in subset)
+            assert scheme.column_masks(r) == (unknown, demanded, forbidden)
+
+
 # -- algebraic verification --------------------------------------------------
 
 def test_otp_receiver_with_key_decodes():

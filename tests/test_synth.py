@@ -1,10 +1,11 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from groupcast_reference import groupcast_2of4_per_bit
 from paper_reference import k4_beta_star
 from securegroupcast import (KeyConfig, UnsolvedSettingError, WrongShapeError,
                              keyspace, oracle_verify, rate_converse, verify)
@@ -267,6 +268,50 @@ def test_segment_allocator_refuses_past_width():
     for subset in (frozenset({1}), frozenset({1, 2})):
         with pytest.raises(SynthesisError, match="budget exceeded"):
             alloc.take(subset)
+
+
+def _same_scheme(got, want):
+    assert got.A == want.A and got.B == want.B
+    assert (got.qualified, got.layout, got.L) == (want.qualified, want.layout, want.L)
+    assert list(got.meta.items()) == list(want.meta.items())
+    assert list(got.meta["counts"].items()) == list(want.meta["counts"].items())
+
+
+def test_groupcast_2of4_matches_per_bit_reference_on_small_sizes():
+    """Template stamping against the bit-by-bit assembly: every useful-size
+    vector with sizes 0..1."""
+    subsets = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 4), (2, 4), (1, 2, 4)]
+    for sizes in product((0, 1), repeat=len(subsets)):
+        config = KeyConfig.of(4, [1, 2], {sub: v for sub, v in zip(subsets, sizes) if v})
+        _same_scheme(groupcast_2of4(config), groupcast_2of4_per_bit(config))
+
+
+def test_groupcast_2of4_matches_per_bit_reference_on_random_configs():
+    """Sizes 0..6 on every subset, any qualified pair: the caller-label
+    table and the stamping give the reference's scheme."""
+    rng = random.Random(23)
+    every = [sub for r in range(1, 5) for sub in combinations(range(1, 5), r)]
+    for _ in range(2000):
+        qualified = rng.sample(range(1, 5), 2)
+        config = KeyConfig.of(4, qualified, {sub: v for sub in every if (v := rng.randint(0, 6))})
+        seed = rng.randrange(4)
+        _same_scheme(groupcast_2of4(config, seed), groupcast_2of4_per_bit(config, seed))
+
+
+def test_groupcast_2of4_refuses_a_count_past_the_key_budget(ex3, monkeypatch):
+    """A case tree that spends one bit of s1 past its width stops at the
+    allocator: Cmp2 already spends all l1 bits of s1."""
+    import securegroupcast.synth.groupcast24 as groupcast24
+    original = groupcast24.component_counts
+
+    def over(sizes):
+        counts, case = original(sizes)
+        assert counts["Cmp2"] == sizes[frozenset({1})]
+        return {**counts, "Cmp2": counts["Cmp2"] + 1}, case
+
+    monkeypatch.setattr(groupcast24, "component_counts", over)
+    with pytest.raises(SynthesisError, match="budget exceeded"):
+        groupcast_2of4(ex3)
 
 
 # -- symmetric -----------------------------------------------------------------
