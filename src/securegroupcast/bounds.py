@@ -1,4 +1,4 @@
-"""Converse bounds and exact capacity / minimum-bandwidth formulas.
+"""Converse bounds, and the exact capacity C and minimum bandwidth beta*.
 
 Two converse bounds apply to every configuration:
 
@@ -11,16 +11,16 @@ Two converse bounds apply to every configuration:
   beta(R) >= |Q| R - (sum_q H(z_q | u) - H(z_Q | u)), i.e. the common
   information among the group's keys is the only broadcast saving.
 
-On recognized shapes (single qualified receiver, single eavesdropper,
-2-of-4, symmetric profiles, and the five-key aligned 2-of-5 topology)
-the exact capacity and, where known, the exact minimum bandwidth are
-returned in closed form, save the K = 4 single-eavesdropper beta*, which
-is the bandwidth converse at C; any other configuration whose rate
-converse is 0 has C = beta* = 0.  The aligned 2-of-5 topology is the one
-setting where the conditional-entropy rate bound is strictly loose, so a
-gap flag is raised there.  exact_capacity is the only shape recognizer:
-synth.synthesize picks its builder from the setting returned here and
-holds the scheme to this C and beta*.
+In every setting the paper solves (single qualified receiver, single
+eavesdropper, 2-of-4, symmetric profiles, the five-key aligned 2-of-5
+topology, and any other configuration whose rate converse is 0) its
+construction meets these converses: C is the rate converse, save the
+aligned 2-of-5 topology, where the rate bound is strictly loose, C is
+5l/3 and a gap flag is raised; and beta* is the bandwidth converse at C
+wherever it is characterized.  exact_capacity is the only shape
+recognizer: synth.synthesize picks its builder from the setting returned
+here and holds the scheme to this C and beta*.  The paper's closed forms
+are test references (tests/paper_reference.py).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import add
 from typing import Optional, Union
 
@@ -59,11 +58,12 @@ def _as_number(x: Fraction) -> Number:
 
 @dataclass(frozen=True)
 class ExactCapacity:
-    """Closed-form capacity for a recognized setting.
+    """Capacity C and minimum bandwidth beta* for a recognized setting.
 
-    beta_star is None when the minimum bandwidth at capacity is not
-    characterized for the shape (single-eavesdropper settings with K >= 5
-    and unequal conditional entropies).
+    C is the rate converse, save the aligned 2-of-5 topology (5l/3).
+    beta_star is the bandwidth converse at C, or None where the minimum
+    bandwidth at capacity is not characterized (one eavesdropper with
+    unequal conditional entropies, at K other than 4).
     """
 
     setting: str
@@ -167,28 +167,7 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
     return BwBound(value=_as_number(Fraction(best, den)), witness=witness)
 
 
-# -- closed-form capacities ----------------------------------------------
-
-def _multicast_beta_star(config: KeyConfig, c: int) -> Optional[Number]:
-    """Minimum bandwidth at capacity c for one eavesdropper e: at K = 4
-    the bandwidth converse at c, which equals the paper's closed form and
-    which multicast_k4_bw meets; else the size of every key e lacks when
-    the H(z_q | z_e) are equal."""
-    if config.K == 4:
-        return bw_converse(config, c).value
-    ((_, f, conds),) = config.eavesdropper_tables
-    if len(set(conds)) == 1:
-        return f[-1]   # every key e lacks reaches a qualified receiver
-    return None  # open problem for K >= 5 with unequal conditional entropies
-
-
-def _symmetric_capacity(config: KeyConfig, profile: tuple[int, ...]) -> ExactCapacity:
-    K, N = config.K, config.N
-    c = sum(comb(K - 2, u - 1) * profile[u - 1] for u in range(1, K + 1))
-    beta = sum((comb(K - 1, u) - comb(K - N - 1, u)) * profile[u - 1]
-               for u in range(1, K + 1))
-    return ExactCapacity(setting=SYMMETRIC, C=c, beta_star=beta)
-
+# -- exact capacity ----------------------------------------------------
 
 def aligned_2of5_key_size(config: KeyConfig) -> Optional[tuple[int, dict[int, int]]]:
     """Detect the five-key aligned 2-of-5 topology up to relabeling.
@@ -224,7 +203,7 @@ def aligned_2of5_key_size(config: KeyConfig) -> Optional[tuple[int, dict[int, in
 
 
 def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:
-    """Closed-form capacity (and minimum bandwidth where known) by shape.
+    """The setting, C and beta* of a solved shape; None for open ones.
 
     Recognized shapes, tried in order: one qualified receiver; one
     eavesdropper; 2-of-4; the aligned 2-of-5 topology; symmetric size
@@ -233,8 +212,15 @@ def exact_capacity(config: KeyConfig) -> Optional[ExactCapacity]:
     shapes keep their setting.  Returns None for everything else (open
     settings).
 
-    The shape is recognized once per config and the answer kept on it
-    (`KeyConfig.memo`), so report and synth.synthesize share one reading.
+    C is the rate converse, save the aligned 2-of-5 topology, whose C is
+    5l/3 for key size l.  beta* is bw_converse at C, which the paper's
+    construction meets in each setting; it is None for one eavesdropper
+    with unequal H(z_q | z_e) at K other than 4, where the minimum
+    bandwidth is open.
+
+    The answer is computed once per config and kept on it
+    (`KeyConfig.memo`), so report and synth.synthesize share one reading
+    and one bw_converse.
     """
     return config.memo(_recognize)
 
@@ -244,37 +230,35 @@ def _recognize(config: KeyConfig) -> Optional[ExactCapacity]:
     N, K = config.N, config.K
     c = rate_converse(config)
     if N == 1:
-        return ExactCapacity(setting=UNICAST, C=c, beta_star=c)
-    if N == K - 1:
-        return ExactCapacity(setting=MULTICAST, C=c,
-                             beta_star=_multicast_beta_star(config, c))
-    if N == 2 and K == 4:
-        l_q = config.keys.get(config.qualified_mask, 0)
-        pair_plus_eve = min(config.keys.get(config.qualified_mask | (1 << (e - 1)), 0)
-                            for e in config.eavesdroppers)
-        return ExactCapacity(setting=GROUPCAST_2OF4, C=c,
-                             beta_star=2 * c - l_q - pair_plus_eve)
-    detected = aligned_2of5_key_size(config)
-    if detected is not None:
-        ell, _ = detected
-        return ExactCapacity(setting=ALIGNED_2OF5,
-                             C=_as_number(Fraction(5 * ell, 3)),
-                             beta_star=_as_number(Fraction(10 * ell, 3)))
-    flag, profile = keyspace.is_symmetric(config)
-    if flag:
-        return _symmetric_capacity(config, profile)
-    if c == 0:
-        return ExactCapacity(setting=ZERO_RATE, C=0, beta_star=0)
-    return None
+        setting = UNICAST
+    elif N == K - 1:
+        setting = MULTICAST
+        ((_, _, conds),) = config.eavesdropper_tables
+        if K != 4 and len(set(conds)) > 1:   # beta* open here
+            return ExactCapacity(setting=MULTICAST, C=c, beta_star=None)
+    elif N == 2 and K == 4:
+        setting = GROUPCAST_2OF4
+    elif (aligned := aligned_2of5_key_size(config)) is not None:
+        setting, c = ALIGNED_2OF5, _as_number(Fraction(5 * aligned[0], 3))
+    elif keyspace.is_symmetric(config)[0]:
+        setting = SYMMETRIC
+    elif c == 0:
+        setting = ZERO_RATE
+    else:
+        return None
+    return ExactCapacity(setting=setting, C=c, beta_star=bw_converse(config, c).value)
 
 
 def report(config: KeyConfig) -> BoundsReport:
-    """Full bounds report: rate converse, bandwidth converse at the best
-    known rate, exact values where recognized, and the looseness flag."""
+    """Full bounds report: rate converse, bandwidth lower bound, exact
+    values where recognized, and the looseness flag.
+
+    bw_lower is beta* where it is known, else the bandwidth converse at C
+    (at the rate converse when no setting is recognized)."""
     upper = rate_converse(config)
     exact = exact_capacity(config)
-    if exact is not None and exact.setting == MULTICAST and exact.beta_star is not None:
-        bw_lower = exact.beta_star     # equals bw_converse(config, exact.C)
+    if exact is not None and exact.beta_star is not None:
+        bw_lower = exact.beta_star
     else:
         bw_lower = bw_converse(config, exact.C if exact is not None else upper).value
     gap = exact is not None and exact.C < upper

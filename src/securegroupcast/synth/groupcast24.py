@@ -24,9 +24,11 @@ and the s1/s2 overlap are always spent first; the remaining budget of s2,
 then the pair keys with the eavesdroppers, determine how many of Cmp3..6
 fit.  Every branch lands exactly on the capacity
 l12 + min(l1+l14+l124, l1+l13+l123, l2+l24+l124, l2+l23+l123) with
-bandwidth 2C - l12 - l124, the closed forms of bounds.exact_capacity
-that synthesize holds the scheme to.  The scheme is written in the
-caller's labels, read off a table with one entry per label permutation.
+bandwidth 2C - l12 - l124, the paper's closed forms.  They equal the
+rate converse and the bandwidth converse at C, which
+bounds.exact_capacity returns and synthesize holds the scheme to.  The
+scheme is written in the caller's labels, read off a table with one
+entry per label permutation.
 
 Assembly stamps templates: a component invoked n times spends n
 consecutive bits of each key it consumes (one SegmentAllocator take, which

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paper_reference import k4_beta_star
+from paper_reference import paper_exact, symmetric_exact
 from securegroupcast import (KeyConfig, aligned_2of5_key_size, bw_converse,
                              canonical_relabel, entropy_of, exact_capacity,
                              invert_perm, mask_of, normalize_labels, rate_converse,
@@ -516,11 +516,8 @@ def test_report_fields(ex3):
     assert not rep.gap
 
 
-def test_report_runs_bw_converse_once(ex2, monkeypatch):
-    """ex2 has one eavesdropper at K = 4 and unequal H(z_q | z_4), so its
-    beta* is the bandwidth converse at C and report reads bw_lower off it.
-    With one eavesdropper and equal H(z_q | z_e), beta* is the size of the
-    keys e lacks, read off the table, and bw_converse does not run."""
+def _counting_bw_converse(monkeypatch):
+    """Patch bounds.bw_converse to record each rate it runs at."""
     import securegroupcast.bounds as bounds_module
     real = bounds_module.bw_converse
     rates = []
@@ -530,17 +527,133 @@ def test_report_runs_bw_converse_once(ex2, monkeypatch):
         return real(config, rate)
 
     monkeypatch.setattr(bounds_module, "bw_converse", counting)
+    return rates
+
+
+def test_report_runs_bw_converse_once(ex2, monkeypatch):
+    """beta* is the bandwidth converse at C, and report reads bw_lower
+    off it: at K = 4 with unequal H(z_q | z_4) (ex2) and at K = 3 with
+    equal H(z_q | z_3) alike."""
+    rates = _counting_bw_converse(monkeypatch)
     assert len(set(ex2.eavesdropper_tables[0][2])) > 1
     rep = report(ex2)
     assert rates == [rep.exact.C]
-    assert rep.bw_lower == rep.exact.beta_star == real(ex2, rep.exact.C).value
+    assert rep.bw_lower == rep.exact.beta_star == bw_converse(ex2, rep.exact.C).value
     rates.clear()
     equal = KeyConfig.of(3, [1, 2], {(1,): 2, (2,): 2, (1, 2): 1, (2, 3): 1, (1, 3): 3})
     assert len(set(equal.eavesdropper_tables[0][2])) == 1
     rep = report(equal)
     assert (rep.exact.setting, rep.exact.C, rep.exact.beta_star) == (MULTICAST, 3, 5)
+    assert rates == [rep.exact.C]
+    assert rep.bw_lower == rep.exact.beta_star
+
+
+@pytest.mark.parametrize("K, qualified, keys, setting", [
+    (4, [1], {(1, 2): 4, (1, 3): 2, (1, 4): 1, (1, 3, 4): 3}, UNICAST),
+    (4, [1, 2, 3], {(1,): 1, (1, 3): 2, (2, 3): 3}, MULTICAST),
+    (5, [1, 2, 3, 4], {(1,): 2, (2,): 3, (3,): 2, (1, 2, 4): 1, (3, 4, 5): 1}, MULTICAST),
+    (4, [1, 3], {(1,): 1, (3,): 1, (1, 3): 1, (2, 3): 1, (1, 3, 4): 1}, GROUPCAST_2OF4),
+    (5, [2, 4], {(2,): 1, (1, 2, 4): 1, (2, 3, 5): 1, (3, 4): 1, (4, 5): 1}, ALIGNED_2OF5),
+    (5, [1, 2], {(k,): 1 for k in range(1, 6)}, SYMMETRIC),
+    (5, [1, 2], {(3, 4): 2}, ZERO_RATE),
+], ids=["unicast", "k4", "k5_unknown", "2of4", "aligned_2of5", "symmetric", "zero_rate"])
+def test_bounds_report_then_synthesize_runs_bw_converse_once(monkeypatch, K, qualified,
+                                                            keys, setting):
+    """sgc bounds then sgc synth on one config, in the 2-of-4 sweep's
+    order, compute the bandwidth converse once: beta* is read inside the
+    memoized exact_capacity, and where it is unknown only report needs
+    the converse at C."""
+    from securegroupcast import cli, synthesize
+    obj = {"K": K, "qualified": qualified,
+           "keys": [{"subset": list(s), "symbols": n} for s, n in keys.items()]}
+    rates = _counting_bw_converse(monkeypatch)
+    config = cli.config_from_obj(obj)
+    out = cli.bounds_report_obj(config)
+    scheme = synthesize(config)
+    assert out["setting"] == setting and scheme.rate == exact_capacity(config).C
+    assert rates == [exact_capacity(config).C]
+
+
+def test_synthesize_skips_bw_converse_where_beta_star_is_unknown(monkeypatch):
+    """One eavesdropper at K = 5 with unequal H(z_q | z_e): beta* is
+    unknown, so synthesize holds the scheme to C alone and never runs the
+    bandwidth converse."""
+    from securegroupcast import synthesize
+    rates = _counting_bw_converse(monkeypatch)
+    config = KeyConfig.of(5, [1, 2, 3, 4], {(1,): 2, (2,): 3, (3,): 2, (1, 2, 4): 1,
+                                            (3, 4, 5): 1})
+    scheme = synthesize(config)
+    assert exact_capacity(config).beta_star is None and scheme.rate == 1
     assert rates == []
-    assert rep.bw_lower == rep.exact.beta_star == real(equal, rep.exact.C).value
+
+
+# -- the paper's closed forms (tests/paper_reference.py) ---------------------------------
+
+def _requalified(config, qualified):
+    return KeyConfig.from_masks(config.K, mask_of(qualified), config.keys.items())
+
+
+def _assert_meets_paper(config, setting):
+    exact = exact_capacity(config)
+    assert exact is not None and exact.setting == setting, config
+    assert (exact.C, exact.beta_star) == paper_exact(config, setting), config
+
+
+def test_exact_capacity_meets_the_paper_on_every_small_2of4_config():
+    """All 32,768 configs with qualified {1, 2} and sizes 0..1 on the 15
+    subsets of [1..4]."""
+    for bits in range(1 << 15):
+        config = KeyConfig.from_masks(4, 0b11, [(m, bits >> (m - 1) & 1) for m in range(1, 16)])
+        _assert_meets_paper(config, GROUPCAST_2OF4)
+
+
+def test_exact_capacity_meets_the_paper_on_symmetric_profiles():
+    """Symmetric profiles at K = 3..8 and any N: the paper's symmetric
+    C and beta* hold in whichever setting is recognized first."""
+    rng = random.Random(91)
+    seen = set()
+    for k in range(3, 9):
+        for _ in range(30):
+            profile = [rng.randint(0, 3) for _ in range(k)]
+            qualified = rng.sample(range(1, k + 1), rng.randint(1, k - 1))
+            config = KeyConfig.of(k, qualified, {m: profile[m.bit_count() - 1]
+                                                 for m in range(1, 1 << k)})
+            exact = exact_capacity(config)
+            seen.add(exact.setting)
+            assert (exact.C, exact.beta_star) == symmetric_exact(config), config
+            _assert_meets_paper(config, exact.setting)
+    assert {UNICAST, MULTICAST, GROUPCAST_2OF4, SYMMETRIC} <= seen
+
+
+def test_exact_capacity_meets_the_paper_on_aligned_2of5_relabelings(fig4):
+    for ell in range(1, 7):
+        for perm in permutations(range(1, 6)):
+            config = fig4.scaled(ell).relabeled(dict(zip(range(1, 6), perm)))
+            _assert_meets_paper(config, ALIGNED_2OF5)
+
+
+def test_exact_capacity_meets_the_paper_on_unicast_and_one_eavesdropper():
+    """Unicast at K = 2..6; one eavesdropper at K = 3..6, drawn, and made
+    equal-entropy by topping up each qualified receiver's private key."""
+    rng = random.Random(93)
+    unknown = 0
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        _assert_meets_paper(_requalified(random_config(rng, k), [rng.randint(1, k)]),
+                            UNICAST)
+        k = rng.randint(3, 6)
+        config = _requalified(random_config(rng, k), rng.sample(range(1, k + 1), k - 1))
+        _assert_meets_paper(config, MULTICAST)
+        unknown += exact_capacity(config).beta_star is None
+        ((e, _, conds),) = config.eavesdropper_tables
+        top = max(conds)
+        keys = dict(config.keys)
+        for q, h in zip(sorted(config.qualified), conds):
+            keys[1 << (q - 1)] = keys.get(1 << (q - 1), 0) + top - h
+        equal = KeyConfig.from_masks(k, config.qualified_mask, keys.items())
+        assert len(set(equal.eavesdropper_tables[0][2])) == 1
+        _assert_meets_paper(equal, MULTICAST)
+    assert unknown >= 50
 
 
 # -- structural properties ----------------------------------------------------------------
@@ -633,10 +746,12 @@ def _beta_star_witnesses(config, setting):
 
 
 def test_bw_lower_never_exceeds_beta_star(fig4):
-    """bw_converse(config, C) equals beta* wherever beta* is known.
+    """beta* meets the paper's closed form wherever it is known, and the
+    bandwidth converse at C reaches it through a named witness.
 
     beta* is the bandwidth of a verified scheme at rate C, so no converse
-    exceeds it; equality needs one witness (e, Q) whose objective
+    exceeds it; bounds reads beta* off bw_converse at C, and equality
+    with the paper needs one witness (e, Q) whose objective
     |Q| C - penalty(e, Q) reaches beta*.  Q = {q} gives C - 0 = C for
     unicast and 0 at rate 0.  Q = all qualified reaches it for one
     eavesdropper with equal H(z_q | z_e) (|Q| C = sum over keys U without
@@ -646,8 +761,7 @@ def test_bw_lower_never_exceeds_beta_star(fig4):
     aligned 2-of-5 (e = the eavesdropper in the shared key: penalty 0).
     For one eavesdropper at K = 4 with unequal entropies, Q = {1, 2} and
     Q = {1, 2, 3} in normalized labels give the two terms of the paper's
-    max, so exact_capacity reads beta* off bw_converse there; the test
-    holds that reading to the paper's formula.
+    max.
     """
     seen = set()
     for config in _settled_configs(random.Random(78), fig4, 400):
@@ -655,9 +769,7 @@ def test_bw_lower_never_exceeds_beta_star(fig4):
         if exact is None or exact.beta_star is None:
             continue
         seen.add(exact.setting)
-        assert bw_converse(config, exact.C).value == exact.beta_star
-        if exact.setting == MULTICAST and config.K == 4:
-            assert exact.beta_star == k4_beta_star(config), config
+        assert (exact.C, exact.beta_star) == paper_exact(config, exact.setting), config
         assert max(len(group) * Fraction(exact.C) - _penalty(config, e, group)
                    for e, group in _beta_star_witnesses(config, exact.setting)) \
             == exact.beta_star
