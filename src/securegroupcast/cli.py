@@ -180,11 +180,12 @@ def scheme_from_obj(obj: Any) -> LinearScheme:
         layout = tuple((_receiver_set(seg["subset"], k), _int_field(seg, "width"))
                        for seg in obj["layout"])
         lw, lx = _int_field(obj, "Lw"), _int_field(obj, "Lx")
+        width = sum(w for _, w in layout)
+        synth_mod.check_cells((lx, lw), (lx, width))
         scheme = LinearScheme(
             field=field, L=_int_field(obj, "L"), K=k,
             qualified=_receiver_set(obj["qualified"], k), layout=layout,
-            A=_matrix(field, obj["A"], "A", lw),
-            B=_matrix(field, obj["B"], "B", sum(w for _, w in layout)),
+            A=_matrix(field, obj["A"], "A", lw), B=_matrix(field, obj["B"], "B", width),
             meta=dict(obj.get("meta", {})))
     except ConfigError:
         raise

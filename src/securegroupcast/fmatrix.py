@@ -13,15 +13,17 @@ so after t updates since the last reduction every entry lies in
 Only what the next step reads is reduced before that: the pivot column,
 whose zeros decide the pivot and whose entries are the row factors, and
 the pivot row, which is scaled by an inverse.  ColumnRanks answers many
-column-subset rank queries on one matrix from a single echelon form, each
-subset given as a column mask (an int, bit j for column j).  Over GF(2)
-ColumnRanks and rref (so solve_right too) reduce packed bitset rows
-instead, the one packed path.
+column-subset rank queries on one matrix from a single echelon form; the
+subsets, its pivots and the matrix's nonzero columns are column masks (an
+int, bit j for column j) over every field.  Over GF(2) ColumnRanks and
+rref (so solve_right too) reduce packed bitset rows, the one packed path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -356,10 +358,10 @@ class ColumnRanks:
     to S = left and to S = left + right with the same I, and reads both
     residual ranks from one prefix-rank pass.
 
-    Over GF(p) the echelon rows are a numpy array, indexed by the masks'
-    column lists.  Over GF(2) they are packed Python ints (bit j =
-    column j); a residual row is then `row & (left | right)`, since R is
-    zero on P outside the pivot rows.
+    Both fields keep each echelon row with its pivot bit, and `support`,
+    the mask of M's nonzero columns.  Over GF(2) a row is a packed int and
+    a residual row is `row & (left | right)`, as R is zero on P outside the
+    pivot rows; over GF(p) a row indexes R, whose block gathers the support.
     """
 
     def __init__(self, m: FMatrix):
@@ -367,36 +369,34 @@ class ColumnRanks:
         if m.field.p == 2:
             basis = _gf2_reduced(pack_rows(m.array))
             self._rows = [(1 << c, v) for c, v in basis.items()]   # (pivot bit, row)
-            self._pivots = sum(bit for bit, _ in self._rows)
         else:
             reduced, pivots = rref(m)
-            self._rows = reduced.array[:len(pivots)]
-            self._pivot_row = np.full(m.cols, -1, dtype=np.int64)   # -1 off the pivots
-            self._pivot_row[list(pivots)] = np.arange(len(pivots))
+            self._echelon = reduced.array[:len(pivots)]
+            self._rows = [(1 << c, i) for i, c in enumerate(pivots)]   # (pivot bit, row index)
+        self._pivots = sum(bit for bit, _ in self._rows)
+
+    @cached_property
+    def support(self) -> int:
+        """The mask of M's nonzero columns, R's: the OR of its packed nonzero rows."""
+        rows = (v for _, v in self._rows) if self.field.p == 2 else pack_rows(self._echelon != 0)
+        return reduce(or_, rows, 0)
 
     def ranks(self, left: int, right: int) -> tuple[int, int]:
         """(rank of M[:, left], rank of M[:, left | right]) for disjoint
         column masks."""
-        if self.field.p == 2:
-            return self._gf2_ranks(left, right)
-        columns = np.array(mask_columns(left), dtype=np.intp)
-        rows = self._pivot_row[columns]
-        keep = np.ones(len(self._rows), dtype=bool)
-        keep[rows[rows >= 0]] = False
-        free = columns[rows < 0]
-        block = self._rows[keep][:, free.tolist() + mask_columns(right)]
-        base, total = prefix_ranks(FMatrix._reduced(self.field, block), len(free))
-        held = len(columns) - len(free)
-        return held + base, held + total
-
-    def _gf2_ranks(self, left: int, right: int) -> tuple[int, int]:
-        if right and left.bit_length() > (right & -right).bit_length():
-            # the prefix count needs every left bit below every right bit
-            return self._gf2_ranks(left, 0)[0], self._gf2_ranks(left | right, 0)[1]
+        if self.field.p != 2:
+            free = left & self.support & ~self._pivots
+            kept = self._echelon[[i for bit, i in self._rows if not left & bit]]
+            block = kept[:, mask_columns(free) + mask_columns(right & self.support)]
+            base, total = prefix_ranks(FMatrix._reduced(self.field, block), free.bit_count())
+        elif right and left.bit_length() > (right & -right).bit_length():
+            # the packed prefix count needs every left bit below every right bit
+            return self.ranks(left, 0)[0], self.ranks(left | right, 0)[1]
+        else:
+            mask = left | right
+            base, total = _gf2_prefix_ranks(
+                [v & mask for bit, v in self._rows if not left & bit], left.bit_length())
         held = (left & self._pivots).bit_count()
-        mask = left | right
-        base, total = _gf2_prefix_ranks(
-            [v & mask for bit, v in self._rows if not left & bit], left.bit_length())
         return held + base, held + total
 
 

@@ -53,8 +53,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fmatrix import (ColumnRanks, FMatrix, NoSolutionError, hstack, mask_columns, pack_rows,
-                      solve_right, vstack)
+from .fmatrix import (ColumnRanks, FMatrix, NoSolutionError, hstack, mask_columns, solve_right,
+                      vstack)
 from .gf import Field
 
 DEFAULT_ORACLE_CAP = 1 << 22
@@ -296,9 +296,8 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
     m = np.concatenate([scheme.B.array, scheme.A.array], axis=1)
     dem = mask_columns(demanded)
     # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0];
-    # a zero column of B_unk or A_forb asks nothing of M1: gather live ones
-    live = pack_rows(m.any(axis=0)[None])[0]
-    g = FMatrix(f, m[:, dem + mask_columns((unknown | forbidden) & live)])
+    # a zero column of B_unk or A_forb asks nothing of M1: gather M's support
+    g = FMatrix(f, m[:, dem + mask_columns((unknown | forbidden) & scheme.column_ranks.support)])
     rhs = vstack([FMatrix.identity(f, len(dem)),
                   FMatrix.zeros(f, g.cols - len(dem), len(dem))])
     try:

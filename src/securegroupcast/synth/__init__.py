@@ -16,7 +16,7 @@ from ..keyspace import KeyConfig
 from ..scheme import LinearScheme
 from ._common import (KEY_SYMBOL_LIMIT, MatrixTooLargeError, SegmentAllocator,
                       SynthesisError, TooManyKeySymbolsError, UnsolvedSettingError,
-                      build_verified, empty_scheme)
+                      build_verified, check_cells, empty_scheme)
 from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
                           component_instance, groupcast_2of4)
 from .instance25 import _instance_2of5, instance_2of5
@@ -29,7 +29,7 @@ from .unicast import unicast
 __all__ = [
     "COMPONENTS", "ComponentSig", "InfeasibleRates", "MatrixTooLargeError", "SegmentAllocator",
     "SynthesisError", "TooManyKeySymbolsError", "UnsolvedSettingError", "build_verified",
-    "component_counts", "component_instance", "groupcast_2of4",
+    "check_cells", "component_counts", "component_instance", "groupcast_2of4",
     "instance_2of5", "min_bandwidth", "multicast", "multicast_k4_bw",
     "multimessage", "region_violation", "symmetric", "synthesize", "unicast",
 ]

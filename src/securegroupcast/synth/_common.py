@@ -32,22 +32,26 @@ class TooManyKeySymbolsError(ValueError):
 
 KEY_SYMBOL_LIMIT = 1 << 63   # the int64 range of scheme-file entries
 
-# int64 cells per builder matrix (2 GiB): each builder checks the shapes of
-# its A and B against it before it allocates either.
+# int64 cells per scheme matrix (2 GiB): each builder checks the shapes of
+# its A and B against it before it allocates either, and so does a scheme
+# file's parse before it builds the scheme.
 CELL_BUDGET = 1 << 28
 
 
 class MatrixTooLargeError(ValueError):
-    """A builder's matrix would hold more than CELL_BUDGET cells."""
+    """A scheme's matrix would hold more than CELL_BUDGET cells."""
 
 
 def check_cells(*shapes: tuple[int, int]) -> None:
-    """Raise MatrixTooLargeError if a (rows, cols) shape passes CELL_BUDGET."""
+    """Raise MatrixTooLargeError if a (rows, cols) shape passes CELL_BUDGET.
+    A matrix with no rows counts as one row: its column masks still take a
+    bit per column."""
     for rows, cols in shapes:
-        if rows * cols > CELL_BUDGET:
+        if max(rows, 1) * cols > CELL_BUDGET:
             raise MatrixTooLargeError(
                 f"the scheme needs a {rows} x {cols} matrix, more than the budget "
-                f"of 2^{CELL_BUDGET.bit_length() - 1} int64 cells per matrix")
+                f"of 2^{CELL_BUDGET.bit_length() - 1} int64 cells per matrix "
+                f"(a matrix with no rows counts as one row)")
 
 
 def empty_scheme(config: KeyConfig, builder: str, seed: int) -> LinearScheme:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import securegroupcast
 from securegroupcast import KeyConfig, synthesize, verify
-from securegroupcast.cli import (EXIT_OK, EXIT_PARSE, EXIT_REJECTED,
+from securegroupcast.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_REJECTED,
                                  EXIT_UNSOLVED, config_from_obj, config_to_obj,
                                  main, scheme_from_obj, scheme_to_obj, verify_report_obj)
 from securegroupcast.fmatrix import ColumnRanks
@@ -639,24 +639,123 @@ def test_verify_oracle_survives_mutated_scheme_files(tmp_path_factory, obj):
         assert json.loads(out.getvalue())["ok"] == (code == EXIT_OK)
 
 
-def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path):
-    """A zero-row file whose key of 10^8 symbols receiver 1 lacks: the
-    decoder gathers only live (nonzero) columns, so `sgc verify --oracle`
-    rejects it (exit 5) under a 3 GB address-space limit, set in the child
-    process alone; gathering every unknown column ran out of memory."""
-    path = write(tmp_path, "wide.json", {
-        "p": 2, "L": 1, "Lw": 1, "Lx": 0, "K": 2, "qualified": [1],
-        "layout": [{"subset": [2], "width": 10**8}], "A": [], "B": []})
+LITTLE_MEMORY = 3_000_000 * 1024   # bytes of address space, as `ulimit -v 3000000`
+SGC_MAIN = "from securegroupcast.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def in_little_memory(tmp_path, code, *args, timeout=60):
+    """Python `code`, with `args` in sys.argv[1:], in a child process whose
+    address space is limited to LITTLE_MEMORY, set in the child alone, so
+    that no allocation can take the machine's memory.  The child imports
+    the package and these test modules."""
     child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)\n"
-             "from securegroupcast.cli import main\n"
-             "sys.exit(main(['verify', sys.argv[1], '--oracle']))\n")
+             f"resource.setrlimit(resource.RLIMIT_AS, ({LITTLE_MEMORY},) * 2)\n{code}")
     src = str(Path(securegroupcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", child, path], env=env,
-                          capture_output=True, text=True, timeout=60)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", child, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path, p):
+    """A zero-row file whose key of 10^8 symbols receiver 1 lacks: the rank
+    tests and the decoder gather only M's support (nonzero columns), so
+    `sgc verify --oracle` rejects it (exit 5) in little memory over either
+    field; listing every unknown column ran out of memory."""
+    path = write(tmp_path, "wide.json", {
+        "p": p, "L": 1, "Lw": 1, "Lx": 0, "K": 2, "qualified": [1],
+        "layout": [{"subset": [2], "width": 10**8}], "A": [], "B": []})
+    done = in_little_memory(tmp_path, SGC_MAIN, "verify", path, "--oracle")
     assert done.returncode == EXIT_REJECTED, done.stderr
     assert json.loads(done.stdout)["oracle"]["decode_success"] == {"1": 0.0}
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["synth", "c.json", "-o", "s.json"],
+     huge_key_config(4, [1, 2], ([1, 3], 1 << 40))),
+    (["synth", "c.json", "-o", "s.json"],
+     huge_key_config(4, [1, 2], ([1, 3], 4 * 10**9))),
+    (["verify", "c.json", "--oracle"],
+     {"p": 2, "L": 1, "Lw": 1, "Lx": 0, "K": 2, "qualified": [1],
+      "layout": [{"subset": [2], "width": 4 * 10**9}], "A": [], "B": []}),
+], ids=["synth-2^40", "synth-4e9", "verify-4e9"])
+def test_zero_row_scheme_counts_as_one_row_in_the_cell_budget(tmp_path, argv, obj):
+    """A 2-of-4 config of rate 0 whose one key, on {1, 3}, is huge gets a
+    scheme with no rows, and so does a zero-row scheme file; either is as
+    wide as its key.  Counted as one row it passes the cell budget, so
+    synth and verify exit 2 naming the budget instead of building column
+    masks a bit per column wide (a MemoryError at 2^40) or writing the
+    scheme."""
+    write(tmp_path, "c.json", obj)
+    done = in_little_memory(tmp_path, SGC_MAIN, *argv)
+    assert done.returncode == EXIT_PARSE, done.stderr
+    assert "budget of 2^28 int64 cells" in done.stderr
+    assert done.stdout == "" and not (tmp_path / "s.json").exists()
+
+
+@st.composite
+def mutated_config_objects(draw):
+    """A random config file, often of a solved shape (K <= 3 or a 2-of-4
+    groupcast), with key sizes of 0 to 3 symbols or of 2^31 to 2^62, then a
+    few of its fields replaced by values in and out of range.  Sizes in
+    between are left out: there a solved config gets a scheme of up to the
+    2^28-cell budget, and writing it takes seconds to minutes."""
+    k = draw(st.sampled_from([4, 3, 5, 2]))
+    labels = st.integers(1, k)
+    sizes = st.integers(0, 3) | st.integers(1 << 31, 1 << 62)
+    subsets = draw(st.lists(st.lists(labels, min_size=1, max_size=k, unique=True),
+                            max_size=5, unique_by=frozenset))
+    keys = [{"subset": subset, "symbols": draw(sizes)} for subset in subsets]
+    obj = {"K": k, "qualified": draw(st.lists(labels, min_size=1, max_size=k - 1, unique=True)),
+           "keys": keys}
+    odd = st.sampled_from([-1, 1.5, True, "2", None, [], {}, 1 << 63, 1 << 64])
+    receivers = odd | st.lists(st.integers(0, k + 1), max_size=k + 1)
+    for kind in draw(st.lists(st.sampled_from(["K", "qualified", "subset", "symbols", "repeat",
+                                               "drop"]), max_size=2)):
+        if kind == "K":
+            obj["K"] = draw(st.sampled_from([0, 1, k + 1, 21, 4.0, "4", True, None]))
+        elif kind == "qualified":
+            obj["qualified"] = draw(receivers)
+        elif kind == "subset" and keys:
+            draw(st.sampled_from(keys))["subset"] = draw(receivers)
+        elif kind == "symbols" and keys:
+            draw(st.sampled_from(keys))["symbols"] = draw(odd | sizes)
+        elif kind == "repeat" and keys:
+            keys.append(dict(draw(st.sampled_from(keys))))
+        elif kind == "drop":
+            obj.pop(draw(st.sampled_from(["K", "qualified", "keys"])), None)
+    return obj
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(obj=mutated_config_objects())
+def bounds_and_synth_survive(directory, obj):
+    """`sgc bounds` and `sgc synth` on the config end in 0, 2, 3 or 4 within
+    a time bound, never in an exception, and write JSON only on success."""
+    path = write(Path(directory), "c.json", obj)
+    for argv in (["bounds", path], ["synth", path, "-o", str(Path(directory) / "s.json")]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10.0, argv
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSOLVED, EXIT_INTERNAL), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == "" and err.getvalue()
+
+
+def test_bounds_and_synth_survive_mutated_config_files(tmp_path):
+    """The config-file fuzz, run in one child process in little memory: a
+    key of up to 2^62 symbols must not exhaust it (a 2-of-4 config of rate
+    0 with a 2^40-symbol key on {1, 3} ended in MemoryError)."""
+    done = in_little_memory(
+        tmp_path, "from test_cli import bounds_and_synth_survive\n"
+        "bounds_and_synth_survive(sys.argv[1])\n", str(tmp_path), timeout=600)
+    assert done.returncode == 0, done.stderr[-4000:]
 
 
 def test_verify_oracle_refuses_state_count_past_decimal_limit(tmp_path, capsys):

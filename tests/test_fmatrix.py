@@ -171,16 +171,23 @@ def test_mask_columns_lists_the_set_bits(m):
 @given(st.sampled_from([2, 3, 5, 173, 1073741827, LARGE_P]), st.integers(0, 5),
        st.integers(0, 7), st.data())
 def test_column_ranks_match_gathered_ranks(p, r, c, data):
+    """All-zero rows and columns are interleaved with the drawn entries, so
+    `support`, the mask of M's nonzero columns, is checked off the pivots."""
     f = Field(p)
     entries = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
                                  min_size=r * c, max_size=r * c))
-    m = FMatrix(f, np.array(entries, dtype=np.int64).reshape(r, c))
-    cols = data.draw(st.permutations(range(c)))
-    cut = data.draw(st.integers(0, c))
-    end = data.draw(st.integers(cut, c))
+    a = np.array(entries, dtype=np.int64).reshape(r, c)
+    a = np.insert(a, data.draw(st.lists(st.integers(0, r), max_size=3)), 0, axis=0)
+    a = np.insert(a, data.draw(st.lists(st.integers(0, c), max_size=3)), 0, axis=1)
+    m = FMatrix(f, a)
+    cols = data.draw(st.permutations(range(m.cols)))
+    cut = data.draw(st.integers(0, m.cols))
+    end = data.draw(st.integers(cut, m.cols))
     left, right = list(cols[:cut]), list(cols[cut:end])
-    got = ColumnRanks(m).ranks(mask(left), mask(right))
-    assert got == (rank(FMatrix(f, m.array[:, left])), rank(FMatrix(f, m.array[:, left + right])))
+    column_ranks = ColumnRanks(m)
+    assert column_ranks.ranks(mask(left), mask(right)) == (
+        rank(FMatrix(f, a[:, left])), rank(FMatrix(f, a[:, left + right])))
+    assert column_ranks.support == mask(np.flatnonzero(a.any(axis=0)).tolist())
 
 
 @pytest.mark.parametrize("seed", range(12))
