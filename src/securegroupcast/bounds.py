@@ -107,10 +107,12 @@ def _groups_by_size(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 def rate_converse(config: KeyConfig) -> int:
     """min over qualified q, eavesdropper e of H(z_q | z_e), in symbols."""
-    best = min((min(a) for _, _, a in config.eavesdropper_tables), default=None)
-    if best is None:
+    eaves, w, _, a = config.eavesdropper_tables
+    if not eaves or not a:
         raise ValueError("need at least one qualified and one eavesdropping receiver")
-    return best
+    top, mask = (len(eaves) - 1) * w, (1 << w) - 1
+    # The top slot orders the packed ints, so min(a) holds its least entry.
+    return min([min(a) >> top] + [x >> s & mask for s in range(0, top, w) for x in a])
 
 
 def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
@@ -126,12 +128,13 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
 
     With e fixed, the subtracted term is the penalty
     sum_{U not containing e} max(|U cap Q| - 1, 0) * l_U.  In the terms of
-    the per-eavesdropper table (f, a; keyspace module docstring), with
-    W = f[full] the size of the keys e lacks that reach a qualified
-    receiver, it reads penalty(Q) = sum_{i in Q} a[i] - W + f[~Q]: the
-    keys missing Q contribute f[~Q] to make up for the -1 they do not
-    owe.  The table is built once per config, in O(#keys + N 2^N) per
-    eavesdropper, and then every group costs O(1).
+    e's table (f, a; keyspace module docstring), with W = f[full] the
+    size of the keys e lacks that reach a qualified receiver, it reads
+    penalty(Q) = sum_{i in Q} a[i] - W + f[~Q]: the keys missing Q
+    contribute f[~Q] to make up for the -1 they do not owe.  The packed
+    table is built once per config in O(#keys + N 2^N) adds; penalty + W
+    is then formed for all eavesdroppers in O(2^N) packed adds and
+    unpacked one eavesdropper at a time, after which every group costs O(1).
     Only the least penalty of each group size |Q| can win.  With
     R = num/den the search compares the integers |Q| num - penalty(Q) den
     and builds one Fraction at the end.
@@ -143,16 +146,21 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
     """
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    rate = Fraction(rate)
+    rate = rate if type(rate) is int else Fraction(rate)
     num, den = rate.numerator, rate.denominator
+    eaves, w, f, a = config.eavesdropper_tables
+    sums = [0]                         # sums[Q] = sum_{i in Q} A[i]
+    for ai in a:
+        sums = sums + list(map(ai.__add__, sums))
+    packed = list(map(add, sums, reversed(f)))   # F[~Q] = F[full - Q]
+    mask, top = (1 << w) - 1, (len(eaves) - 1) * w
     best = 0                           # best value times den
     best_at = None                     # (e, penalty + W per group mask, W)
-    for e, f, a in config.eavesdropper_tables:
-        sums = [0]                     # sums[Q] = sum_{i in Q} a[i]
-        for ai in a:
-            sums = sums + list(map(ai.__add__, sums))
-        pens = list(map(add, sums, reversed(f)))   # f[~Q] = f[full - Q]
-        total = f[-1]
+    for shift, e in zip(range(0, top + 1, w), eaves):
+        # below the top slot: shift and mask; the top slot: shift; a lone slot: as is
+        pens = ([x >> shift & mask for x in packed] if shift < top else
+                list(map(shift.__rrshift__, packed)) if shift else packed)
+        total = f[-1] >> shift & mask
         value = max(size * num - (min(map(pens.__getitem__, qs)) - total) * den
                     for size, qs in _groups_by_size(len(a)))
         if value > best:
@@ -164,7 +172,7 @@ def bw_converse(config: KeyConfig, rate: Number) -> BwBound:
                  if q.bit_count() * num - (pens[q] - total) * den == best)
         qualified = sorted(config.qualified)   # bit i of q is qualified[i]
         witness = (e, frozenset(qualified[i - 1] for i in set_of(q)))
-    return BwBound(value=_as_number(Fraction(best, den)), witness=witness)
+    return BwBound(best if den == 1 else _as_number(Fraction(best, den)), witness)
 
 
 # -- exact capacity ----------------------------------------------------
@@ -233,7 +241,7 @@ def _recognize(config: KeyConfig) -> Optional[ExactCapacity]:
         setting = UNICAST
     elif N == K - 1:
         setting = MULTICAST
-        ((_, _, conds),) = config.eavesdropper_tables
+        *_, conds = config.eavesdropper_tables    # one eavesdropper: A unpacked
         if K != 4 and len(set(conds)) > 1:   # beta* open here
             return ExactCapacity(setting=MULTICAST, C=c, beta_star=None)
     elif N == 2 and K == 4:

@@ -39,7 +39,8 @@ EXIT_REJECTED = 5
 
 
 class ConfigError(ValueError):
-    """A config or scheme file failed to parse or validate."""
+    """A config or scheme file failed to parse or validate, or a file could
+    not be read or written."""
 
 
 # -- numbers and JSON ------------------------------------------------------
@@ -59,6 +60,8 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:   # not UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # -- config files ----------------------------------------------------------
@@ -246,9 +249,12 @@ def cmd_synth(args) -> int:
     except synth_mod.SynthesisError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    with open(args.out, "w") as fh:
-        json.dump(scheme_to_obj(scheme), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(args.out, "w") as fh:
+            json.dump(scheme_to_obj(scheme), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"{args.out}: {exc.strerror or exc}") from exc
     print(json.dumps({
         "out": args.out,
         "builder": scheme.meta.get("builder"),

@@ -63,10 +63,13 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        # The 64-bit bound first: Miller-Rabin on a number of thousands of
+        # digits takes seconds per witness.
+        if isinstance(p, int) and p >= 1 << 63:
+            raise NotPrimeError(f"field modulus must be below 2^63 to fit in 64 bits, "
+                                f"got a {p.bit_length()}-bit number")
         if not isinstance(p, int) or p < 2 or not is_prime(p):
             raise NotPrimeError(f"field modulus must be prime, got {p!r}")
-        if p >= 1 << 63:
-            raise NotPrimeError(f"modulus {p} does not fit in 64 bits")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):

@@ -13,13 +13,21 @@ the subset), which keeps the bound-search enumerations cheap.
 
 The converses and the K=4 normalizer read one table per eavesdropper e:
 with the qualified receivers q_1 < ... < q_N renumbered as local bits
-0..N-1, let w[t] be the total size of the keys e lacks whose qualified
-part is t.  The table holds its subset-sum transform f[S] = sum of w[t]
+0..N-1, let l[t] be the total size of the keys e lacks whose qualified
+part is t.  The table holds its subset-sum transform f[S] = sum of l[t]
 over t subset of S, the size of the keys e lacks that reach no qualified
 receiver outside S, and a[i] = H(z_{q_i} | z_e) = f[full] - f[full ^ 2^i],
 the keys e lacks that reach q_i.
-`KeyConfig.eavesdropper_tables` builds these once per configuration, in
-one pass over the keys per eavesdropper, and caches them as tuples.
+`KeyConfig.eavesdropper_tables` packs all of them into one table (SIMD
+within a register): with eavesdroppers e_0 < e_1 < ..., F[S] holds f[S]
+of e_j in bits [j w, (j+1) w), and A[i] holds a[i] the same way.  One
+pass over the keys adds each key's size times the packed ones of the
+eavesdroppers lacking it into F at its qualified part; the transform is
+linear, so it runs once, on the packed list.  The slot width w is the
+bit length of N times the total key symbols: f and a are at most the
+total, and bounds.bw_converse's packed sums penalty(Q) + f[full] at most
+N f[full], so adds never carry into the next slot, and A's subtraction,
+nonnegative in every slot, never borrows.
 `entropy_of` is the general H(z_A | given) they specialize, with the
 known symbols `given` as a {mask: symbols} mapping like `KeyConfig.keys`.
 """
@@ -34,9 +42,13 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, TypeVar
 
 MAX_RECEIVERS = 20
+# Key sizes total less than this many symbols, so that every number
+# `sgc bounds` and `sgc synth` print (at most 100 times the total) has at
+# most 4,002 digits, within Python's 4,300-digit int-to-str limit.
+MAX_KEY_SYMBOLS = 10 ** 4000
 
-# (e, f, a) for one eavesdropper; see the module docstring.
-EavesdropperTable = tuple[int, tuple[int, ...], tuple[int, ...]]
+# (eavesdroppers ascending, slot width w, F, A); see the module docstring.
+EavesdropperTable = tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]
 
 T = TypeVar("T")
 
@@ -95,8 +107,8 @@ class KeyConfig:
         """Config from (subset mask, size) pairs, after the checks every
         input goes through: K in range, a nonempty qualified set that
         leaves an eavesdropper, nonempty subsets of [1..K] given once, and
-        nonnegative integer sizes.  Zero sizes are dropped and the keys
-        sorted by mask."""
+        nonnegative integer sizes totalling less than MAX_KEY_SYMBOLS.
+        Zero sizes are dropped and the keys sorted by mask."""
         if not 1 <= K <= MAX_RECEIVERS:
             raise ValueError(f"K must be in [1, {MAX_RECEIVERS}], got {K}")
         full = (1 << K) - 1
@@ -114,6 +126,10 @@ class KeyConfig:
             if m in norm:
                 raise ValueError(f"duplicate key subset {sorted(set_of(m))}")
             norm[m] = size
+        total = sum(norm.values())
+        if total >= MAX_KEY_SYMBOLS:
+            raise ValueError(f"key sizes must total less than 10^4000 symbols, got a "
+                             f"{total.bit_length()}-bit total")
         return cls(K, qualified_mask, {m: norm[m] for m in sorted(norm) if norm[m]})
 
     # -- views ------------------------------------------------------------
@@ -134,40 +150,38 @@ class KeyConfig:
         return self.keys.get(mask_of(subset), 0)
 
     @cached_property
-    def eavesdropper_tables(self) -> tuple[EavesdropperTable, ...]:
-        """(e, f, a) for each eavesdropper e, ascending (module docstring).
+    def eavesdropper_tables(self) -> EavesdropperTable:
+        """The packed (f, a) of every eavesdropper (module docstring).
 
-        Keys held by no qualified receiver are left out of f.  Built on
+        Keys held by no qualified receiver are left out of F.  Built on
         first use and shared by every bound computed from this config.
         """
         qualified = sorted(self.qualified)
+        eaves = tuple(sorted(self.eavesdroppers))
         n = len(qualified)
-        renumbered: dict[int, int] = {}    # qualified part of a key -> local bits
-        binned = []                        # (mask, size, local bits)
+        w = (n * sum(self.keys.values())).bit_length() or 1
+        # A key's code sums its receivers' bits, local bit i for q_i and slot
+        # j's bit past the local bits for e_j, read in three c-bit lookups.
+        bits = {q: 1 << i for i, q in enumerate(qualified)}
+        bits.update({e: 1 << (n + j * w) for j, e in enumerate(eaves)})
+        c = -(-self.K // 3)
+        t0, t1, t2 = lookups = [[0], [0], [0]]
+        for r in range(self.K):
+            table = lookups[r // c]
+            table += [x + bits[r + 1] for x in table]
+        low, ones, cmask = (1 << n) - 1, sum(bits.values()) >> n, (1 << c) - 1
+        f = [0] * (1 << n)
         for m, size in self.keys.items():
-            hit = m & self.qualified_mask
-            if not hit:
-                continue
-            t = renumbered.get(hit)
-            if t is None:
-                t = renumbered[hit] = sum(1 << i for i, q in enumerate(qualified)
-                                          if hit >> (q - 1) & 1)
-            binned.append((m, size, t))
-        tables = []
-        for e in sorted(self.eavesdroppers):
-            ebit = 1 << (e - 1)
-            f = [0] * (1 << n)
-            for m, size, t in binned:
-                if not m & ebit:
-                    f[t] += size
-            # One index bit per round: add the even entries into the odd
-            # ones and move those to the back, which rotates the index bits
-            # back in place after n rounds.  f[full ^ 2^i] is f[-1 - 2^i].
-            for _ in range(n):
-                even = f[0::2]
-                f = even + list(map(add, even, f[1::2]))
-            tables.append((e, tuple(f), tuple([f[-1] - f[-1 - (1 << i)] for i in range(n)])))
-        return tuple(tables)
+            x = t0[m & cmask] + t1[m >> c & cmask] + t2[m >> 2 * c]
+            if x & low:   # add size to the slots of the eavesdroppers lacking it
+                f[x & low] += size * (ones - (x >> n))
+        # One index bit per round: add the even entries into the odd ones
+        # and move those to the back, which rotates the index bits back in
+        # place after n rounds.  F[full ^ 2^i] is F[-1 - 2^i].
+        for _ in range(n):
+            even = f[0::2]
+            f = even + list(map(add, even, f[1::2]))
+        return eaves, w, tuple(f), tuple([f[-1] - f[-1 - (1 << i)] for i in range(n)])
 
     def memo(self, fact: Callable[["KeyConfig"], T]) -> T:
         """fact(self), computed on the first call with that function and
@@ -274,8 +288,9 @@ def normalize_labels(config: KeyConfig, setting: str) -> dict[int, int]:
     if setting == "multicast_k4":
         if config.K != 4 or config.N != 3:
             raise WrongShapeError(f"multicast_k4 needs K=4, N=3; got K={config.K}, N={config.N}")
-        # a[i] = H(z_q | z_e) for the i-th qualified receiver q, ascending.
-        ((e, _, a),) = config.eavesdropper_tables
+        # With one eavesdropper, A[i] = H(z_q | z_e) for the i-th
+        # qualified receiver q, ascending.
+        (e,), _, _, a = config.eavesdropper_tables
         qualified = sorted(config.qualified)
         first = qualified[a.index(min(a))]
         # Order the remaining two so the pair key with receiver `first`

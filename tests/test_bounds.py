@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paper_reference import paper_exact, symmetric_exact
+from table_reference import spill, unpack
 from securegroupcast import (KeyConfig, aligned_2of5_key_size, bw_converse,
                              canonical_relabel, entropy_of, exact_capacity,
                              invert_perm, mask_of, normalize_labels, rate_converse,
@@ -178,6 +179,84 @@ def test_converses_match_reference_loops_where_larger_groups_win():
             larger += 1
             huge += scale > 1
     assert larger > 100 and huge > 30
+
+
+# -- the packed eavesdropper table: edge cases ---------------------------------------
+
+def _assert_packed_table_exact(config, rates=(1, Fraction(5, 3))):
+    """Every slot of the packed table against entropy_of, and the converses
+    against the reference loops at the rate converse and `rates`."""
+    qualified = sorted(config.qualified)
+    qmask = config.qualified_mask
+    assert spill(config) == 0
+    tables = unpack(config)
+    assert [e for e, _, _ in tables] == sorted(config.eavesdroppers)
+    for e, f, a in tables:
+        given = held_by(config, e)
+        assert a == tuple(entropy_of(config, {q}, given) for q in qualified)
+        reach = entropy_of(config, qmask, given)
+        for s, fs in enumerate(f):   # the keys e lacks with no qualified holder outside s
+            inside = mask_of(q for i, q in enumerate(qualified) if s >> i & 1)
+            assert fs == reach - entropy_of(config, qmask & ~inside, given)
+    upper = rate_converse(config)
+    assert upper == _rate_converse_loop(config)
+    for rate in {upper, *rates}:
+        assert bw_converse(config, rate) == _bw_converse_loop(config, rate)
+
+
+def _huge_key_lacked_by(e, small):
+    """K = 5, qualified {1, 2}: a key of 10^30 symbols that every receiver
+    but e holds, beside `small` keys of 1 symbol."""
+    return KeyConfig.of(5, [1, 2], {frozenset(range(1, 6)) - {e}: 10**30,
+                                    **{subset: 1 for subset in small}})
+
+
+@pytest.mark.parametrize("e", [3, 4, 5])
+def test_packed_table_huge_slot_beside_small_ones(e):
+    """Eavesdropper e's slot reaches N * 10^30 in bw_converse (its one
+    penalty-bearing key covers the qualified pair) while the other slots
+    hold single symbols, with the huge key alone and among small keys."""
+    _assert_packed_table_exact(_huge_key_lacked_by(e, []), rates=(1, 10**30))
+    small = [(1,), (2, 3), (1, 2, 4), (2, 5), (1, 3, 4)]
+    _assert_packed_table_exact(_huge_key_lacked_by(e, small), rates=(1, 10**30))
+
+
+def test_packed_table_mixes_one_and_huge_sizes():
+    rng = random.Random(30)
+    for _ in range(150):
+        k = rng.randint(3, 7)
+        qualified = rng.sample(range(1, k + 1), rng.randint(1, k - 1))
+        keys = {m: rng.choice([1, 1, 2, 10**30])
+                for m in rng.sample(range(1, 1 << k), rng.randint(1, 7))}
+        _assert_packed_table_exact(KeyConfig.of(k, qualified, keys),
+                                   rates=(1, 10**30, Fraction(10**30, 3)))
+
+
+def test_packed_table_key_every_eavesdropper_lacks():
+    config = KeyConfig.of(5, [1, 2], {(1, 2): 3, (1,): 1, (2, 4): 2})
+    assert [a for _, _, a in unpack(config)] == [(4, 5), (4, 3), (4, 5)]
+    _assert_packed_table_exact(config)
+
+
+def test_packed_table_keys_no_qualified_receiver_holds():
+    config = KeyConfig.of(5, [1, 2], {(3,): 10**30, (4, 5): 7, (3, 4, 5): 1,
+                                      (1, 3): 2, (2, 4): 1})
+    assert [f[-1] for _, f, _ in unpack(config)] == [1, 2, 3]
+    _assert_packed_table_exact(config)
+    only_outside = KeyConfig.of(4, [1], {(2,): 5, (3, 4): 10**30})
+    assert all(f == (0, 0) and a == (0,) for _, f, a in unpack(only_outside))
+    _assert_packed_table_exact(only_outside)
+
+
+@pytest.mark.parametrize("qualified", [list(range(1, 12)), [5]],
+                         ids=["one_eavesdropper", "eleven_eavesdroppers"])
+def test_packed_table_one_and_eleven_eavesdroppers(qualified):
+    rng = random.Random(len(qualified))
+    for scale in (1, 10**30):
+        keys = {m: rng.randint(1, 3) * scale for m in rng.sample(range(1, 1 << 12), 40)}
+        config = KeyConfig.of(12, qualified, keys)
+        assert len(unpack(config)) == 12 - len(qualified)
+        _assert_packed_table_exact(config, rates=(Fraction(5, 3) * scale,))
 
 
 def test_report_k20_n10():
@@ -535,13 +614,13 @@ def test_report_runs_bw_converse_once(ex2, monkeypatch):
     off it: at K = 4 with unequal H(z_q | z_4) (ex2) and at K = 3 with
     equal H(z_q | z_3) alike."""
     rates = _counting_bw_converse(monkeypatch)
-    assert len(set(ex2.eavesdropper_tables[0][2])) > 1
+    assert len(set(unpack(ex2)[0][2])) > 1
     rep = report(ex2)
     assert rates == [rep.exact.C]
     assert rep.bw_lower == rep.exact.beta_star == bw_converse(ex2, rep.exact.C).value
     rates.clear()
     equal = KeyConfig.of(3, [1, 2], {(1,): 2, (2,): 2, (1, 2): 1, (2, 3): 1, (1, 3): 3})
-    assert len(set(equal.eavesdropper_tables[0][2])) == 1
+    assert len(set(unpack(equal)[0][2])) == 1
     rep = report(equal)
     assert (rep.exact.setting, rep.exact.C, rep.exact.beta_star) == (MULTICAST, 3, 5)
     assert rates == [rep.exact.C]
@@ -645,13 +724,13 @@ def test_exact_capacity_meets_the_paper_on_unicast_and_one_eavesdropper():
         config = _requalified(random_config(rng, k), rng.sample(range(1, k + 1), k - 1))
         _assert_meets_paper(config, MULTICAST)
         unknown += exact_capacity(config).beta_star is None
-        ((e, _, conds),) = config.eavesdropper_tables
+        ((e, _, conds),) = unpack(config)
         top = max(conds)
         keys = dict(config.keys)
         for q, h in zip(sorted(config.qualified), conds):
             keys[1 << (q - 1)] = keys.get(1 << (q - 1), 0) + top - h
         equal = KeyConfig.from_masks(k, config.qualified_mask, keys.items())
-        assert len(set(equal.eavesdropper_tables[0][2])) == 1
+        assert len(set(unpack(equal)[0][2])) == 1
         _assert_meets_paper(equal, MULTICAST)
     assert unknown >= 50
 
@@ -739,7 +818,7 @@ def _beta_star_witnesses(config, setting):
     """The (e, Q) pairs among which bw_converse's objective reaches beta*."""
     if setting in (UNICAST, ZERO_RATE):
         return [(e, {q}) for e in config.eavesdroppers for q in config.qualified]
-    if setting == MULTICAST and len(set(config.eavesdropper_tables[0][2])) > 1:
+    if setting == MULTICAST and len(set(unpack(config)[0][2])) > 1:
         back = invert_perm(normalize_labels(config, "multicast_k4"))
         return [(back[4], {back[q] for q in group}) for group in ({1, 2}, {1, 2, 3})]
     return [(e, config.qualified) for e in config.eavesdroppers]

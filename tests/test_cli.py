@@ -296,6 +296,78 @@ def test_synth_refuses_matrix_past_cell_budget(tmp_path, capsys, obj):
     assert not out_path.exists()
 
 
+# -- numbers past Python's 4,300-digit int/str limit ----------------------------------
+
+BIG = 10**4300 - 1          # 4,300 digits: the longest integer json.load reads
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bounds", "c.json"],
+     '{"K": 3, "qualified": [1], "keys": [{"subset": [1], "symbols": 1%s}]}' % ("0" * 4999)),
+    (["verify", "c.json"],
+     '{"p": 2%s, "L": 1, "Lw": 1, "Lx": 0, "K": 2, "qualified": [1], '
+     '"layout": [], "A": [], "B": []}' % ("0" * 4999)),
+], ids=["config", "scheme"])
+def test_integer_literal_past_the_digit_limit_exit_code(tmp_path, capsys, monkeypatch,
+                                                      argv, text):
+    """json.load refuses a 5,000-digit literal with a plain ValueError: exit
+    2 naming the file, not a traceback."""
+    (tmp_path / "c.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: c.json: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["bounds", "c.json"], huge_key_config(3, [1, 2], ([1], BIG), ([2], BIG), ([1, 2], BIG))),
+    (["synth", "c.json", "-o", "s.json"], huge_key_config(4, [1, 2], ([1, 3], BIG), ([2, 4], BIG))),
+], ids=["bounds", "synth"])
+def test_key_symbols_past_the_bound_exit_code(tmp_path, capsys, monkeypatch, argv, obj):
+    """Each file parses, but bounds would print a bw_lower past 4,300 digits
+    and synth's refusal would format one: configs whose key sizes total
+    10^4000 or more exit 2 naming the bound."""
+    write(tmp_path, "c.json", obj)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_PARSE
+    assert "key sizes must total less than 10^4000 symbols" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_key_symbol_bound_is_sharp(tmp_path, capsys):
+    """Key sizes totalling 10^4000 are refused; one symbol fewer, bounds
+    prints every number and synth refuses the config (int64 scheme
+    entries) in a message that prints the total."""
+    third = (10**4000 - 1) // 3
+    at = write(tmp_path, "at.json", huge_key_config(3, [1], ([1], 10**4000)))
+    assert main(["bounds", at]) == EXIT_PARSE
+    assert "less than 10^4000 symbols" in capsys.readouterr().err
+    below = write(tmp_path, "below.json", huge_key_config(
+        3, [1, 2], ([1], third), ([2], third), ([1, 2], third)))
+    assert main(["bounds", below]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["setting"] == "multicast" and out["bw_lower"] == out["beta_star"] == 3 * third
+    assert main(["synth", below, "-o", str(tmp_path / "s.json")]) == EXIT_PARSE
+    assert f"holds {3 * third} key symbols" in capsys.readouterr().err
+
+
+def test_verify_huge_modulus_exit_code(tmp_path, capsys):
+    """A 4,185-digit odd modulus with no factor up to 37 is refused by the
+    64-bit bound before Miller-Rabin: exit 2, quickly."""
+    from test_gf import odd_without_small_factors
+    path = write(tmp_path, "p.json", otp_scheme_obj(p=odd_without_small_factors(4185)))
+    start = time.perf_counter()
+    assert main(["verify", path]) == EXIT_PARSE
+    assert time.perf_counter() - start < 1
+    assert "must be below 2^63" in capsys.readouterr().err
+
+
+def test_synth_into_a_missing_directory_exit_code(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", ex3_obj())
+    out_path = str(tmp_path / "missing" / "s.json")
+    assert main(["synth", cfg, "-o", out_path]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {out_path}: No such file or directory\n"
+
+
 def test_scheme_is_ranked_once_through_synth_verify_and_cli(ex3, monkeypatch):
     """build_verified's check answers the later verify and
     verify_report_obj: one ColumnRanks.ranks call per receiver in all."""

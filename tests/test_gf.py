@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -20,6 +21,27 @@ def test_field_new_rejects_composites_and_garbage():
         Field(1)
     with pytest.raises(NotPrimeError):
         Field(0)
+
+
+def odd_without_small_factors(digits):
+    """The least odd number of `digits` digits with no prime factor up to
+    37, the last Miller-Rabin witness, so that trial division passes it."""
+    n = 10 ** (digits - 1) + 1
+    while any(n % q == 0 for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+        n += 2
+    return n
+
+
+def test_field_checks_the_64_bit_bound_before_primality():
+    """Miller-Rabin spends seconds per witness on a 4,185-digit number;
+    the 64-bit bound refuses it first, and the message names the bound."""
+    start = time.perf_counter()
+    with pytest.raises(NotPrimeError, match=r"below 2\^63 .* got a 13899-bit number"):
+        Field(odd_without_small_factors(4185))
+    assert time.perf_counter() - start < 1
+    assert Field(2**63 - 25).p == 2**63 - 25          # the largest prime below 2^63
+    with pytest.raises(NotPrimeError, match=r"below 2\^63"):
+        Field(2**64 + 13)                               # prime, but past the bound
 
 
 # Field is only a modulus; residues are added, multiplied and inverted by

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from securegroupcast import (KeyConfig, WrongShapeError, canonical_relabel,
                              entropy_of, invert_perm, is_symmetric, mask_of,
                              normalize_labels, set_of)
+from table_reference import spill, unpack
 
 
 def all_subset_masks(k):
@@ -241,13 +242,15 @@ def test_eavesdropper_tables_match_entropies(k, data):
             for m in all_subset_masks(k)}
     qualified = data.draw(st.sets(st.integers(1, k), min_size=1, max_size=k - 1))
     config = KeyConfig.of(k, qualified, keys)
-    tables = config.eavesdropper_tables
-    assert config.eavesdropper_tables is tables       # built once, then cached
-    assert isinstance(tables, tuple)
+    table = config.eavesdropper_tables
+    assert config.eavesdropper_tables is table        # built once, then cached
+    eaves, _, packed_f, packed_a = table
+    assert eaves == tuple(sorted(config.eavesdroppers))
+    assert isinstance(packed_f, tuple) and isinstance(packed_a, tuple)
+    assert spill(config) == 0
     local = sorted(qualified)
-    assert [e for e, _, _ in tables] == sorted(config.eavesdroppers)
-    for e, f, a in tables:
-        assert isinstance(f, tuple) and isinstance(a, tuple)
+    assert [e for e, _, _ in unpack(config)] == sorted(config.eavesdroppers)
+    for e, f, a in unpack(config):
         given_e = held_by(config, e)
         assert a == tuple(entropy_of(config, {q}, given_e) for q in local)
         w_ref = []
@@ -309,10 +312,10 @@ def test_keys_are_read_only():
     assert direct.keys[1] == 2
     for config in (KeyConfig.of(3, [1], {(1,): 2}), direct, direct.scaled(1),
                    direct.relabeled({1: 1, 2: 3, 3: 2})):
-        assert config.eavesdropper_tables[0][1] == (0, 2)
+        assert unpack(config)[0][1] == (0, 2)
         with pytest.raises(TypeError):
             config.keys[1] = 7
-        assert config.eavesdropper_tables[0][1] == (0, 2)
+        assert unpack(config)[0][1] == (0, 2)
     assert KeyConfig.of(3, [1], {(1,): 2}) == KeyConfig(3, 1, {1: 2}) == direct
     assert KeyConfig(3, 1, {1: 2}) != KeyConfig(3, 1, {1: 3})
 
