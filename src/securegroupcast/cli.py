@@ -60,8 +60,11 @@ def _load_json(path: str) -> Any:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:   # not UTF-8, or an integer past Python's digit limit
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:   # json.load's one other ValueError: int()'s digit limit
+        raise ConfigError(f"{path}: an integer literal is longer than "
+                          f"{sys.get_int_max_str_digits()} digits, the longest sgc reads") from exc
 
 
 # -- config files ----------------------------------------------------------

@@ -19,7 +19,7 @@ from ._common import (KEY_SYMBOL_LIMIT, MatrixTooLargeError, SegmentAllocator,
                       build_verified, check_cells, empty_scheme)
 from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
                           component_instance, groupcast_2of4)
-from .instance25 import _instance_2of5, instance_2of5
+from .instance25 import instance_2of5
 from .multicast import multicast, multicast_k4_bw
 from .multimessage import (InfeasibleRates, min_bandwidth, multimessage,
                            region_violation)
@@ -67,7 +67,7 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
         scheme = groupcast_2of4(config, seed)
     elif setting == ALIGNED_2OF5:
         ell, perm = aligned_2of5_key_size(config)
-        scheme = _instance_2of5(ell, seed, perm)
+        scheme = instance_2of5(ell, seed, perm)
     elif setting == SYMMETRIC:
         scheme = symmetric(config, seed)
     else:  # ZERO_RATE: C = beta* = 0

@@ -5,17 +5,24 @@ Every builder constructs its scheme once.  The Cauchy builders (unicast,
 multicast, symmetric) work over GF(least_prime_at_least(rows + cols)) of
 the largest Cauchy matrix they draw, a field in which every square
 submatrix of it is invertible, so each correctness and security rank is
-provable; the GF(2) builders (2-of-4, aligned 2-of-5) compose fixed bit
-patterns.  build_verified checks the result all the same: a rejected
+provable; the GF(2) builders (2-of-4, aligned 2-of-5, region) stamp fixed
+bit patterns as packed [B | A] rows, which gf2_matrices alone turns into
+matrices.  build_verified checks the result all the same: a rejected
 scheme is a builder bug and raises SynthesisError (exit 4).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from ..fmatrix import FMatrix, unpack_rows
+from ..gf import Field
 from ..keyspace import KeyConfig, invert_perm
 from ..scheme import LinearScheme, verify
+
+F2 = Field(2)
 
 
 class SynthesisError(RuntimeError):
@@ -52,6 +59,13 @@ def check_cells(*shapes: tuple[int, int]) -> None:
                 f"the scheme needs a {rows} x {cols} matrix, more than the budget "
                 f"of 2^{CELL_BUDGET.bit_length() - 1} int64 cells per matrix "
                 f"(a matrix with no rows counts as one row)")
+
+
+def gf2_matrices(rows: Sequence[int], d: int, cols: int) -> tuple[FMatrix, FMatrix]:
+    """(A, B) over F2 of packed [B | A] rows: bit j is column j, B the first d of cols."""
+    m = unpack_rows(rows, cols)
+    return (FMatrix._reduced(F2, m[:, d:].astype(np.int64)),
+            FMatrix._reduced(F2, m[:, :d].astype(np.int64)))
 
 
 def empty_scheme(config: KeyConfig, builder: str, seed: int) -> LinearScheme:

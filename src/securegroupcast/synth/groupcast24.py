@@ -33,8 +33,8 @@ entry per label permutation.
 Assembly stamps templates: a component invoked n times spends n
 consecutive bits of each key it consumes (one SegmentAllocator take, which
 refuses to pass the key's width), so each template row is one packed
-[B | A] row, shifted left by i for invocation i; one np.unpackbits turns
-the rows into A and B.
+[B | A] row, shifted left by i for invocation i; gf2_matrices turns the
+rows into A and B.
 """
 
 from __future__ import annotations
@@ -42,15 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
-from ..fmatrix import FMatrix, unpack_rows
-from ..gf import Field
+from ..fmatrix import FMatrix
 from ..keyspace import KeyConfig, invert_perm, mask_of, normalize_labels, set_of
 from ..scheme import LinearScheme
-from ._common import SegmentAllocator, build_verified, check_cells
-
-_F2 = Field(2)
+from ._common import F2, SegmentAllocator, build_verified, check_cells, gf2_matrices
 
 
 def _s(*receivers: int) -> frozenset[int]:
@@ -112,16 +107,14 @@ def _stamp(counts: dict[str, int], alloc: SegmentAllocator) -> tuple[FMatrix, FM
         template = [sum(first[subset] for subset in row) | 1 << msg for row in sig.rows]
         rows += [pattern << i for i in range(n) for pattern in template]
         msg += n
-    m = unpack_rows(rows, msg)
-    return (FMatrix._reduced(_F2, m[:, d:].astype(np.int64)),
-            FMatrix._reduced(_F2, m[:, :d].astype(np.int64)))
+    return gf2_matrices(rows, d, msg)
 
 
 def component_instance(name: str) -> LinearScheme:
     """The one-invocation scheme of a component on its own fresh key bits."""
     layout = tuple((subset, 1) for subset in COMPONENTS[name].consumes)
     a, b = _stamp({name: 1}, SegmentAllocator(layout))
-    return LinearScheme(field=_F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
+    return LinearScheme(field=F2, L=1, K=4, qualified=_s(1, 2), layout=layout,
                         A=a, B=b, meta={"builder": name})
 
 
@@ -184,7 +177,7 @@ def groupcast_2of4(config: KeyConfig, seed: int = 0) -> LinearScheme:
     check_cells((lx, lw), (lx, alloc.total))
     a, b = _stamp(counts, alloc)
     return build_verified(LinearScheme(
-        field=_F2, L=1, K=4, qualified=config.qualified,
+        field=F2, L=1, K=4, qualified=config.qualified,
         layout=tuple((caller, sizes[subset])
                      for subset, (caller, _) in zip(USEFUL_SUBSETS, callers) if sizes[subset]),
         A=a, B=b, meta={"builder": "groupcast_2of4", "case": case, "counts": counts,

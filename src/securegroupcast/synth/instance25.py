@@ -20,21 +20,20 @@ still carries a, c, d or e.  Eavesdropper 4 knows c, d; its residual view
 repeats W1 + b1 in rows 1 and 6: the repeat is aligned, the same message
 combination under the same noise, so the 10 rows span only 9 dimensions
 and nothing leaks.  Eavesdropper 5 (knows c, e) aligns W4 + b2 in rows 2
-and 8 the same way.  Larger key sizes take fresh-key copies of the base.
-synthesize computes in these labels and writes the scheme in the caller's.
+and 8 the same way.  Larger key sizes take fresh-key copies of the base:
+copy c of a base row, a packed [B | A] row, has its key bits shifted by 3c
+and its message bit by 5c, and gf2_matrices assembles A and B as it does
+for every GF(2) builder.  synthesize computes in these labels and writes
+the scheme in the caller's.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Mapping, Optional
 
 from ..bounds import ALIGNED_2OF5_KEYS
-from ..fmatrix import FMatrix
-from ..gf import Field
 from ..scheme import LinearScheme
-from ._common import build_verified, check_cells, in_caller_labels
-
-_F2 = Field(2)
+from ._common import F2, build_verified, check_cells, gf2_matrices, in_caller_labels
 
 # (message bit, [(key index, block)]) per transmit row; key indices follow
 # the a..e order of ALIGNED_2OF5_KEYS and blocks run 0..2.
@@ -56,38 +55,35 @@ MSG_BITS_PER_COPY = 5
 TX_BITS_PER_COPY = 10
 
 
-def instance_2of5(key_size: int, seed: int = 0) -> LinearScheme:
+def instance_2of5(key_size: int, seed: int = 0,
+                  perm: Optional[Mapping[int, int]] = None) -> LinearScheme:
     """Verified scheme for the aligned topology with all five keys of
-    `key_size`, in the labels of ALIGNED_2OF5_KEYS.
+    `key_size`, for a caller whose labels perm maps into those of
+    ALIGNED_2OF5_KEYS (the identity when None), written in the caller's
+    labels.
 
     Emits key_size fresh-key copies of the base scheme: 5 * key_size
     message bits in 10 * key_size transmit bits over L = 3 blocks.
     """
-    return _instance_2of5(key_size, seed, {k: k for k in range(1, 6)})
-
-
-def _instance_2of5(ell: int, seed: int, perm: dict[int, int]) -> LinearScheme:
-    """instance_2of5's scheme for a caller whose labels perm maps into
-    those of ALIGNED_2OF5_KEYS, written in the caller's labels."""
-    if ell < 0:
+    if key_size < 0:
         raise ValueError("key size must be nonnegative")
-    width = BLOCKS_PER_COPY * ell
+    if perm is None:
+        perm = {k: k for k in range(1, 6)}
+    width = BLOCKS_PER_COPY * key_size
     qualified, layout = in_caller_labels(perm, {1, 2}, [(s, width) for s in ALIGNED_2OF5_KEYS])
-    meta = {"builder": "instance_2of5", "key_size": ell, "seed": seed, "escalations": 0}
-    if ell == 0:
+    meta = {"builder": "instance_2of5", "key_size": key_size, "seed": seed, "escalations": 0}
+    if key_size == 0:
         return build_verified(LinearScheme.empty(5, qualified, L=BLOCKS_PER_COPY, meta=meta))
-    lw = MSG_BITS_PER_COPY * ell
-    lx = TX_BITS_PER_COPY * ell
-    check_cells((lx, lw), (lx, len(ALIGNED_2OF5_KEYS) * width))
-    a = np.zeros((lx, lw), dtype=np.int64)
-    b = np.zeros((lx, len(ALIGNED_2OF5_KEYS) * width), dtype=np.int64)
-    for copy in range(ell):
-        r0 = TX_BITS_PER_COPY * copy
-        m0 = MSG_BITS_PER_COPY * copy
-        for r, (msg, pads) in enumerate(_BASE_ROWS):
-            a[r0 + r, m0 + msg] = 1
-            for key_idx, block in pads:
-                b[r0 + r, key_idx * width + BLOCKS_PER_COPY * copy + block] = 1
+    d = len(ALIGNED_2OF5_KEYS) * width
+    lw = MSG_BITS_PER_COPY * key_size
+    lx = TX_BITS_PER_COPY * key_size
+    check_cells((lx, lw), (lx, d))
+    # copy 0 of each base row as (key bits, message bit) of [B | A]
+    base = [(sum(1 << key_idx * width + block for key_idx, block in pads), 1 << d + msg)
+            for msg, pads in _BASE_ROWS]
+    rows = [keys << BLOCKS_PER_COPY * c | msg << MSG_BITS_PER_COPY * c
+            for c in range(key_size) for keys, msg in base]
+    a, b = gf2_matrices(rows, d, d + lw)
     return build_verified(LinearScheme(
-        field=_F2, L=BLOCKS_PER_COPY, K=5, qualified=qualified, layout=layout,
-        A=FMatrix(_F2, a), B=FMatrix(_F2, b), meta=meta))
+        field=F2, L=BLOCKS_PER_COPY, K=5, qualified=qualified, layout=layout,
+        A=a, B=b, meta=meta))

@@ -25,14 +25,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..fmatrix import FMatrix
-from ..gf import Field
 from ..scheme import LinearScheme
-from ._common import check_cells
+from ._common import F2, check_cells, gf2_matrices
 
-_F2 = Field(2)
 _OWNERS = (frozenset({1}), frozenset({2}), frozenset({1, 2}))
 
 
@@ -80,19 +75,17 @@ def multimessage(sizes: tuple[int, int, int],
     l1, l2, l12 = sizes
     r1, r2, r12 = rates
     w12, overflow = r1 + r2, max(0, r12 - l12)   # first column of W12; common overflow
-    lx = r1 + r2 + r12 + overflow
-    check_cells((lx, r1 + r2 + r12), (lx, l1 + l2 + l12))
+    d, lw = l1 + l2 + l12, r1 + r2 + r12   # widths of B and A
+    lx = lw + overflow
+    check_cells((lx, lw), (lx, d))
     # each transmitted bit is one message bit plus one key bit: (A column, B column)
     rows = ([(i, i) for i in range(r1)]                                   # W1[i] + s1[i]
             + [(r1 + i, l1 + i) for i in range(r2)]                       # W2[i] + s2[i]
             + [(w12 + i, l1 + l2 + i) for i in range(min(r12, l12))]      # W12[i] + s12[i]
             + [(w12 + l12 + i, r1 + i) for i in range(overflow)]          # under fresh s1 bits
             + [(w12 + l12 + i, l1 + r2 + i) for i in range(overflow)])    # and fresh s2 bits
-    a = np.zeros((lx, r1 + r2 + r12), dtype=np.int64)
-    b = np.zeros((lx, l1 + l2 + l12), dtype=np.int64)
-    for row, (msg, key) in enumerate(rows):
-        a[row, msg] = b[row, key] = 1
-    return LinearScheme(field=_F2, L=1, K=3, qualified=frozenset({1, 2}),
-                        layout=tuple(zip(_OWNERS, sizes)), A=FMatrix(_F2, a),
-                        B=FMatrix(_F2, b), meta={"builder": "multimessage"},
+    a, b = gf2_matrices([1 << d + msg | 1 << key for msg, key in rows], d, d + lw)
+    return LinearScheme(field=F2, L=1, K=3, qualified=frozenset({1, 2}),
+                        layout=tuple(zip(_OWNERS, sizes)), A=a, B=b,
+                        meta={"builder": "multimessage"},
                         messages=tuple(zip(_OWNERS, rates)))

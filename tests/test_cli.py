@@ -311,11 +311,22 @@ BIG = 10**4300 - 1          # 4,300 digits: the longest integer json.load reads
 def test_integer_literal_past_the_digit_limit_exit_code(tmp_path, capsys, monkeypatch,
                                                       argv, text):
     """json.load refuses a 5,000-digit literal with a plain ValueError: exit
-    2 naming the file, not a traceback."""
+    2 naming the file and the limit, not a traceback, and not Python's
+    advice to call sys.set_int_max_str_digits()."""
     (tmp_path / "c.json").write_text(text)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: c.json: Exceeds the limit (4300 digits)")
+    assert capsys.readouterr().err == (
+        "error: c.json: an integer literal is longer than 4300 digits, the longest sgc reads\n")
+
+
+def test_file_not_utf8_exit_code(tmp_path, capsys, monkeypatch):
+    """A file that is not UTF-8 keeps the decoder's own message: exit 2."""
+    (tmp_path / "c.json").write_bytes(b'{"K": 3, "qualified": [1], "keys": "\xff"}')
+    monkeypatch.chdir(tmp_path)
+    assert main(["bounds", "c.json"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(
+        "error: c.json: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("argv, obj", [

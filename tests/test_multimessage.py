@@ -11,6 +11,7 @@ from securegroupcast import (Field, FMatrix, LinearScheme, oracle_verify, simula
 from securegroupcast.cli import scheme_to_obj
 from securegroupcast.synth import (InfeasibleRates, min_bandwidth, multimessage,
                                    region_violation)
+from gf2_reference import assert_same_bytes, multimessage_dense
 from state_reference import message_columns, reference_oracle
 
 F2 = Field(2)
@@ -34,6 +35,18 @@ def test_boundary_tuple_case1():
     assert ms.L_X == 3
     assert verify(ms).ok
     assert oracle_verify(ms).ok
+
+
+def test_region_schemes_match_dense_reference():
+    """The packed rows against the cell-by-cell assembly on every
+    achievable triple with sizes <= 3 and rates <= 6."""
+    built = 0
+    for sizes in product(range(4), repeat=3):
+        for rates in product(range(7), repeat=3):
+            if region_violation(sizes, rates) is None:
+                assert_same_bytes(multimessage(sizes, rates), multimessage_dense(sizes, rates))
+                built += 1
+    assert built == 1184
 
 
 def test_infeasible_by_first_inequality():
