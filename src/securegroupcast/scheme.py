@@ -38,7 +38,9 @@ Verification is exact, never statistical:
   forbidden digits; the other message digits count as noise.  Fixing the
   message digits shifts X by a constant too, so when X has fewer live rows
   than the check has noise digits, the repeating noise codes are counted
-  once each and shifted by every message value.
+  once each and shifted by every message value.  Digits that share no row
+  of X are independent, so every check runs block by block over the
+  connected components of X's nonzero pattern.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -379,6 +382,15 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # counts; group sizes are built only for security checks.  The decoder's
 # error is enumerated only on the digits where it has a nonzero column, as
 # no other digit can change whether it vanishes.
+#
+# Every check runs block by block over the connected components of the
+# nonzero pattern of x_forms = [A | B_used], read without any rank.  Blocks
+# share no row, so a view is the tuple of its per-block views: a check
+# looks only at the blocks holding some of its message digits, and decodes
+# (is secure) exactly when it does in each, its leakage the sum of theirs.
+# Equal blocks with equal held and message digits are counted once per
+# call.  `states` and the cap still count the whole p^(L_W + D_used), so
+# the refusal does not depend on how a scheme splits.
 
 
 def oracle_cap() -> int:
@@ -386,7 +398,12 @@ def oracle_cap() -> int:
     raw = os.environ.get(ORACLE_CAP_ENV)
     if raw is None:
         return DEFAULT_ORACLE_CAP
-    cap = int(raw) if raw.strip().isdecimal() else 0
+    digits = raw.strip()
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:   # int() would refuse it with advice for Python code
+        raise ValueError(f"{ORACLE_CAP_ENV} is longer than {limit} digits, the longest sgc "
+                         f"reads: {raw[:20]!r}... ({len(raw)} characters)")
+    cap = int(digits) if digits.isdecimal() else 0
     if cap < 1 or cap & (cap - 1):
         raise ValueError(f"{ORACLE_CAP_ENV} must be a power of two, got {raw!r}")
     return cap
@@ -584,17 +601,44 @@ class OracleReport:
     """Brute-force verdicts: counting entropies, no algebraic shortcuts.
 
     `secure` is the exact zero-leakage verdict per eavesdropper, decided on
-    integer counts; `leakage_bits` is for display."""
+    integer counts; `leakage_bits` is for display.  `states` is the whole
+    state count p^(L_W + D_used); `block_states` is the most states any one
+    block check stood for, p^(its block's digits the receiver does not
+    hold), and 0 when no check has a message digit."""
 
     correct: Mapping[int, bool]
     decode_success: Mapping[int, float]
     leakage_bits: Mapping[int, float]
     secure: Mapping[int, bool]
     states: int
+    block_states: int
 
     @property
     def ok(self) -> bool:
         return all(self.correct.values()) and all(self.secure.values())
+
+
+def _blocks(x_forms: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """(rows, digits) of each connected component of the nonzero pattern of
+    x_forms, in the order of their lowest digits: a row joins every digit
+    where it is nonzero, a digit that no row reaches is a block with no
+    rows, and a zero row belongs to no block."""
+    root = list(range(x_forms.shape[1]))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    first: dict[int, int] = {}   # row -> its first nonzero digit
+    for i, j in zip(*(a.tolist() for a in np.nonzero(x_forms))):
+        root[find(j)] = find(first.setdefault(i, j))
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for j in range(len(root)):
+        blocks.setdefault(find(j), ([], []))[1].append(j)
+    for i, j in first.items():
+        blocks[find(j)][0].append(i)
+    return list(blocks.values())
 
 
 def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleReport:
@@ -614,27 +658,41 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
     if m > cap.bit_length() or p ** m > cap:
         shown = f" = {p ** m}" if m * p.bit_length() <= 14_000 else ""
         raise TooLargeError(f"p^(L_W + D_used) = {p}^{m}{shown} exceeds the oracle cap {cap}")
-    states = p ** m
     x_forms = np.concatenate([scheme.A.array, b[:, used]], axis=1)
+    blocks = [(cols, x_forms[np.ix_(rows, cols)]) for rows, cols in _blocks(x_forms)]
+    counted: dict[tuple, GroupCounts] = {}   # (shape, forms, held, message) -> counts
 
-    def groups(k: int, message: int) -> GroupCounts:
+    def groups(k: int, message: int) -> list[GroupCounts]:
+        """k's group counts on each block holding a digit of `message`."""
         unknown = scheme.column_masks(k)[0]
-        held = [scheme.L_W + i for i, c in enumerate(used) if not unknown >> c & 1]
-        return view_groups(p, x_forms, held, mask_columns(message >> scheme.D))
+        held = sum(1 << (scheme.L_W + i) for i, c in enumerate(used) if not unknown >> c & 1)
+        wanted = message >> scheme.D
+        out = []
+        for cols, forms in blocks:
+            local = [i for i, c in enumerate(cols) if wanted >> c & 1]
+            if not local:
+                continue
+            kept = [i for i, c in enumerate(cols) if held >> c & 1]
+            key = (forms.shape, forms.tobytes(), tuple(kept), tuple(local))
+            if key not in counted:
+                counted[key] = view_groups(p, forms, kept, local)
+            out.append(counted[key])
+        return out
 
     correct: dict[int, bool] = {}
     success: dict[int, float] = {}
     leakage: dict[int, float] = {}
     secure: dict[int, bool] = {}
     for k in sorted(scheme.qualified):
-        correct[k] = groups(k, scheme.column_masks(k)[1]).decodes()
+        correct[k] = all(g.decodes() for g in groups(k, scheme.column_masks(k)[1]))
         success[k] = _decode_success(scheme, k, x_forms, used)
     for e in sorted(scheme.eavesdroppers):
-        view = groups(e, scheme.column_masks(e)[2])
-        secure[e] = view.independent()
-        leakage[e] = view.leakage_bits()
-    return OracleReport(correct=correct, decode_success=success,
-                        leakage_bits=leakage, secure=secure, states=states)
+        views = groups(e, scheme.column_masks(e)[2])
+        secure[e] = all(g.independent() for g in views)
+        leakage[e] = math.fsum(g.leakage_bits() for g in views)
+    largest = max((p ** (shape[1] - len(kept)) for shape, _, kept, _ in counted), default=0)
+    return OracleReport(correct=correct, decode_success=success, leakage_bits=leakage,
+                        secure=secure, states=p ** m, block_states=largest)
 
 
 def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,

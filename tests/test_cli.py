@@ -642,6 +642,17 @@ def test_verify_bad_oracle_cap_exit_code(tmp_path, capsys, monkeypatch, raw):
     assert main(["demo", "region"]) == EXIT_PARSE
 
 
+def test_oracle_cap_past_the_digit_limit_exit_code(tmp_path, capsys, monkeypatch):
+    """A 5,000-digit SGC_ORACLE_CAP exits 2 naming the variable and quoting
+    only the value's first 20 characters, not with Python's advice to call
+    sys.set_int_max_str_digits()."""
+    monkeypatch.setenv("SGC_ORACLE_CAP", "1" + "0" * 4999)
+    assert main(["demo", "ex1"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: SGC_ORACLE_CAP is longer than 4300 digits, the longest sgc reads: "
+        "'10000000000000000000'... (5000 characters)\n")
+
+
 def test_verify_oversized_oracle_falls_back(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SGC_ORACLE_CAP", "4")
     cfg = write(tmp_path, "c.json", ex3_obj())

@@ -12,15 +12,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from securegroupcast import (DecodeFailureError, Field, FMatrix, LinearScheme,
+from securegroupcast import (DecodeFailureError, Field, FMatrix, KeyConfig, LinearScheme,
                              NotDecodableError, TooLargeError, decoder_for,
                              hstack, oracle_verify, prefix_ranks, rank, rref,
-                             simulate, verify, verify_correctness,
+                             simulate, synthesize, verify, verify_correctness,
                              verify_security)
 import securegroupcast.scheme as scheme_module
 from securegroupcast.scheme import state_code, view_groups
 from securegroupcast.synth import component_instance
 from securegroupcast.synth.multimessage import multimessage
+from oracle_reference import assert_same_report, digit_blocks, whole_oracle_verify
 from state_reference import (group_by_view, key_columns, random_scheme, reference_oracle,
                              reference_verdicts)
 
@@ -629,6 +630,20 @@ def cross_check_scheme(rng, p):
                         B=FMatrix(field, np.array(b, dtype=np.int64).reshape(lx, d)))
 
 
+def one_block_scheme(rng, p):
+    """A scheme of at most 5^4 states whose one row of X is nonzero on
+    every digit, so the oracle sees one block.  Receiver 3 holds no key, so
+    its check has one live form against two or more noise digits: the
+    message-shift rule's case."""
+    field = Field(p)
+    d = rng.randint(2, 3 if p < 7 else 2)
+    layout = tuple((frozenset({1, 2} if rng.random() < 0.5 else {1}), 1) for _ in range(d))
+    row = [rng.randrange(1, p) for _ in range(1 + d)]
+    return LinearScheme(field=field, L=1, K=3, qualified=frozenset({1}), layout=layout,
+                        A=FMatrix(field, np.array([row[:1]], dtype=np.int64)),
+                        B=FMatrix(field, np.array([row[1:]], dtype=np.int64)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_oracle_matches_state_by_state_reference(p, monkeypatch):
     rng = random.Random(p * 7919)
@@ -640,8 +655,10 @@ def test_oracle_matches_state_by_state_reference(p, monkeypatch):
         return groups
 
     monkeypatch.setattr(scheme_module, "view_groups", recording)
-    for _ in range(40):
-        scheme = cross_check_scheme(rng, p)
+    # the drawn schemes split into small blocks, where few checks have
+    # fewer live forms than noise digits; the one-block draws have them
+    for i in range(46):
+        scheme = cross_check_scheme(rng, p) if i < 40 else one_block_scheme(rng, p)
         orc = oracle_verify(scheme)
         correct, success, leakage, secure = reference_oracle(scheme)
         used = sum(1 for j in range(scheme.D) if scheme.B.array[:, j].any())
@@ -676,11 +693,13 @@ def test_oracle_matches_state_by_state_reference(p, monkeypatch):
 
 
 def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
-    """Each check is counted over the message digits and the used key digits
-    its receiver does not hold, while `states` still counts them all.  A
-    check with fewer live X forms than noise digits codes the noise digits
-    and the message digits in two separate calls, never both at once; any
-    other check codes all of them in one call."""
+    """Each check is counted block by block, over the message digits and the
+    used key digits its receiver does not hold in each block that holds
+    some of its message digits, while `states` still counts them all.  A
+    block check with fewer live X forms than noise digits codes the noise
+    digits and the message digits in two separate calls, never both at
+    once; any other codes all of them in one call.  A block with equal
+    forms, held digits and message digits is coded once per call."""
     rng = random.Random(2718)
     calls = []
     expand = scheme_module._expand
@@ -696,23 +715,38 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
     for _ in range(80):
         scheme = cross_check_scheme(rng, rng.choice([2, 3, 5]))
         used = [j for j in range(scheme.D) if scheme.B.array[:, j].any()]
+        x_forms = np.concatenate([scheme.A.array, scheme.B.array[:, used]], axis=1)
         calls.clear()
         rep = oracle_verify(scheme)
         assert rep.states == scheme.p ** (scheme.L_W + len(used))
-        want = []
+        want, coded = [], set()
         for k in sorted(scheme.qualified) + sorted(scheme.eavesdroppers):
             # a single-message scheme's checks take all of W as the message
-            noise = [j for j in used if j not in key_columns(scheme, k)[0]]
-            free = np.concatenate([scheme.A.array, scheme.B.array[:, noise]], axis=1)
-            if np.count_nonzero(free.any(axis=1)) < len(noise):
-                want += [(len(noise), False), (scheme.L_W, True)]
-                seen["compressed"] += 1
-            else:
-                want.append((scheme.L_W + len(noise), False))
-                seen["enumerated"] += 1
-            seen["sliced"] += len(noise) < len(used)
+            held = {scheme.L_W + i for i, j in enumerate(used) if j in key_columns(scheme, k)[0]}
+            for rows, digits in digit_blocks(x_forms):
+                message = [i for i, j in enumerate(digits) if j < scheme.L_W]
+                if not message:
+                    continue
+                kept = [i for i, j in enumerate(digits) if j in held]
+                forms = x_forms[rows][:, digits]
+                key = (forms.tobytes(), forms.shape, tuple(kept), tuple(message))
+                if key in coded:
+                    seen["coded once"] += 1
+                    continue
+                coded.add(key)
+                noise = [i for i in range(len(digits)) if i not in kept and i not in message]
+                live = np.count_nonzero(forms[:, message + noise].any(axis=1))
+                if live < len(noise):
+                    want += [(len(noise), False), (len(message), True)]
+                    seen["compressed"] += 1
+                else:
+                    want.append((len(message) + len(noise), False))
+                    seen["enumerated"] += 1
+                seen["sliced"] += len(kept) > 0
+        seen["split"] += len(digit_blocks(x_forms)) > 1
         assert calls == want, scheme
-    assert seen["compressed"] and seen["enumerated"] and seen["sliced"], seen
+    assert all(seen[key] for key in ("compressed", "enumerated", "sliced", "split",
+                                     "coded once")), seen
 
 
 def test_secure_views_leak_exactly_zero_bits():
@@ -742,6 +776,130 @@ def test_secure_views_leak_exactly_zero_bits():
     rep = oracle_verify(clear)
     assert rep.secure[2] is False and abs(rep.leakage_bits[2] - 1.0) < 1e-9
     assert rep.leakage_bits[1] == 0.0
+
+
+# -- the oracle by blocks against the whole-state oracle ----------------------------
+
+EIGHT_SUBSETS = ((1,), (2,), (1, 3), (1, 4), (2, 3), (2, 4), (1, 2, 3), (1, 2, 4))
+
+
+def two_of_four(sizes):
+    """The synthesized 2-of-4 scheme with key sizes listed as EIGHT_SUBSETS."""
+    return synthesize(KeyConfig.of(4, [1, 2], {s: n for s, n in zip(EIGHT_SUBSETS, sizes) if n}))
+
+
+def sum_part(rng, p, k):
+    """(qualified, layout, A, B) of a drawn single-message scheme of at
+    most 64 states for K = k receivers, each message column zero with
+    probability 1/4; or, a third of the time, a one-time pad W + c S whose key only
+    the qualified receivers hold."""
+    qualified = frozenset(rng.sample(range(1, k + 1), rng.randint(1, k - 1)))
+    if rng.random() < 1 / 3:
+        return qualified, [qualified], np.ones((1, 1), dtype=np.int64), np.array(
+            [[rng.randrange(1, p)]], dtype=np.int64)
+    lw, lx = rng.randint(0, 2), rng.randint(0, 3)
+    layout = []
+    while len(layout) < 3 and p ** (lw + len(layout) + 1) <= 64 and rng.random() < 0.8:
+        layout.append(frozenset(rng.sample(range(1, k + 1), rng.randint(1, k))))
+    a = np.array([[rng.randrange(p) for _ in range(lw)] for _ in range(lx)],
+                 dtype=np.int64).reshape(lx, lw)
+    a[:, [rng.random() < 0.25 for _ in range(lw)]] = 0
+    b = np.array([[rng.randrange(p) for _ in layout] for _ in range(lx)],
+                 dtype=np.int64).reshape(lx, len(layout))
+    return qualified, layout, a, b
+
+
+def direct_sum(rng, p, k, parts):
+    """The direct sum of `parts`: A and B block-diagonal, each part's message
+    columns a block of its qualified set.  Then the rows, the key columns
+    and the message columns are permuted, each column a width-1 block of
+    the layout or the messages so that its owners move with it."""
+    field = Field(p)
+    lx = sum(a.shape[0] for _, _, a, _ in parts)
+    a_sum = np.zeros((lx, sum(a.shape[1] for _, _, a, _ in parts)), dtype=np.int64)
+    b_sum = np.zeros((lx, sum(b.shape[1] for _, _, _, b in parts)), dtype=np.int64)
+    keys, owners, empty = [], [], []
+    r = 0
+    for qualified, layout, a, b in parts:
+        a_sum[r:r + a.shape[0], len(owners):len(owners) + a.shape[1]] = a
+        b_sum[r:r + b.shape[0], len(keys):len(keys) + b.shape[1]] = b
+        r += a.shape[0]
+        keys += layout
+        owners += [qualified] * a.shape[1]
+        if not a.shape[1]:
+            empty.append(qualified)
+    rows = rng.sample(range(lx), lx)
+    key_order, message_order = rng.sample(range(len(keys)), len(keys)), rng.sample(
+        range(len(owners)), len(owners))
+    return LinearScheme(
+        field=field, L=1, K=k, qualified=frozenset().union(*(q for q, _, _, _ in parts)),
+        layout=tuple((keys[j], 1) for j in key_order),
+        A=FMatrix(field, a_sum[rows][:, message_order]),
+        B=FMatrix(field, b_sum[rows][:, key_order]),
+        messages=tuple((owners[j], 1) for j in message_order) + tuple((q, 0) for q in empty))
+
+
+def x_form_blocks(scheme):
+    used = scheme.B.array.any(axis=0)
+    return digit_blocks(np.concatenate([scheme.A.array, scheme.B.array[:, used]], axis=1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_block_oracle_matches_whole_oracle_on_draws(p):
+    rng = random.Random(p * 4409)
+    for _ in range(60):
+        scheme = cross_check_scheme(rng, p)
+        assert_same_report(oracle_verify(scheme), whole_oracle_verify(scheme))
+
+
+def test_block_oracle_matches_whole_oracle_on_synthesized_schemes(fig4, ex3):
+    rng = random.Random(7)
+    schemes = [synthesize(fig4), synthesize(ex3)]
+    schemes += [two_of_four([rng.randint(0, 2) for _ in EIGHT_SUBSETS]) for _ in range(40)]
+    for scheme in schemes:
+        assert_same_report(oracle_verify(scheme), whole_oracle_verify(scheme))
+    assert all(len(x_form_blocks(s)) > 1 for s in schemes[:2])
+
+
+def test_block_oracle_matches_whole_oracle_on_direct_sums():
+    """Direct sums of two or three drawn schemes, rows and columns permuted:
+    leaking and undecodable blocks beside sound ones, and message columns
+    that no row reaches."""
+    rng = random.Random(9091)
+    seen = Counter()
+    for _ in range(150):
+        p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 4)
+        scheme = direct_sum(rng, p, k, [sum_part(rng, p, k) for _ in range(rng.randint(2, 3))])
+        got = oracle_verify(scheme)
+        assert_same_report(got, whole_oracle_verify(scheme))
+        alg = verify(scheme)
+        assert alg.correct == got.correct
+        assert {e: v == 0 for e, v in alg.leakage.items()} == got.secure
+        checked = [digits for _, digits in x_form_blocks(scheme)
+                   if any(j < scheme.L_W for j in digits)]
+        seen["several checked blocks"] += len(checked) > 1
+        seen["leaks"] += len(checked) > 1 and not all(got.secure.values())
+        seen["undecodable"] += len(checked) > 1 and not all(got.correct.values())
+        seen["ok"] += len(checked) > 1 and got.ok
+        seen["zero message column"] += not scheme.A.array.any(axis=0).all()
+    assert all(seen[key] for key in ("several checked blocks", "leaks", "undecodable", "ok",
+                                     "zero message column")), seen
+
+
+def test_block_checks_stay_small(fig4, ex3):
+    """fig4 and ex3 count at most 2^8 states per block check, and 2^20-state
+    2-of-4 schemes (key sizes up to 4) at most 2^5."""
+    for config in (fig4, ex3):
+        rep = oracle_verify(synthesize(config))
+        assert rep.ok and 0 < rep.block_states <= 1 << 8, rep.block_states
+    rng = random.Random(20)
+    found = 0
+    while found < 3:
+        scheme = two_of_four([rng.randint(0, 4) for _ in EIGHT_SUBSETS])
+        if scheme.L_W and scheme.L_W + np.count_nonzero(scheme.B.array.any(axis=0)) == 20:
+            rep = oracle_verify(scheme)
+            assert rep.ok and rep.states == 1 << 20 and rep.block_states <= 1 << 5
+            found += 1
 
 
 # -- simulation -----------------------------------------------------------------
