@@ -12,11 +12,15 @@ so after t updates since the last reduction every entry lies in
 [-t (p - 1)^2, p - 1], and int64 holds t = INT64_MAX // (p - 1)^2 of them.
 Only what the next step reads is reduced before that: the pivot column,
 whose zeros decide the pivot and whose entries are the row factors, and
-the pivot row, which is scaled by an inverse.  ColumnRanks answers many
-column-subset rank queries on one matrix from a single echelon form; the
-subsets, its pivots and the matrix's nonzero columns are column masks (an
-int, bit j for column j) over every field.  Over GF(2) ColumnRanks and
-rref (so solve_right too) reduce packed bitset rows, the one packed path.
+the pivot row that an update reads, which is scaled unreduced while
+t (p - 1)^3 fits in int64.  A pivot whose column holds no other
+nonzero among the rows an update touches updates no row.  ColumnRanks
+answers many column-subset rank queries on one matrix from a single
+echelon form; the subsets, its pivots and the matrix's nonzero columns
+are column masks (an int, bit j for column j) over every field.  A query
+whose columns hold no pivot keeps every echelon row, and over GF(p) ranks
+the matrix's own columns.  Over GF(2) ColumnRanks and rref (so
+solve_right too) reduce packed bitset rows, the one packed path.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class FMatrix:
         return self._a.tolist()
 
     def transpose(self) -> "FMatrix":
-        return FMatrix(self.field, self._a.T)
+        return FMatrix._reduced(self.field, self._a.T)
 
     def __eq__(self, other):
         return (isinstance(other, FMatrix) and other.field == self.field
@@ -151,7 +155,7 @@ def hstack(parts: Sequence[FMatrix]) -> FMatrix:
             raise ValueError("field mismatch in hstack")
         if m.rows != rows:
             raise ValueError(f"row mismatch in hstack: {rows} vs {m.rows}")
-    return FMatrix(field, np.concatenate([m.array for m in parts], axis=1))
+    return FMatrix._reduced(field, np.concatenate([m.array for m in parts], axis=1))
 
 
 def vstack(parts: Sequence[FMatrix]) -> FMatrix:
@@ -165,7 +169,7 @@ def vstack(parts: Sequence[FMatrix]) -> FMatrix:
             raise ValueError("field mismatch in vstack")
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {cols} vs {m.cols}")
-    return FMatrix(field, np.concatenate([m.array for m in parts], axis=0))
+    return FMatrix._reduced(field, np.concatenate([m.array for m in parts], axis=0))
 
 
 # -- elimination engines ------------------------------------------------
@@ -187,21 +191,31 @@ def _eliminate(a: np.ndarray, p: int, reduce: bool) -> list[int]:
     row and the rows below it are zero left of the current column, so
     swaps and updates touch only columns col onwards.
 
+    A pivot pays only for the work it has.  When no other row that
+    updates touch is nonzero in the pivot column, no row is updated, and
+    without `reduce` the pivot row, which nothing reads again, is not
+    scaled either.  A pivot entry of 1 is not scaled.
+
     Reduction is delayed.  With every entry in [0, p) after a reduction,
     each update subtracts factor * row entry <= (p - 1)^2, so after
     `pending` updates an entry lies in [-pending (p - 1)^2, p - 1]; int64
     holds that for pending <= INT64_MAX // (p - 1)^2, and the rows that
     updates touch are reduced once `pending` reaches that budget.  The
     budget is 1, a reduction after every pivot, for p near 2^31.5 and for
-    the object arrays of Python integers that larger p take.
+    the object arrays of Python integers that larger p take.  A skipped
+    update changes no entry and is not counted.
     Before then only what the step reads is reduced: the pivot column, so
     that a zero is a zero mod p and the factors are residues, and the
-    pivot row, so that scaling it multiplies two residues.  Pivot columns
-    come out exact (a 1 and zeros); the other entries are left congruent
-    to the echelon form, not reduced.
+    pivot row that an update reads, so that the update multiplies two
+    residues.  Scaling multiplies an entry by an inverse below p, so a
+    pivot row is scaled unreduced while pending (p - 1)^3 fits in int64,
+    and reduced first past that.  With `reduce` the pivot columns come out
+    exact (a 1 and zeros); every other entry is left congruent to the
+    echelon form, not reduced.
     """
     rows, cols = a.shape
     budget = max(1, INT64_MAX // (p - 1) ** 2)
+    scale_budget = INT64_MAX // (p - 1) ** 3   # most pending updates to scale a row unreduced after
     pending = 0     # updates since the touched rows were last reduced
     pivots: list[int] = []
     lead = 0
@@ -211,31 +225,37 @@ def _eliminate(a: np.ndarray, p: int, reduce: bool) -> list[int]:
         top = 0 if reduce else lead   # the first row that updates touch
         if pending:
             a[top:, col] %= p
-        nonzero = a[lead:, col].nonzero()[0]
-        if not nonzero.size:
+        hits = a[top:, col].nonzero()[0].tolist()   # row - top of each nonzero
+        at = bisect_left(hits, lead - top)
+        if at == len(hits):
             continue
-        piv = lead + int(nonzero[0])
+        piv = top + hits[at]
         if piv != lead:
-            top_row = a[lead, col:].copy()
-            a[lead, col:] = a[piv, col:]
-            a[piv, col:] = top_row
+            a[[lead, piv], col:] = a[[piv, lead], col:]
+        update = len(hits) > 1   # another touched row is nonzero in this column
         row = a[lead, col:]
-        if pending:
-            row %= p
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
-        if pending == budget:
-            a[top:, col + 1:] %= p
-            pending = 0
-        if reduce:
-            block = a[:, col:]
-            factors = block[:, :1].copy()
-            factors[lead] = 0   # the pivot row stays
-        else:
-            block = a[lead + 1:, col:]
-            factors = block[:, :1]
-        block -= factors * row
-        pending += 1
+        if update or reduce:
+            entry = int(row[0])
+            if entry != 1:
+                if pending > scale_budget:
+                    row %= p
+                row *= pow(entry, p - 2, p)
+                row %= p
+            elif pending and update:
+                row %= p
+        if update:
+            if pending == budget:
+                a[top:, col + 1:] %= p
+                pending = 0
+            if reduce:
+                block = a[:, col:]
+                factors = block[:, :1].copy()
+                factors[lead] = 0   # the pivot row stays
+            else:
+                block = a[lead + 1:, col:]
+                factors = block[:, :1]
+            block -= factors * row
+            pending += 1
         pivots.append(col)
         lead += 1
     return pivots
@@ -362,6 +382,10 @@ class ColumnRanks:
     the mask of M's nonzero columns.  Over GF(2) a row is a packed int and
     a residual row is `row & (left | right)`, as R is zero on P outside the
     pivot rows; over GF(p) a row indexes R, whose block gathers the support.
+    When left holds no pivot, I is empty and R's rows span M's, so over
+    GF(p) the block is gathered from M itself, which ColumnRanks keeps:
+    the builders' M = [B | A] is mostly sparser than R, so its elimination skips
+    more row updates.
     """
 
     def __init__(self, m: FMatrix):
@@ -371,6 +395,7 @@ class ColumnRanks:
             self._rows = [(1 << c, v) for c, v in basis.items()]   # (pivot bit, row)
         else:
             reduced, pivots = rref(m)
+            self._matrix = m.array
             self._echelon = reduced.array[:len(pivots)]
             self._rows = [(1 << c, i) for i, c in enumerate(pivots)]   # (pivot bit, row index)
         self._pivots = sum(bit for bit, _ in self._rows)
@@ -386,8 +411,12 @@ class ColumnRanks:
         column masks."""
         if self.field.p != 2:
             free = left & self.support & ~self._pivots
-            kept = self._echelon[[i for bit, i in self._rows if not left & bit]]
-            block = kept[:, mask_columns(free) + mask_columns(right & self.support)]
+            columns = mask_columns(free) + mask_columns(right & self.support)
+            if left & self._pivots:
+                kept = self._echelon[[i for bit, i in self._rows if not left & bit]]
+                block = kept[:, columns]
+            else:
+                block = self._matrix[:, columns]
             base, total = prefix_ranks(FMatrix._reduced(self.field, block), free.bit_count())
         elif right and left.bit_length() > (right & -right).bit_length():
             # the packed prefix count needs every left bit below every right bit

@@ -125,20 +125,75 @@ def low_rank_rows(rng, p, rows, cols, r):
             for ur in u]
 
 
+def structured_rows(rng, p, rows, cols):
+    """A matrix whose pivots skip work: nonzero multiples of unit columns,
+    a scaled permutation, [Cauchy | I], an upper triangle U (columns
+    nonzero only at and above the lead), or L @ U for a unit lower
+    triangle L, whose rows are updated before they pivot, mostly on a 1;
+    then rows are repeated, scaled, zeroed and shuffled."""
+    def unit():
+        return rng.choice([1, rng.randrange(1, p)])
+
+    kind = rng.randrange(5)
+    a = [[0] * cols for _ in range(rows)]
+    if kind == 0 and rows:
+        for j in range(cols):
+            if rng.random() < 0.8:
+                a[rng.randrange(rows)][j] = unit()
+    elif kind == 1:
+        for i, j in enumerate(rng.sample(range(cols), min(rows, cols))):
+            a[i][j] = unit()
+    elif kind == 2:
+        # Cauchy needs rows + width <= p distinct points; with rows > p, I alone
+        dense = cauchy(rows, min(cols, p - rows), Field(p)).tolist() if rows <= p else [[]] * rows
+        a = [r + [int(i == j) for j in range(rows)] for i, r in enumerate(dense)]
+    else:
+        a = [[rng.randrange(p) if j > i else unit() if j == i and rng.random() < 0.8 else 0
+              for j in range(cols)] for i in range(rows)]
+        if kind == 4:
+            lower = [[1 if j == i else rng.randrange(p) if j < i else 0 for j in range(rows)]
+                     for i in range(rows)]
+            a = [[sum(x * r[j] for x, r in zip(lrow, a)) % p for j in range(cols)]
+                 for lrow in lower]
+    for _ in range(rng.randint(0, 3) if a else 0):
+        copy = [v * rng.randrange(p) % p for v in rng.choice(a)]
+        a.insert(rng.randint(0, len(a)), copy)
+    if rng.random() < 0.5:
+        rng.shuffle(a)
+    return a
+
+
 # Elimination reduces mod p after INT64_MAX // (p - 1)^2 pending updates:
 # p = 3037000493, the largest prime with (p - 1)^2 <= INT64_MAX, after
 # every pivot; 1073741827 after 7, which 8 to 16 rows can pass; 268435459
 # after 127, never reached here, so its entries grow to ~2^60 unreduced.
+# A pivot row is scaled unreduced while pending <= INT64_MAX // (p - 1)^3,
+# as its entries reach pending (p - 1)^2: p = 2097143, the largest prime
+# with (p - 1)^3 <= INT64_MAX, after 1 pending update, 1321109 after 4,
+# and 2097169, the next prime above 2097143, never; none of these three
+# reaches its reduction budget (over 2 * 10^6 updates).
 # These take rows x cols in [8, 16] x [8, 20], the others [0, 7] x [0, 7].
-BUDGET_EDGE_PRIMES = (3037000493, 1073741827, 268435459)
+BUDGET_EDGE_PRIMES = (3037000493, 1073741827, 268435459, 2097143, 1321109, 2097169)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 173, LARGE_P, *BUDGET_EDGE_PRIMES])
 def test_elimination_matches_python_int_reference(p):
+    """Drawn low-rank matrices, then structured ones whose pivots skip the
+    row update, the scaling or the swap."""
     rng = random.Random(p)
     field = Field(p)
     (lo_rows, hi_rows), (lo_cols, hi_cols) = (
         ((8, 16), (8, 20)) if p in BUDGET_EDGE_PRIMES else ((0, 7), (0, 7)))
+
+    def check(entries, cols):
+        m = FMatrix(field, np.array(entries, dtype=np.int64).reshape(len(entries), cols))
+        reduced, pivots = reference_rref(entries, cols, p)
+        got, got_pivots = rref(m)
+        assert got.tolist() == reduced and list(got_pivots) == pivots
+        for split in range(cols + 1):
+            left = len(reference_rref([r[:split] for r in entries], split, p)[1])
+            assert prefix_ranks(m, split) == (left, len(pivots))
+
     for _ in range(60):
         rows, cols = rng.randint(lo_rows, hi_rows), rng.randint(lo_cols, hi_cols)
         entries = low_rank_rows(rng, p, rows, cols, rng.randint(0, min(rows, cols)))
@@ -146,13 +201,11 @@ def test_elimination_matches_python_int_reference(p):
             if rng.random() < 0.2:
                 for row in entries:
                     row[j] = 0
-        m = FMatrix(field, np.array(entries, dtype=np.int64).reshape(rows, cols))
-        reduced, pivots = reference_rref(entries, cols, p)
-        got, got_pivots = rref(m)
-        assert got.tolist() == reduced and list(got_pivots) == pivots
-        for split in range(cols + 1):
-            left = len(reference_rref([r[:split] for r in entries], split, p)[1])
-            assert prefix_ranks(m, split) == (left, len(pivots))
+        check(entries, cols)
+    for _ in range(60):
+        rows, cols = rng.randint(lo_rows, hi_rows), rng.randint(lo_cols, hi_cols)
+        entries = structured_rows(rng, p, rows, cols)
+        check(entries, len(entries[0]) if entries else cols)
 
 
 # -- ranks of column subsets from one echelon form ------------------------------
@@ -167,23 +220,55 @@ def test_mask_columns_lists_the_set_bits(m):
     assert mask_columns(m) == [j for j in range(m.bit_length()) if m >> j & 1]
 
 
-@settings(max_examples=200, deadline=None)
+def dependent_rows(data, p):
+    """Rows [I_k | X], their columns permuted, with combinations of them
+    and zero rows shuffled in: rank k, more rows than that, and a nonzero
+    column of X that is no pivot.  Combinations are taken in Python ints."""
+    k, extra = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    x = [[data.draw(st.integers(1 if i == j == 0 else 0, p - 1)) for j in range(extra)]
+         for i in range(k)]
+    basis = [[int(i == j) for j in range(k)] + x[i] for i in range(k)]
+    order = data.draw(st.permutations(range(k + extra)))
+    basis = [[r[j] for j in order] for r in basis]
+    combos = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                                min_size=1, max_size=4))
+    rows = basis + [[sum(c * r[j] for c, r in zip(cs, basis)) % p for j in range(k + extra)]
+                    for cs in combos]
+    rows += [[0] * (k + extra)] * data.draw(st.integers(0, 2))
+    return np.array(data.draw(st.permutations(rows)), dtype=np.int64).reshape(-1, k + extra)
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.sampled_from([2, 3, 5, 173, 1073741827, LARGE_P]), st.integers(0, 5),
-       st.integers(0, 7), st.data())
-def test_column_ranks_match_gathered_ranks(p, r, c, data):
+       st.integers(0, 7), st.booleans(), st.data())
+def test_column_ranks_match_gathered_ranks(p, r, c, dependent, data):
     """All-zero rows and columns are interleaved with the drawn entries, so
-    `support`, the mask of M's nonzero columns, is checked off the pivots."""
+    `support`, the mask of M's nonzero columns, is checked off the pivots.
+    The `dependent` shape has more rows than its rank, and its left columns
+    hold no pivot but some nonzero column, so no echelon row drops out."""
     f = Field(p)
-    entries = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
-                                 min_size=r * c, max_size=r * c))
-    a = np.array(entries, dtype=np.int64).reshape(r, c)
-    a = np.insert(a, data.draw(st.lists(st.integers(0, r), max_size=3)), 0, axis=0)
-    a = np.insert(a, data.draw(st.lists(st.integers(0, c), max_size=3)), 0, axis=1)
+    if dependent:
+        a = dependent_rows(data, p)
+    else:
+        entries = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
+                                     min_size=r * c, max_size=r * c))
+        a = np.array(entries, dtype=np.int64).reshape(r, c)
+    a = np.insert(a, data.draw(st.lists(st.integers(0, a.shape[0]), max_size=3)), 0, axis=0)
+    a = np.insert(a, data.draw(st.lists(st.integers(0, a.shape[1]), max_size=3)), 0, axis=1)
     m = FMatrix(f, a)
-    cols = data.draw(st.permutations(range(m.cols)))
-    cut = data.draw(st.integers(0, m.cols))
-    end = data.draw(st.integers(cut, m.cols))
-    left, right = list(cols[:cut]), list(cols[cut:end])
+    if dependent:
+        pivots = reference_rref(a.tolist(), m.cols, p)[1]
+        free = [j for j in range(m.cols) if j not in pivots and a[:, j].any()]
+        others = [j for j in range(m.cols) if j not in pivots and j != free[0]]
+        left = [free[0]] + data.draw(st.lists(st.sampled_from(others), unique=True)
+                                     if others else st.just([]))
+        rest = [j for j in range(m.cols) if j not in left]
+        right = data.draw(st.lists(st.sampled_from(rest), unique=True) if rest else st.just([]))
+    else:
+        cols = data.draw(st.permutations(range(m.cols)))
+        cut = data.draw(st.integers(0, m.cols))
+        end = data.draw(st.integers(cut, m.cols))
+        left, right = list(cols[:cut]), list(cols[cut:end])
     column_ranks = ColumnRanks(m)
     assert column_ranks.ranks(mask(left), mask(right)) == (
         rank(FMatrix(f, a[:, left])), rank(FMatrix(f, a[:, left + right])))
