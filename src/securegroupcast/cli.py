@@ -246,7 +246,7 @@ def cmd_synth(args) -> int:
     except synth_mod.UnsolvedSettingError as exc:
         print(f"unsolved: {exc}", file=sys.stderr)
         return EXIT_UNSOLVED
-    except (synth_mod.TooManyKeySymbolsError, synth_mod.MatrixTooLargeError) as exc:
+    except synth_mod.MatrixTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except synth_mod.SynthesisError as exc:

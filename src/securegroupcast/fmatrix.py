@@ -77,11 +77,11 @@ class FMatrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._reduced(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "FMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls._reduced(field, np.eye(n, dtype=np.int64))
 
     # -- basic structure ------------------------------------------------
 
@@ -126,22 +126,22 @@ class FMatrix:
         if other._a.shape != self._a.shape:
             raise ValueError("shape mismatch in add")
         # a - (p - b) lies in (-p, p), so it cannot wrap in int64 as a + b can
-        return FMatrix(self.field, (self._a - (self.field.p - other._a)) % self.field.p)
+        return FMatrix._reduced(self.field, (self._a - (self.field.p - other._a)) % self.field.p)
 
     def __neg__(self) -> "FMatrix":
-        return FMatrix(self.field, (-self._a) % self.field.p)
+        return FMatrix._reduced(self.field, (-self._a) % self.field.p)
 
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        p = self.field.p
+        p, a, b = self.field.p, self._a, other._a
         # a sum of `cols` products of residues is exact in int64 while
         # cols * (p - 1)^2 fits; past that, exact Python integers
         if self.cols * (p - 1) ** 2 > INT64_MAX:
-            return FMatrix(self.field, (self._a.astype(object) @ other._a.astype(object)) % p)
-        return FMatrix(self.field, (self._a @ other._a) % p)
+            a, b = a.astype(object), b.astype(object)
+        return FMatrix._reduced(self.field, ((a @ b) % p).astype(np.int64, copy=False))
 
 
 def hstack(parts: Sequence[FMatrix]) -> FMatrix:
@@ -469,4 +469,5 @@ def cauchy(rows: int, cols: int, field: Field) -> FMatrix:
     # inverse of (i - rows - j) mod p, stored at i - j + cols - 1
     inverses = np.array([pow(d % p, p - 2, p) for d in range(-rows - cols + 1, 0)],
                         dtype=np.int64)
-    return FMatrix(field, inverses[np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1])
+    return FMatrix._reduced(
+        field, inverses[np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1])

@@ -300,15 +300,20 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
     dem = mask_columns(demanded)
     # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0];
     # a zero column of B_unk or A_forb asks nothing of M1: gather M's support
-    g = FMatrix(f, m[:, dem + mask_columns((unknown | forbidden) & scheme.column_ranks.support)])
-    rhs = vstack([FMatrix.identity(f, len(dem)),
-                  FMatrix.zeros(f, g.cols - len(dem), len(dem))])
+    support = scheme.column_ranks.support
+    g = FMatrix._reduced(f, m[:, dem + mask_columns((unknown | forbidden) & support)])
+    rhs = FMatrix._reduced(f, np.eye(g.cols, len(dem), dtype=np.int64))
     try:
         m1 = solve_right(g.transpose(), rhs).transpose()
     except NoSolutionError as exc:
         raise NotDecodableError(f"receiver {k} cannot decode") from exc
-    m2 = -(m1 @ FMatrix(f, m[:, mask_columns(((1 << scheme.D) - 1) ^ unknown)]))
-    return hstack([m1, m2])
+    # M2 = -M1 @ B_held, gathered on M's support, each column at its index among the held
+    held = ((1 << scheme.D) - 1) ^ unknown
+    live = mask_columns(held & support)
+    m2 = np.zeros((m1.rows, held.bit_count()), dtype=np.int64)
+    m2[:, [(held & ((1 << c) - 1)).bit_count() for c in live]] = \
+        (-(m1 @ FMatrix._reduced(f, m[:, live]))).array
+    return hstack([m1, FMatrix._reduced(f, m2)])
 
 
 @dataclass(frozen=True)
@@ -333,15 +338,15 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
     f = scheme.field
 
     def draw(n: int) -> FMatrix:
-        return FMatrix(f, np.array([rng.randrange(f.p) for _ in range(n)],
-                                   dtype=np.int64).reshape(n, 1))
+        return FMatrix._reduced(f, np.array([rng.randrange(f.p) for _ in range(n)],
+                                            dtype=np.int64).reshape(n, 1))
 
     w, s = draw(scheme.L_W), draw(scheme.D)
     x = scheme.A @ w + scheme.B @ s
     decoded = {}
     for k in sorted(scheme.qualified):
         unknown, demanded, _ = scheme.column_masks(k)
-        known = FMatrix(f, s.array[mask_columns(((1 << scheme.D) - 1) ^ unknown)])
+        known = FMatrix._reduced(f, s.array[mask_columns(((1 << scheme.D) - 1) ^ unknown)])
         w_hat = (decoder_for(scheme, k) @ vstack([x, known])).array[:, 0]
         want = w.array[mask_columns(demanded >> scheme.D), 0]
         if not np.array_equal(w_hat, want):
@@ -723,7 +728,8 @@ def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,
         if not unknown >> c & 1:
             held = c - (unknown & ((1 << c) - 1)).bit_count()
             direct[:, scheme.L_W + i] = dec.array[:, lx + held]
-    error = (FMatrix(f, dec.array[:, :lx]) @ FMatrix(f, x_forms) + FMatrix(f, direct)).array
+    error = (FMatrix._reduced(f, dec.array[:, :lx]) @ FMatrix._reduced(f, x_forms)
+             + FMatrix._reduced(f, direct)).array
     live = error[:, error.any(axis=0)]
     code, _ = state_code(scheme.p, live.shape[1], live)
     return np.count_nonzero(code == 0) / code.shape[0]

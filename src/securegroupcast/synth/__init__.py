@@ -14,9 +14,8 @@ from ..bounds import (ALIGNED_2OF5, GROUPCAST_2OF4, MULTICAST, SYMMETRIC,
                       UNICAST, ZERO_RATE, aligned_2of5_key_size, exact_capacity)
 from ..keyspace import KeyConfig
 from ..scheme import LinearScheme
-from ._common import (KEY_SYMBOL_LIMIT, MatrixTooLargeError, SegmentAllocator,
-                      SynthesisError, TooManyKeySymbolsError, UnsolvedSettingError,
-                      build_verified, check_cells, empty_scheme)
+from ._common import (MatrixTooLargeError, SegmentAllocator, SynthesisError,
+                      UnsolvedSettingError, build_verified, check_cells, empty_scheme)
 from .groupcast24 import (COMPONENTS, ComponentSig, component_counts,
                           component_instance, groupcast_2of4)
 from .instance25 import instance_2of5
@@ -28,7 +27,7 @@ from .unicast import unicast
 
 __all__ = [
     "COMPONENTS", "ComponentSig", "InfeasibleRates", "MatrixTooLargeError", "SegmentAllocator",
-    "SynthesisError", "TooManyKeySymbolsError", "UnsolvedSettingError", "build_verified",
+    "SynthesisError", "UnsolvedSettingError", "build_verified",
     "check_cells", "component_counts", "component_instance", "groupcast_2of4",
     "instance_2of5", "min_bandwidth", "multicast", "multicast_k4_bw",
     "multimessage", "region_violation", "symmetric", "synthesize", "unicast",
@@ -41,10 +40,10 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
     The setting of exact_capacity picks the builder (one eavesdropper
     takes the bandwidth-optimal variant when K = 4; a zero rate converse
     takes the empty scheme).  Raises UnsolvedSettingError when no
-    setting is recognized, TooManyKeySymbolsError when the config's key
-    symbols reach KEY_SYMBOL_LIMIT, MatrixTooLargeError when a matrix of
-    the scheme would pass CELL_BUDGET, and SynthesisError when the scheme
-    misses C or a known beta*.
+    setting is recognized, MatrixTooLargeError when A or B of the scheme
+    would pass CELL_BUDGET (the only size refusal: a key no scheme column
+    uses never counts), and SynthesisError when the scheme misses C or a
+    known beta*.
     """
     exact = exact_capacity(config)
     if exact is None:
@@ -53,11 +52,6 @@ def synthesize(config: KeyConfig, seed: int = 0) -> LinearScheme:
             f"key profile; solved shapes are N=1, N=K-1, (N,K)=(2,4), symmetric "
             f"profiles, the aligned five-key 2-of-5 topology, and a zero rate "
             f"converse")
-    total = sum(config.keys.values())
-    if total >= KEY_SYMBOL_LIMIT:
-        raise TooManyKeySymbolsError(
-            f"the config holds {total} key symbols; synthesis needs fewer than "
-            f"2^63, the int64 range of scheme-file entries")
     setting = exact.setting
     if setting == UNICAST:
         scheme = unicast(config, seed)

@@ -33,15 +33,9 @@ class UnsolvedSettingError(ValueError):
     """No capacity-achieving construction is known for this shape."""
 
 
-class TooManyKeySymbolsError(ValueError):
-    """The config's key symbols total KEY_SYMBOL_LIMIT or more."""
-
-
-KEY_SYMBOL_LIMIT = 1 << 63   # the int64 range of scheme-file entries
-
-# int64 cells per scheme matrix (2 GiB): each builder checks the shapes of
-# its A and B against it before it allocates either, and so does a scheme
-# file's parse before it builds the scheme.
+# int64 cells per scheme matrix (2 GiB), synthesis's only size check: each
+# builder checks the shapes of its A and B against it before it allocates
+# either, and so does a scheme file's parse before it builds the scheme.
 CELL_BUDGET = 1 << 28
 
 

@@ -51,7 +51,7 @@ def _padded_cauchy(config: KeyConfig, layout: Pairs, sent: Pairs, lw: int,
     field = Field(least_prime_at_least(rows + lw))
     return build_verified(LinearScheme(
         field=field, L=1, K=config.K, qualified=config.qualified, layout=tuple(layout),
-        A=cauchy(rows, lw, field), B=FMatrix(field, b), meta=meta))
+        A=cauchy(rows, lw, field), B=FMatrix._reduced(field, b), meta=meta))
 
 
 def multicast(config: KeyConfig, seed: int = 0) -> LinearScheme:

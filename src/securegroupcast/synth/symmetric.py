@@ -100,6 +100,6 @@ def symmetric(config: KeyConfig, seed: int = 0) -> LinearScheme:
     caller_qualified, layout = in_caller_labels(perm, qualified, layout)
     return build_verified(LinearScheme(
         field=field, L=1, K=K, qualified=caller_qualified, layout=layout,
-        A=FMatrix(field, a), B=FMatrix(field, bmat),
+        A=FMatrix._reduced(field, a), B=FMatrix._reduced(field, bmat),
         meta={"builder": "symmetric", "groups": groups_meta, "escalations": 0,
               "seed": seed}))

@@ -261,20 +261,29 @@ def huge_key_config(K, qualified, *keys):
     (huge_key_config(3, [1, 2], ([1, 2], 1 << 64)), 1 << 64, EXIT_PARSE),              # multicast
     (huge_key_config(4, [1, 2, 3], ([1], 1), ([2, 3], 1 << 64)), 1, EXIT_PARSE),       # K = 4
     (huge_key_config(4, [1, 2, 3], ([1], 1), ([2, 3], (1 << 63) - 1)), 1, EXIT_PARSE),
-    (huge_key_config(2, [1], ([1, 2], 1 << 64)), 0, EXIT_PARSE),                       # unicast
+    (huge_key_config(2, [1], ([1, 2], 1 << 64)), 0, EXIT_OK),                          # unicast
     (huge_key_config(2, [1], ([1, 2], (1 << 63) - 1)), 0, EXIT_OK),
-], ids=["2of4", "multicast", "multicast_k4", "sum_at_limit", "unicast_rate0", "below_limit"])
+    (huge_key_config(3, [1], ([1], 1), ([2, 3], 1 << 64)), 1, EXIT_OK),
+    (huge_key_config(4, [1, 2], ([1, 2], 2), ([3, 4], 1 << 70)), 2, EXIT_OK),
+    (huge_key_config(5, [1, 2], ([1], 1), ([3, 4, 5], 1 << 64)), 0, EXIT_OK),          # zero rate
+], ids=["2of4", "multicast", "multicast_k4", "sum_at_limit", "unicast_rate0", "below_limit",
+        "unicast_unused", "2of4_unused", "zero_rate_unused"])
 def test_synth_refuses_key_symbols_past_int64(tmp_path, capsys, obj, c, code):
-    """bounds answers exactly; synth exits 2 naming the limit once the key
-    symbols total 2^63, before any builder allocates a matrix that wide."""
+    """Keys of 2^63 symbols or more: bounds answers exactly, and synth
+    refuses (exit 2, naming the cell budget) exactly when such a key widens
+    a matrix of the scheme; a key that no scheme column uses never counts,
+    and the scheme written passes `sgc verify --oracle`."""
     cfg = write(tmp_path, "c.json", obj)
     assert main(["bounds", cfg]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["C"] == c
     out_path = tmp_path / "s.json"
     assert main(["synth", cfg, "-o", str(out_path)]) == code
     refused = code == EXIT_PARSE
-    assert ("2^63" in capsys.readouterr().err) == refused
+    assert ("budget of 2^28 int64 cells" in capsys.readouterr().err) == refused
     assert out_path.exists() != refused
+    if not refused:
+        assert main(["verify", str(out_path), "--oracle"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["oracle"]["ok"]
 
 
 @pytest.mark.parametrize("obj", [
@@ -287,8 +296,8 @@ def test_synth_refuses_key_symbols_past_int64(tmp_path, capsys, obj, c, code):
                                                          [2, 4], [2, 5]))),
 ], ids=["multicast_2^62", "multicast_k4", "2of4", "unicast", "symmetric", "aligned_2of5"])
 def test_synth_refuses_matrix_past_cell_budget(tmp_path, capsys, obj):
-    """Below the int64 key-symbol limit, but a builder matrix would pass the
-    cell budget: synth exits 2 naming the budget, before it allocates."""
+    """A builder matrix would pass the cell budget: synth exits 2 naming
+    the budget, before it allocates."""
     cfg = write(tmp_path, "c.json", obj)
     out_path = tmp_path / "s.json"
     assert main(["synth", cfg, "-o", str(out_path)]) == EXIT_PARSE
@@ -346,8 +355,8 @@ def test_key_symbols_past_the_bound_exit_code(tmp_path, capsys, monkeypatch, arg
 
 def test_key_symbol_bound_is_sharp(tmp_path, capsys):
     """Key sizes totalling 10^4000 are refused; one symbol fewer, bounds
-    prints every number and synth refuses the config (int64 scheme
-    entries) in a message that prints the total."""
+    prints every number and synth refuses the config (cell budget) in a
+    message that prints both sides of the matrix."""
     third = (10**4000 - 1) // 3
     at = write(tmp_path, "at.json", huge_key_config(3, [1], ([1], 10**4000)))
     assert main(["bounds", at]) == EXIT_PARSE
@@ -358,7 +367,7 @@ def test_key_symbol_bound_is_sharp(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["setting"] == "multicast" and out["bw_lower"] == out["beta_star"] == 3 * third
     assert main(["synth", below, "-o", str(tmp_path / "s.json")]) == EXIT_PARSE
-    assert f"holds {3 * third} key symbols" in capsys.readouterr().err
+    assert f"needs a {3 * third} x {3 * third} matrix" in capsys.readouterr().err
 
 
 def test_verify_huge_modulus_exit_code(tmp_path, capsys):
@@ -751,18 +760,24 @@ def in_little_memory(tmp_path, code, *args, timeout=60):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path, p):
-    """A zero-row file whose key of 10^8 symbols receiver 1 lacks: the rank
-    tests and the decoder gather only M's support (nonzero columns), so
-    `sgc verify --oracle` rejects it (exit 5) in little memory over either
-    field; listing every unknown column ran out of memory."""
+@pytest.mark.parametrize("p, lw, holder, code, success", [
+    pytest.param(2, 1, 2, EXIT_REJECTED, 0.0, id="2"),
+    pytest.param(3, 1, 2, EXIT_REJECTED, 0.0, id="3"),
+    pytest.param(2, 0, 1, EXIT_OK, 1.0, id="held"),
+])
+def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path, p, lw, holder,
+                                                                     code, success):
+    """A zero-row file with one key of 10^8 symbols, which receiver 1 lacks
+    (a message it cannot decode: exit 5, over either field) or holds (no
+    message: exit 0).  The rank tests and the decoder gather only M's
+    support (nonzero columns), so `sgc verify --oracle` answers in little
+    memory; listing every unknown or held column ran out of memory."""
     path = write(tmp_path, "wide.json", {
-        "p": p, "L": 1, "Lw": 1, "Lx": 0, "K": 2, "qualified": [1],
-        "layout": [{"subset": [2], "width": 10**8}], "A": [], "B": []})
+        "p": p, "L": 1, "Lw": lw, "Lx": 0, "K": 2, "qualified": [1],
+        "layout": [{"subset": [holder], "width": 10**8}], "A": [], "B": []})
     done = in_little_memory(tmp_path, SGC_MAIN, "verify", path, "--oracle")
-    assert done.returncode == EXIT_REJECTED, done.stderr
-    assert json.loads(done.stdout)["oracle"]["decode_success"] == {"1": 0.0}
+    assert done.returncode == code, done.stderr
+    assert json.loads(done.stdout)["oracle"]["decode_success"] == {"1": success}
 
 
 @pytest.mark.parametrize("argv, obj", [

@@ -12,8 +12,8 @@ from securegroupcast import (KeyConfig, UnsolvedSettingError, WrongShapeError,
                              keyspace, oracle_verify, rate_converse, verify)
 from securegroupcast.bounds import aligned_2of5_key_size, exact_capacity
 from securegroupcast.scheme import LinearScheme
-from securegroupcast.synth import (COMPONENTS, SegmentAllocator, SynthesisError,
-                                   build_verified, component_counts,
+from securegroupcast.synth import (COMPONENTS, MatrixTooLargeError, SegmentAllocator,
+                                   SynthesisError, build_verified, component_counts,
                                    component_instance, groupcast_2of4,
                                    instance_2of5, multicast, multicast_k4_bw,
                                    symmetric, synthesize, unicast)
@@ -566,3 +566,64 @@ def test_synthesized_rate_is_exact_capacity(ex1, ex2, ex3, ex4, fig4):
         assert s.rate == exact.C
         if exact.beta_star is not None:
             assert s.bandwidth == exact.beta_star
+
+
+# -- the cell budget, synthesis's one size check -------------------------------------
+
+UNUSED_KEY = 1 << 64   # past int64; held by no qualified receiver, so in no scheme
+
+
+def budget_configs():
+    """Configs of every solved setting, key sizes 0..3.  Unicast, one
+    eavesdropper (K = 4, 5), 2-of-4 and zero-rate configs also get a key of
+    UNUSED_KEY symbols on a subset of the eavesdroppers; a symmetric or
+    aligned 2-of-5 config with such a key is no longer recognized."""
+    rng = random.Random(30)
+    configs = []
+    for K, qualified in [(2, [1]), (3, [2]), (4, [3]), (4, [1, 2, 3]), (5, [1, 2, 3, 5]),
+                         (4, [1, 2]), (5, [1, 2]), (5, [1, 3, 4])]:
+        eaves = [k for k in range(1, K + 1) if k not in qualified]
+        subsets = [s for u in range(1, K + 1) for s in combinations(range(1, K + 1), u)]
+        for _ in range(30):
+            keys = {s: rng.randint(0, 3) for s in rng.sample(subsets, rng.randint(1, min(5, len(subsets))))}
+            if rng.random() < 0.5:
+                keys[tuple(sorted(rng.sample(eaves, rng.randint(1, len(eaves)))))] = UNUSED_KEY
+            configs.append(KeyConfig.of(K, qualified, keys))
+    for _ in range(60):
+        K = rng.randint(3, 6)
+        profile = [rng.randint(0, 3) for _ in range(K)]
+        configs.append(KeyConfig.of(K, list(range(1, rng.randint(2, K - 1) + 1)), {
+            s: profile[u - 1] for u in range(1, K + 1) for s in combinations(range(1, K + 1), u)}))
+    for ell in range(6):
+        perm = dict(zip(range(1, 6), rng.sample(range(1, 6), 5)))
+        configs.append(KeyConfig.of(5, [perm[1], perm[2]], {
+            tuple(perm[k] for k in s): ell for s in
+            ((1,), (1, 2, 3), (1, 4, 5), (2, 4), (2, 5))}))
+    return [c for c in configs if exact_capacity(c) is not None]
+
+
+@pytest.mark.parametrize("budget", [1 << 4, 1 << 6, 1 << 8])
+def test_synthesis_refuses_exactly_past_the_cell_budget(budget, monkeypatch):
+    """Under a budget of b cells, synthesize raises MatrixTooLargeError
+    exactly when A or B of the scheme built at the real budget has
+    max(rows, 1) * cols > b, and otherwise builds that scheme."""
+    import securegroupcast.synth._common as common
+    configs = budget_configs()
+    built = [synthesize(c) for c in configs]
+    assert {exact_capacity(c).setting for c in configs} == {
+        "unicast", "multicast", "groupcast_2of4", "aligned_2of5", "symmetric", "zero_rate"}
+    unused = {(exact_capacity(c).setting, c.K) for c in configs if UNUSED_KEY in c.keys.values()}
+    assert {setting for setting, _ in unused} == {
+        "unicast", "multicast", "groupcast_2of4", "zero_rate"}
+    assert {K for setting, K in unused if setting == "multicast"} == {4, 5}
+    monkeypatch.setattr(common, "CELL_BUDGET", budget)
+    outcomes = set()
+    for config, scheme in zip(configs, built):
+        past = max(max(m.rows, 1) * m.cols for m in (scheme.A, scheme.B)) > budget
+        outcomes.add(past)
+        if past:
+            with pytest.raises(MatrixTooLargeError, match=f"budget of 2\\^{budget.bit_length() - 1}"):
+                synthesize(config)
+        else:
+            assert synthesize(config) == scheme
+    assert outcomes == {False, True}
