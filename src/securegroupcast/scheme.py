@@ -28,8 +28,8 @@ Verification is exact, never statistical:
   block.  U and T are unions of a receiver's column masks, built once per
   scheme with one run of ones per block;
 * an independent brute-force oracle enumerates the (W, S) states, counts
-  the joint distributions and reports mutual information in bits and
-  decode success directly, with no linear-algebra shortcuts.  It counts
+  the joint distributions and reads mutual information in bits and decode
+  success off those counts, with no linear-algebra shortcuts.  It counts
   each check only over the state digits that can change its answer: a
   receiver's view is X plus the key digits it holds, fixing those shifts X
   by a constant, so every such slice has the same (view, message)
@@ -384,9 +384,7 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # slot-wise mod-p add per code.  Any other check codes every free state,
 # message digits lowest.  Both give the same group sizes in the same
 # (view code, message) order.  Decoding is read off two group
-# counts; group sizes are built only for security checks.  The decoder's
-# error is enumerated only on the digits where it has a nonzero column, as
-# no other digit can change whether it vanishes.
+# counts; group sizes are built only for security checks.
 #
 # Every check runs block by block over the connected components of the
 # nonzero pattern of x_forms = [A | B_used], read without any rank.  Blocks
@@ -605,18 +603,25 @@ def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
 class OracleReport:
     """Brute-force verdicts: counting entropies, no algebraic shortcuts.
 
-    `secure` is the exact zero-leakage verdict per eavesdropper, decided on
-    integer counts; `leakage_bits` is for display.  `states` is the whole
-    state count p^(L_W + D_used); `block_states` is the most states any one
-    block check stood for, p^(its block's digits the receiver does not
-    hold), and 0 when no check has a message digit."""
+    `correct` and `secure` are the exact decode and zero-leakage verdicts,
+    decided on integer counts; `decode_success` is read off `correct` and
+    `leakage_bits` is for display.  `states` is the whole state count
+    p^(L_W + D_used); `block_states` is the most states any one block
+    check stood for, p^(its block's digits the receiver does not hold),
+    and 0 when no check has a message digit."""
 
     correct: Mapping[int, bool]
-    decode_success: Mapping[int, float]
     leakage_bits: Mapping[int, float]
     secure: Mapping[int, bool]
     states: int
     block_states: int
+
+    @property
+    def decode_success(self) -> Mapping[int, float]:
+        """Fraction of states where each qualified receiver's linear decoder
+        is right, read off `correct`: 1.0 where every view determines the
+        message, else 0.0, as no linear decoder exists."""
+        return {k: float(c) for k, c in self.correct.items()}
 
     @property
     def ok(self) -> bool:
@@ -685,51 +690,15 @@ def oracle_verify(scheme: LinearScheme, cap: Optional[int] = None) -> OracleRepo
         return out
 
     correct: dict[int, bool] = {}
-    success: dict[int, float] = {}
     leakage: dict[int, float] = {}
     secure: dict[int, bool] = {}
     for k in sorted(scheme.qualified):
         correct[k] = all(g.decodes() for g in groups(k, scheme.column_masks(k)[1]))
-        success[k] = _decode_success(scheme, k, x_forms, used)
     for e in sorted(scheme.eavesdroppers):
         views = groups(e, scheme.column_masks(e)[2])
         secure[e] = all(g.independent() for g in views)
         leakage[e] = math.fsum(g.leakage_bits() for g in views)
     largest = max((p ** (shape[1] - len(kept)) for shape, _, kept, _ in counted), default=0)
-    return OracleReport(correct=correct, decode_success=success, leakage_bits=leakage,
-                        secure=secure, states=p ** m, block_states=largest)
+    return OracleReport(correct=correct, leakage_bits=leakage, secure=secure, states=p ** m,
+                        block_states=largest)
 
-
-def _decode_success(scheme: LinearScheme, k: int, x_forms: np.ndarray,
-                    used: Sequence[int]) -> float:
-    """Fraction of states where k's constructed decoder returns its
-    demanded message columns exactly.
-
-    The decoder's output minus W_dem is linear in the state; it is
-    evaluated on every value of the digits it depends on, by expanding its
-    values on the unit states, and the fraction there is the fraction over
-    all states.
-    """
-    try:
-        dec = decoder_for(scheme, k)
-    except NotDecodableError:
-        return 0.0
-    f, lx = scheme.field, scheme.L_X
-    unknown, demanded, _ = scheme.column_masks(k)
-    wanted = mask_columns(demanded >> scheme.D)
-    # the decoder's coefficients on the state digits outside X: its column
-    # for each held used key c (its key columns are k's held ones in
-    # ascending order, so c is the one after c - |unknown below c| others),
-    # and -1 on each demanded message digit; an unused key column is zero
-    # in B, so the decoder's coefficient on it is zero too
-    direct = np.zeros((len(wanted), x_forms.shape[1]), dtype=np.int64)
-    direct[np.arange(len(wanted)), wanted] = scheme.p - 1
-    for i, c in enumerate(used):
-        if not unknown >> c & 1:
-            held = c - (unknown & ((1 << c) - 1)).bit_count()
-            direct[:, scheme.L_W + i] = dec.array[:, lx + held]
-    error = (FMatrix._reduced(f, dec.array[:, :lx]) @ FMatrix._reduced(f, x_forms)
-             + FMatrix._reduced(f, direct)).array
-    live = error[:, error.any(axis=0)]
-    code, _ = state_code(scheme.p, live.shape[1], live)
-    return np.count_nonzero(code == 0) / code.shape[0]

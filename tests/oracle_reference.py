@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from securegroupcast.fmatrix import mask_columns
-from securegroupcast.scheme import (OracleReport, TooLargeError, _decode_success, oracle_cap,
-                                    view_groups)
+from securegroupcast.scheme import OracleReport, TooLargeError, oracle_cap, view_groups
 
 
 def whole_oracle_verify(scheme, cap=None):
@@ -34,16 +33,15 @@ def whole_oracle_verify(scheme, cap=None):
             largest = max(largest, p ** (m - len(held)))
         return view_groups(p, x_forms, held, mask_columns(message >> scheme.D))
 
-    correct, success, leakage, secure = {}, {}, {}, {}
+    correct, leakage, secure = {}, {}, {}
     for k in sorted(scheme.qualified):
         correct[k] = groups(k, scheme.column_masks(k)[1]).decodes()
-        success[k] = _decode_success(scheme, k, x_forms, used)
     for e in sorted(scheme.eavesdroppers):
         view = groups(e, scheme.column_masks(e)[2])
         secure[e] = view.independent()
         leakage[e] = view.leakage_bits()
-    return OracleReport(correct=correct, decode_success=success, leakage_bits=leakage,
-                        secure=secure, states=p ** m, block_states=largest)
+    return OracleReport(correct=correct, leakage_bits=leakage, secure=secure, states=p ** m,
+                        block_states=largest)
 
 
 def assert_same_report(got, want):

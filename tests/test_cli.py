@@ -760,24 +760,40 @@ def in_little_memory(tmp_path, code, *args, timeout=60):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("p, lw, holder, code, success", [
-    pytest.param(2, 1, 2, EXIT_REJECTED, 0.0, id="2"),
-    pytest.param(3, 1, 2, EXIT_REJECTED, 0.0, id="3"),
-    pytest.param(2, 0, 1, EXIT_OK, 1.0, id="held"),
+# after `sgc verify`, the same child builds receiver 1's decoder from the file
+DECODER_AFTER_MAIN = (
+    "from securegroupcast.cli import load_scheme, main\n"
+    "from securegroupcast.scheme import NotDecodableError, decoder_for\n"
+    "code = main(sys.argv[1:])\n"
+    "try:\n"
+    "    dec = decoder_for(load_scheme(sys.argv[2]), 1)\n"
+    "    print('decoder', dec.rows, dec.cols, file=sys.stderr)\n"
+    "except NotDecodableError:\n"
+    "    print('decoder NotDecodableError', file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("p, lw, holder, code, success, decoder", [
+    pytest.param(2, 1, 2, EXIT_REJECTED, 0.0, "decoder NotDecodableError", id="2"),
+    pytest.param(3, 1, 2, EXIT_REJECTED, 0.0, "decoder NotDecodableError", id="3"),
+    pytest.param(2, 0, 1, EXIT_OK, 1.0, f"decoder 0 {10**8}", id="held"),
 ])
 def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path, p, lw, holder,
-                                                                     code, success):
+                                                                     code, success, decoder):
     """A zero-row file with one key of 10^8 symbols, which receiver 1 lacks
     (a message it cannot decode: exit 5, over either field) or holds (no
-    message: exit 0).  The rank tests and the decoder gather only M's
-    support (nonzero columns), so `sgc verify --oracle` answers in little
-    memory; listing every unknown or held column ran out of memory."""
+    message: exit 0).  The rank tests gather only M's support (nonzero
+    columns), so `sgc verify --oracle` answers in little memory, and so
+    does `decoder_for`, which gathers only the supported unknown and held
+    columns: no decoder, or one with no rows and a column per held symbol.
+    Listing every unknown or held column ran out of memory."""
     path = write(tmp_path, "wide.json", {
         "p": p, "L": 1, "Lw": lw, "Lx": 0, "K": 2, "qualified": [1],
         "layout": [{"subset": [holder], "width": 10**8}], "A": [], "B": []})
-    done = in_little_memory(tmp_path, SGC_MAIN, "verify", path, "--oracle")
+    done = in_little_memory(tmp_path, DECODER_AFTER_MAIN, "verify", path, "--oracle")
     assert done.returncode == code, done.stderr
     assert json.loads(done.stdout)["oracle"]["decode_success"] == {"1": success}
+    assert done.stderr.splitlines()[-1] == decoder
 
 
 @pytest.mark.parametrize("argv, obj", [

@@ -17,6 +17,7 @@ from securegroupcast import (DecodeFailureError, Field, FMatrix, KeyConfig, Line
                              hstack, oracle_verify, prefix_ranks, rank, rref,
                              simulate, synthesize, verify, verify_correctness,
                              verify_security)
+import securegroupcast.fmatrix as fmatrix_module
 import securegroupcast.scheme as scheme_module
 from securegroupcast.scheme import state_code, view_groups
 from securegroupcast.synth import component_instance
@@ -665,8 +666,9 @@ def test_oracle_matches_state_by_state_reference(p, monkeypatch):
         assert orc.states == p ** (scheme.L_W + used)
         assert orc.correct == correct
         assert orc.decode_success == success
-        # the decoder succeeds everywhere exactly where the brute force
-        # decodes, so a wrong decoder_for cannot be matched by the oracle
+        # the one place where decoder_for meets the counting verdict: the
+        # reference evaluates the decoder on every state, and it must
+        # succeed everywhere exactly where the brute force decodes
         assert success == {k: 1.0 if c else 0.0 for k, c in correct.items()}
         assert orc.secure == secure
         assert orc.leakage_bits.keys() == leakage.keys()
@@ -709,8 +711,6 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
         return expand(p, m, forms, low, base)
 
     monkeypatch.setattr(scheme_module, "_expand", recording)
-    # the decoder's error is coded over its own digits, not a view's
-    monkeypatch.setattr(scheme_module, "_decode_success", lambda *args: 1.0)
     seen = Counter()
     for _ in range(80):
         scheme = cross_check_scheme(rng, rng.choice([2, 3, 5]))
@@ -747,6 +747,36 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
         assert calls == want, scheme
     assert all(seen[key] for key in ("compressed", "enumerated", "sliced", "split",
                                      "coded once")), seen
+
+
+def test_oracle_runs_no_elimination(fig4, monkeypatch):
+    """oracle_verify only counts: it builds no decoder and runs no GF(2) or
+    GF(p) elimination, on fig4's GF(2) scheme, a GF(3) scheme of ex2's
+    Cauchy builder and case (ex2's own has 11^9 states, past the cap) and
+    drawn schemes, some undecodable.  The same wrappers see the decoders
+    that simulate builds."""
+    aligned = synthesize(fig4)
+    multicast = synthesize(KeyConfig.of(4, [1, 2, 3], {(1,): 1, (1, 2): 1, (2, 3): 1}))
+    assert (multicast.p, multicast.meta["builder"], multicast.meta["case"]) == (
+        3, "multicast_k4_bw", "pair23 covers both")
+    rng = random.Random(1414)
+    schemes = [aligned, multicast] + [cross_check_scheme(rng, (2, 3, 5)[i % 3])
+                                      for i in range(20)]
+    calls = Counter()
+    for module, name in ((fmatrix_module, "_eliminate"), (fmatrix_module, "_gf2_echelon"),
+                         (scheme_module, "decoder_for")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    reports = [oracle_verify(scheme) for scheme in schemes]
+    assert calls == Counter()
+    assert reports[0].ok and reports[1].ok
+    assert not all(all(r.correct.values()) for r in reports[2:]), "no undecodable draw"
+    simulate(aligned, 0)
+    simulate(multicast, 0)
+    assert calls.keys() == {"_eliminate", "_gf2_echelon", "decoder_for"}, calls
 
 
 def test_secure_views_leak_exactly_zero_bits():
