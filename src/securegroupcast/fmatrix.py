@@ -19,8 +19,8 @@ answers many column-subset rank queries on one matrix from a single
 echelon form; the subsets, its pivots and the matrix's nonzero columns
 are column masks (an int, bit j for column j) over every field.  A query
 whose columns hold no pivot keeps every echelon row, and over GF(p) ranks
-the matrix's own columns.  Over GF(2) ColumnRanks and rref (so
-solve_right too) reduce packed bitset rows, the one packed path.
+the matrix's own columns.  Over GF(2) ColumnRanks reduces packed bitset
+rows, the one packed path.
 """
 
 from __future__ import annotations
@@ -340,12 +340,6 @@ def rank(m: FMatrix) -> int:
 def rref(m: FMatrix) -> tuple[FMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     p = m.field.p
-    if p == 2:
-        basis = _gf2_reduced(pack_rows(m.array))
-        pivots = sorted(basis)
-        a = np.zeros(m.array.shape, dtype=np.int64)
-        a[:len(pivots)] = unpack_rows([basis[c] for c in pivots], m.cols)
-        return FMatrix._reduced(m.field, a), tuple(pivots)
     a = _work_copy(m.array, p)
     pivots = _eliminate(a, p, reduce=True)
     a %= p

@@ -298,22 +298,15 @@ def decoder_for(scheme: LinearScheme, k: int) -> FMatrix:
     f = scheme.field
     m = np.concatenate([scheme.B.array, scheme.A.array], axis=1)
     dem = mask_columns(demanded)
-    # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0];
-    # a zero column of B_unk or A_forb asks nothing of M1: gather M's support
-    support = scheme.column_ranks.support
-    g = FMatrix._reduced(f, m[:, dem + mask_columns((unknown | forbidden) & support)])
+    # M1 @ [A_dem | B_unk | A_forb] = [I | 0 | 0]  <=>  g.T @ M1.T = [I; 0]
+    g = FMatrix._reduced(f, m[:, dem + mask_columns(unknown | forbidden)])
     rhs = FMatrix._reduced(f, np.eye(g.cols, len(dem), dtype=np.int64))
     try:
         m1 = solve_right(g.transpose(), rhs).transpose()
     except NoSolutionError as exc:
         raise NotDecodableError(f"receiver {k} cannot decode") from exc
-    # M2 = -M1 @ B_held, gathered on M's support, each column at its index among the held
-    held = ((1 << scheme.D) - 1) ^ unknown
-    live = mask_columns(held & support)
-    m2 = np.zeros((m1.rows, held.bit_count()), dtype=np.int64)
-    m2[:, [(held & ((1 << c) - 1)).bit_count() for c in live]] = \
-        (-(m1 @ FMatrix._reduced(f, m[:, live]))).array
-    return hstack([m1, FMatrix._reduced(f, m2)])
+    b_held = FMatrix._reduced(f, m[:, mask_columns(((1 << scheme.D) - 1) ^ unknown)])
+    return hstack([m1, -(m1 @ b_held)])
 
 
 @dataclass(frozen=True)

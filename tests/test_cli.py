@@ -760,40 +760,24 @@ def in_little_memory(tmp_path, code, *args, timeout=60):
                           capture_output=True, text=True, timeout=timeout)
 
 
-# after `sgc verify`, the same child builds receiver 1's decoder from the file
-DECODER_AFTER_MAIN = (
-    "from securegroupcast.cli import load_scheme, main\n"
-    "from securegroupcast.scheme import NotDecodableError, decoder_for\n"
-    "code = main(sys.argv[1:])\n"
-    "try:\n"
-    "    dec = decoder_for(load_scheme(sys.argv[2]), 1)\n"
-    "    print('decoder', dec.rows, dec.cols, file=sys.stderr)\n"
-    "except NotDecodableError:\n"
-    "    print('decoder NotDecodableError', file=sys.stderr)\n"
-    "sys.exit(code)\n")
-
-
-@pytest.mark.parametrize("p, lw, holder, code, success, decoder", [
-    pytest.param(2, 1, 2, EXIT_REJECTED, 0.0, "decoder NotDecodableError", id="2"),
-    pytest.param(3, 1, 2, EXIT_REJECTED, 0.0, "decoder NotDecodableError", id="3"),
-    pytest.param(2, 0, 1, EXIT_OK, 1.0, f"decoder 0 {10**8}", id="held"),
+@pytest.mark.parametrize("p, lw, holder, code, success", [
+    pytest.param(2, 1, 2, EXIT_REJECTED, 0.0, id="2"),
+    pytest.param(3, 1, 2, EXIT_REJECTED, 0.0, id="3"),
+    pytest.param(2, 0, 1, EXIT_OK, 1.0, id="held"),
 ])
 def test_verify_oracle_rejects_a_wide_zero_row_file_in_little_memory(tmp_path, p, lw, holder,
-                                                                     code, success, decoder):
+                                                                     code, success):
     """A zero-row file with one key of 10^8 symbols, which receiver 1 lacks
     (a message it cannot decode: exit 5, over either field) or holds (no
     message: exit 0).  The rank tests gather only M's support (nonzero
-    columns), so `sgc verify --oracle` answers in little memory, and so
-    does `decoder_for`, which gathers only the supported unknown and held
-    columns: no decoder, or one with no rows and a column per held symbol.
-    Listing every unknown or held column ran out of memory."""
+    columns), so `sgc verify --oracle` answers in little memory.  Listing
+    every unknown column ran out of memory."""
     path = write(tmp_path, "wide.json", {
         "p": p, "L": 1, "Lw": lw, "Lx": 0, "K": 2, "qualified": [1],
         "layout": [{"subset": [holder], "width": 10**8}], "A": [], "B": []})
-    done = in_little_memory(tmp_path, DECODER_AFTER_MAIN, "verify", path, "--oracle")
+    done = in_little_memory(tmp_path, SGC_MAIN, "verify", path, "--oracle")
     assert done.returncode == code, done.stderr
     assert json.loads(done.stdout)["oracle"]["decode_success"] == {"1": success}
-    assert done.stderr.splitlines()[-1] == decoder
 
 
 @pytest.mark.parametrize("argv, obj", [
@@ -931,6 +915,27 @@ achievable integer rate triples and minimum bandwidth:
 def test_demo_region_output_is_pinned(capsys):
     assert main(["demo", "region"]) == EXIT_OK
     assert capsys.readouterr().out == REGION_STDOUT
+
+
+# sha256 of each instance demo's stdout, the default oracle cap in force:
+# the bounds report, the scheme line, both verdicts and simulate(seed=1),
+# whose decoded messages are the decoders' only program output
+DEMO_STDOUT_SHA256 = {
+    "ex1": "5febcaf447dbf679ea3aea393381faf94e9d375b6c5e2831e00b68b89225b8b1",
+    "ex2": "efc82ae633b7e207bffe83cb89fdbb02f31c9f03728eb88e0036422d0029e08a",
+    "ex3": "2fc37555faf2f878f6c727a6c820e2041bb614a999c2dd65223b01dde0b0bc9a",
+    "ex4": "5626080990059cc6afaa0a21b7bfe482d0acb0e44e1d7060bfc00a1efbe3ea00",
+    "fig4": "0d96b4d6ca37adb5283fbfa3929cc3e974cf3a3f75fb40ebcf0f2c3cf1d36f98",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STDOUT_SHA256))
+def test_demo_instance_output_is_pinned(name, capsys, monkeypatch):
+    import hashlib
+    monkeypatch.delenv("SGC_ORACLE_CAP", raising=False)
+    assert main(["demo", name]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DEMO_STDOUT_SHA256[name]
 
 
 def test_demo_region_skips_oversized_oracle(capsys, monkeypatch):

@@ -359,19 +359,6 @@ def numpy_rref(a, p):
     return work % p, pivots
 
 
-def test_packed_gf2_rref_matches_numpy_elimination():
-    """rref over GF(2) runs the packed routine; the NumPy loop is its
-    reference, on shapes with no rows, no columns and more than one word."""
-    rng = random.Random(2)
-    for trial in range(2000):
-        rows, cols = rng.randint(0, 12), rng.randint(0, 12 if trial % 4 else 150)
-        a = random_bits(rng, rows, cols)
-        want, want_pivots = numpy_rref(a, 2)
-        got, pivots = rref(FMatrix(F2, a))
-        assert list(pivots) == want_pivots
-        assert got.array.dtype == np.int64 and np.array_equal(got.array, want)
-
-
 def test_gf2_solve_right_matches_numpy_elimination():
     """solve_right over GF(2) against the NumPy loop's reduced form: the same
     solution (free variables zero) or no solution on both paths."""

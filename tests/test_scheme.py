@@ -754,7 +754,8 @@ def test_oracle_runs_no_elimination(fig4, monkeypatch):
     GF(p) elimination, on fig4's GF(2) scheme, a GF(3) scheme of ex2's
     Cauchy builder and case (ex2's own has 11^9 states, past the cap) and
     drawn schemes, some undecodable.  The same wrappers see the decoders
-    that simulate builds."""
+    that simulate builds, whose elimination runs the one loop over every
+    field, and the packed GF(2) echelon form of a fresh ColumnRanks."""
     aligned = synthesize(fig4)
     multicast = synthesize(KeyConfig.of(4, [1, 2, 3], {(1,): 1, (1, 2): 1, (2, 3): 1}))
     assert (multicast.p, multicast.meta["builder"], multicast.meta["case"]) == (
@@ -776,6 +777,8 @@ def test_oracle_runs_no_elimination(fig4, monkeypatch):
     assert not all(all(r.correct.values()) for r in reports[2:]), "no undecodable draw"
     simulate(aligned, 0)
     simulate(multicast, 0)
+    assert calls.keys() == {"_eliminate", "decoder_for"}, calls
+    fmatrix_module.ColumnRanks(aligned.A)
     assert calls.keys() == {"_eliminate", "_gf2_echelon", "decoder_for"}, calls
 
 

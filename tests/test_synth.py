@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -431,6 +432,14 @@ def test_synthesize_calls_the_public_aligned_builder(fig4, monkeypatch, scale, p
     s = synthesize(config.relabeled(perm) if perm else config)
     assert len(calls) == 1
     assert s.meta["builder"] == "instance_2of5" and s.meta["key_size"] == scale
+
+
+def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):
+    """bench/tracing.py looks each layer's functions up by name; a renamed
+    or deleted one would fail only the traced benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+    assert list(tracing.Tracer(())._targets())
 
 
 # -- verification gate ---------------------------------------------------------------
