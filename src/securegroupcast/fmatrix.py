@@ -15,12 +15,12 @@ whose zeros decide the pivot and whose entries are the row factors, and
 the pivot row that an update reads, which is scaled unreduced while
 t (p - 1)^3 fits in int64.  A pivot whose column holds no other
 nonzero among the rows an update touches updates no row.  ColumnRanks
-answers many column-subset rank queries on one matrix from a single
-echelon form; the subsets, its pivots and the matrix's nonzero columns
-are column masks (an int, bit j for column j) over every field.  A query
-whose columns hold no pivot keeps every echelon row, and over GF(p) ranks
-the matrix's own columns.  Over GF(2) ColumnRanks reduces packed bitset
-rows, the one packed path.
+answers many column-subset rank queries on one matrix; the subsets and
+the matrix's nonzero columns are column masks (an int, bit j for column
+j) over every field.  Over GF(2) each query runs one left-first
+elimination on the matrix's packed bitset rows, the one packed path.
+Over GF(p) one reduced echelon form serves all queries, and a query
+whose columns hold no pivot ranks the matrix's own columns.
 """
 
 from __future__ import annotations
@@ -275,48 +275,28 @@ def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
                          bitorder="little")
 
 
-def _gf2_echelon(rows: Iterable[int]) -> dict[int, int]:
-    """Packed GF(2) rows reduced to a basis keyed by distinct lowest set
-    bits: pivot column -> row."""
-    basis: dict[int, int] = {}
+def _gf2_prefix_ranks(rows: Iterable[int], left: int) -> tuple[int, int]:
+    """(rank of the `left` bits, rank of all) of packed GF(2) rows.
+
+    Elimination over the column order "left, then the rest": a row's pivot
+    is its lowest bit in left if it has one, else its lowest bit.  Adding a
+    basis row with the same pivot moves a row's pivot later in that order,
+    so the pivots in left count the rank of the left bits.  A row's pivot
+    lies in left exactly when the row meets left.
+    """
+    basis: dict[int, int] = {}   # pivot column -> row
+    base = 0
     for v in rows:
         while v:
-            low = (v & -v).bit_length() - 1
+            u = v & left or v
+            low = (u & -u).bit_length() - 1
             piv = basis.get(low)
             if piv is None:
                 basis[low] = v
+                base += bool(v & left)
                 break
             v ^= piv
-    return basis
-
-
-def _gf2_reduced(rows: Iterable[int]) -> dict[int, int]:
-    """Packed GF(2) rows in reduced echelon form, pivot column -> row.
-    Back-substitution from the highest pivot down clears only the pivot
-    bits a row holds; the rows it adds are reduced, so it sets no other."""
-    basis = _gf2_echelon(rows)
-    done = 0   # pivot bits of the rows already reduced
-    for c in sorted(basis, reverse=True):
-        v = basis[c]
-        hit = v & done
-        while hit:
-            low = hit & -hit
-            v ^= basis[low.bit_length() - 1]
-            hit ^= low
-        basis[c] = v
-        done |= 1 << c
-    return basis
-
-
-def _gf2_prefix_ranks(rows: Iterable[int], split: int) -> tuple[int, int]:
-    """(rank of the bits below `split`, rank of all) of packed GF(2) rows.
-
-    Basis rows with a pivot at or past split are zero below it, and the
-    others stay independent below it, so pivots below split count the
-    prefix rank.
-    """
-    basis = _gf2_echelon(rows)
-    return sum(c < split for c in basis), len(basis)
+    return base, len(basis)
 
 
 def prefix_ranks(m: FMatrix, split: int) -> tuple[int, int]:
@@ -360,65 +340,55 @@ def mask_columns(mask: int) -> list[int]:
 
 
 class ColumnRanks:
-    """Ranks of column subsets of one matrix M, read off a single echelon
-    form of M.  A column subset is a mask, an int with bit j set for
-    column j.
+    """Ranks of column subsets of one matrix M.  A column subset is a mask,
+    an int with bit j set for column j, and `support` is the mask of M's
+    nonzero columns.
 
-    Row operations keep the rank of every column subset, so M is reduced
-    once to its reduced row echelon form R with pivot columns P.  For
-    columns S, let I be the pivot rows of the columns in S ∩ P: those
-    columns of R are unit vectors on I and zero elsewhere, so
-    rank(M[:, S]) = |I| + rank(R[not I, S minus P]).  `ranks` applies this
-    to S = left and to S = left + right with the same I, and reads both
-    residual ranks from one prefix-rank pass.
+    Over GF(2) each query runs one elimination on M's packed rows masked
+    to left | right, taking the left columns first (`_gf2_prefix_ranks`).
 
-    Both fields keep each echelon row with its pivot bit, and `support`,
-    the mask of M's nonzero columns.  Over GF(2) a row is a packed int and
-    a residual row is `row & (left | right)`, as R is zero on P outside the
-    pivot rows; over GF(p) a row indexes R, whose block gathers the support.
-    When left holds no pivot, I is empty and R's rows span M's, so over
-    GF(p) the block is gathered from M itself, which ColumnRanks keeps:
-    the builders' M = [B | A] is mostly sparser than R, so its elimination skips
-    more row updates.
+    Over GF(p) one echelon form serves every query.  Row operations keep
+    the rank of every column subset, so M is reduced once to its reduced
+    row echelon form R with pivot columns P.  For columns S, let I be the
+    pivot rows of the columns in S ∩ P: those columns of R are unit vectors
+    on I and zero elsewhere, so rank(M[:, S]) = |I| + rank(R[not I, S minus
+    P]).  `ranks` applies this to S = left and to S = left + right with the
+    same I, and reads both residual ranks from one prefix-rank pass over a
+    block gathered from the support.  When left holds no pivot, I is empty
+    and R's rows span M's, so the block is gathered from M itself: the
+    builders' M = [B | A] is mostly sparser than R, so its elimination
+    skips more row updates.
     """
 
     def __init__(self, m: FMatrix):
         self.field = m.field
-        if m.field.p == 2:
-            basis = _gf2_reduced(pack_rows(m.array))
-            self._rows = [(1 << c, v) for c, v in basis.items()]   # (pivot bit, row)
-        else:
+        self._packed = pack_rows(m.array != 0)   # M's nonzero pattern: over GF(2), M itself
+        if m.field.p != 2:
             reduced, pivots = rref(m)
             self._matrix = m.array
             self._echelon = reduced.array[:len(pivots)]
             self._rows = [(1 << c, i) for i, c in enumerate(pivots)]   # (pivot bit, row index)
-        self._pivots = sum(bit for bit, _ in self._rows)
+            self._pivots = sum(bit for bit, _ in self._rows)
 
     @cached_property
     def support(self) -> int:
-        """The mask of M's nonzero columns, R's: the OR of its packed nonzero rows."""
-        rows = (v for _, v in self._rows) if self.field.p == 2 else pack_rows(self._echelon != 0)
-        return reduce(or_, rows, 0)
+        """The mask of M's nonzero columns: the OR of its packed nonzero rows."""
+        return reduce(or_, self._packed, 0)
 
     def ranks(self, left: int, right: int) -> tuple[int, int]:
         """(rank of M[:, left], rank of M[:, left | right]) for disjoint
         column masks."""
-        if self.field.p != 2:
-            free = left & self.support & ~self._pivots
-            columns = mask_columns(free) + mask_columns(right & self.support)
-            if left & self._pivots:
-                kept = self._echelon[[i for bit, i in self._rows if not left & bit]]
-                block = kept[:, columns]
-            else:
-                block = self._matrix[:, columns]
-            base, total = prefix_ranks(FMatrix._reduced(self.field, block), free.bit_count())
-        elif right and left.bit_length() > (right & -right).bit_length():
-            # the packed prefix count needs every left bit below every right bit
-            return self.ranks(left, 0)[0], self.ranks(left | right, 0)[1]
-        else:
+        if self.field.p == 2:
             mask = left | right
-            base, total = _gf2_prefix_ranks(
-                [v & mask for bit, v in self._rows if not left & bit], left.bit_length())
+            return _gf2_prefix_ranks([v & mask for v in self._packed], left)
+        free = left & self.support & ~self._pivots
+        columns = mask_columns(free) + mask_columns(right & self.support)
+        if left & self._pivots:
+            kept = self._echelon[[i for bit, i in self._rows if not left & bit]]
+            block = kept[:, columns]
+        else:
+            block = self._matrix[:, columns]
+        base, total = prefix_ranks(FMatrix._reduced(self.field, block), free.bit_count())
         held = (left & self._pivots).bit_count()
         return held + base, held + total
 

@@ -19,14 +19,11 @@ Verification is exact, never statistical:
   demanded columns are independent modulo the column space of
   [A_forb | B_unk], and k's information about its forbidden blocks is
   exactly rank([B_unk | A_dem | A_forb]) - rank([B_unk | A_dem]) symbols.
-  All these ranks are of column subsets of one matrix M = [B | A], so M is
-  reduced once per scheme to its reduced echelon form R with pivot columns
-  P.  With U the noise columns of a test and I the pivot rows of U ∩ P,
-  rank(M[:, U]) = |I| + rank(R[not I, U minus P]) and
-  rank(M[:, U + T]) = |I| + rank(R[not I, (U minus P) + T]) for the target
-  columns T, both read from one prefix-rank pass over that small residual
-  block.  U and T are unions of a receiver's column masks, built once per
-  scheme with one run of ones per block;
+  All these ranks are of column subsets of one matrix M = [B | A], which
+  `fmatrix.ColumnRanks` answers, built once per scheme: a test asks for
+  the ranks of its noise columns U and of U with its target columns T.
+  U and T are unions of a receiver's column masks, built once per scheme
+  with one run of ones per block;
 * an independent brute-force oracle enumerates the (W, S) states, counts
   the joint distributions and reads mutual information in bits and decode
   success off those counts, with no linear-algebra shortcuts.  It counts
@@ -165,7 +162,7 @@ class LinearScheme:
 
     @cached_property
     def column_ranks(self) -> ColumnRanks:
-        """The echelon form of M = [B | A] that every receiver's rank test reads."""
+        """The column-subset ranks of M = [B | A] that every receiver's rank test reads."""
         return ColumnRanks(FMatrix._reduced(
             self.field, np.concatenate([self.B.array, self.A.array], axis=1)))
 

@@ -208,7 +208,7 @@ def test_elimination_matches_python_int_reference(p):
         check(entries, len(entries[0]) if entries else cols)
 
 
-# -- ranks of column subsets from one echelon form ------------------------------
+# -- ranks of column subsets of one matrix ------------------------------------
 
 def mask(columns):
     """The column mask of a column list, bit j for column j."""
@@ -278,8 +278,9 @@ def test_column_ranks_match_gathered_ranks(p, r, c, dependent, data):
 @pytest.mark.parametrize("seed", range(12))
 def test_gf2_column_ranks_wide_interleaved(seed):
     """The packed GF(2) rows of ColumnRanks span more than one 64-bit word
-    here, and left and right columns interleave, so the ranks take the
-    two-pass path; `rank` eliminates each gathered block on its own."""
+    here, and left and right columns interleave, so the left-first
+    elimination must pivot on a left bit above a right one; `rank`
+    eliminates each gathered block on its own."""
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 70), rng.randint(65, 130)
     entries = low_rank_rows(rng, 2, rows, cols, rng.randint(0, min(rows, cols)))
@@ -289,7 +290,7 @@ def test_gf2_column_ranks_wide_interleaved(seed):
         left, right = [], []
         for c in rng.sample(range(cols), cols):
             (left, right, [])[rng.randrange(3)].append(c)
-        # a left column above a right one: the masks take the two-pass path
+        # a left column above a right one: left-first pivots differ from lowest-bit ones
         assert left and right and max(left) > min(right)
         assert column_ranks.ranks(mask(left), mask(right)) == (
             rank(FMatrix(F2, m.array[:, left])), rank(FMatrix(F2, m.array[:, left + right])))

@@ -308,10 +308,11 @@ def test_leakage_monotone_in_eavesdropper_knowledge():
         assert verify_security(richer, e) >= verify_security(scheme, e)
 
 
-# -- shared echelon form against one elimination per receiver --------------------
+# -- column-subset ranks against one elimination per receiver --------------------
 #
-# verify reads every receiver's (rank B_unk, rank [B_unk | A]) off one echelon
-# form of [B | A]; the direct way gathers [B_unk | A] and eliminates it.
+# verify reads every receiver's (rank B_unk, rank [B_unk | A]) off the
+# ColumnRanks of [B | A] (over GF(p), one echelon form); the direct way
+# gathers [B_unk | A] and eliminates it.
 
 ECHELON_PRIMES = [2, 3, 5, 173, LARGE_P]
 
@@ -755,7 +756,7 @@ def test_oracle_runs_no_elimination(fig4, monkeypatch):
     Cauchy builder and case (ex2's own has 11^9 states, past the cap) and
     drawn schemes, some undecodable.  The same wrappers see the decoders
     that simulate builds, whose elimination runs the one loop over every
-    field, and the packed GF(2) echelon form of a fresh ColumnRanks."""
+    field, and the packed GF(2) elimination of a ColumnRanks query."""
     aligned = synthesize(fig4)
     multicast = synthesize(KeyConfig.of(4, [1, 2, 3], {(1,): 1, (1, 2): 1, (2, 3): 1}))
     assert (multicast.p, multicast.meta["builder"], multicast.meta["case"]) == (
@@ -764,7 +765,7 @@ def test_oracle_runs_no_elimination(fig4, monkeypatch):
     schemes = [aligned, multicast] + [cross_check_scheme(rng, (2, 3, 5)[i % 3])
                                       for i in range(20)]
     calls = Counter()
-    for module, name in ((fmatrix_module, "_eliminate"), (fmatrix_module, "_gf2_echelon"),
+    for module, name in ((fmatrix_module, "_eliminate"), (fmatrix_module, "_gf2_prefix_ranks"),
                          (scheme_module, "decoder_for")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -778,8 +779,8 @@ def test_oracle_runs_no_elimination(fig4, monkeypatch):
     simulate(aligned, 0)
     simulate(multicast, 0)
     assert calls.keys() == {"_eliminate", "decoder_for"}, calls
-    fmatrix_module.ColumnRanks(aligned.A)
-    assert calls.keys() == {"_eliminate", "_gf2_echelon", "decoder_for"}, calls
+    fmatrix_module.ColumnRanks(aligned.A).ranks(1, 2)
+    assert calls.keys() == {"_eliminate", "_gf2_prefix_ranks", "decoder_for"}, calls
 
 
 def test_secure_views_leak_exactly_zero_bits():

@@ -487,7 +487,7 @@ def test_synthesize_aligned_2of5_relabeled(fig4):
 
 
 def test_synthesize_aligned_2of5_relabeled_builds_one_echelon_form(fig4, monkeypatch):
-    # the scheme is verified after relabeling, so its cached echelon form
+    # the scheme is verified after relabeling, so its cached ColumnRanks
     # serves the caller's verify too
     from securegroupcast.fmatrix import ColumnRanks
     builds = 0
