@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Any
 
 import numpy as np
@@ -323,15 +323,10 @@ def demo_configs() -> dict[str, KeyConfig]:
                                         (2, 3): 1, (2, 4): 2, (1, 2, 3): 2,
                                         (1, 2, 4): 1}),
         "ex4": KeyConfig.of(6, [1, 2, 3],
-                            {subset: 1 for subset in _all_subsets(6, 3)}),
+                            {subset: 1 for subset in combinations(range(1, 7), 3)}),
         "fig4": KeyConfig.of(5, [1, 2], {(1,): 1, (1, 2, 3): 1, (1, 4, 5): 1,
                                          (2, 4): 1, (2, 5): 1}),
     }
-
-
-def _all_subsets(k: int, size: int):
-    from itertools import combinations
-    return list(combinations(range(1, k + 1), size))
 
 
 def _demo_instance(name: str, config: KeyConfig) -> int:

@@ -296,6 +296,13 @@ def test_gf2_column_ranks_wide_interleaved(seed):
             rank(FMatrix(F2, m.array[:, left])), rank(FMatrix(F2, m.array[:, left + right])))
 
 
+def test_gf2_column_ranks_left_column_above_right():
+    """The smallest case where the pivot rule matters: rows [1, 1] and
+    [1, 0], left = column 1, right = column 0.  Left-first pivots read
+    (1, 2); lowest-bit pivots would count both rows as left, (2, 2)."""
+    assert ColumnRanks(FMatrix(F2, [[1, 1], [1, 0]])).ranks(0b10, 0b01) == (1, 2)
+
+
 # -- rref / solve ------------------------------------------------------------
 
 def test_rref_pivots_are_leading_ones():

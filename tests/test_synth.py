@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -9,9 +10,11 @@ import pytest
 from gf2_reference import assert_same_bytes, instance_2of5_dense
 from groupcast_reference import groupcast_2of4_per_bit
 from paper_reference import k4_beta_star
+from symmetric_reference import symmetric as symmetric_reference
 from securegroupcast import (KeyConfig, UnsolvedSettingError, WrongShapeError,
                              keyspace, oracle_verify, rate_converse, verify)
 from securegroupcast.bounds import aligned_2of5_key_size, exact_capacity
+from securegroupcast.cli import scheme_to_obj
 from securegroupcast.scheme import LinearScheme
 from securegroupcast.synth import (COMPONENTS, MatrixTooLargeError, SegmentAllocator,
                                    SynthesisError, build_verified, component_counts,
@@ -377,6 +380,27 @@ def test_symmetric_various_shapes_meet_formulas():
         assert s.rate == exact.C
         assert s.bandwidth == exact.beta_star
         assert verify(s).ok
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_symmetric_matches_reference_bytes(seed):
+    """The plan-driven builder against the one-dict-per-group reference:
+    equal scheme JSON on drawn symmetric configs in random qualified
+    labels, some with a class whose keys holding every eavesdropper are
+    skipped (b = 0)."""
+    rng = random.Random(340 + seed)
+    skipped = 0
+    for _ in range(75):
+        k = rng.randint(2, 8)
+        qualified = rng.sample(range(1, k + 1), rng.randint(1, k - 1))
+        profile = [rng.choice((0, 0, 1, 2, 3)) for _ in range(k)]
+        config = KeyConfig.of(k, qualified, {sub: size for u, size in enumerate(profile, 1)
+                                             if size for sub in combinations(range(1, k + 1), u)})
+        skipped += any(size and u > k - len(qualified) for u, size in enumerate(profile, 1))
+        got, want = (json.dumps(scheme_to_obj(build(config, seed)))
+                     for build in (symmetric, symmetric_reference))
+        assert got == want, config
+    assert skipped
 
 
 # -- aligned 2-of-5 ---------------------------------------------------------------
