@@ -37,7 +37,9 @@ Verification is exact, never statistical:
   than the check has noise digits, the repeating noise codes are counted
   once each and shifted by every message value.  Digits that share no row
   of X are independent, so every check runs block by block over the
-  connected components of X's nonzero pattern.
+  connected components of X's nonzero pattern.  A check of at most 256
+  states is counted in Python integers, any larger one in NumPy, with the
+  same codes and the same counts.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from operator import lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -376,6 +380,21 @@ def simulate(scheme: LinearScheme, seed: int) -> Transcript:
 # (view code, message) order.  Decoding is read off two group
 # counts; group sizes are built only for security checks.
 #
+# Most block checks are small (2 to 8 states on a 2-of-4 component), where
+# NumPy's per-call cost, not the counting, is the time.  So a check of at
+# most SMALL_CHECK_STATES = 256 free states is counted in Python integers:
+# the same slots as _expand, the same guard-bit compare-and-subtract, the
+# same two rules and the message value in the same low bits, with a tally
+# of the joint codes in place of the sort.  Equal codes give equal groups,
+# so the weight, the verdicts and the group sizes in code order are those
+# of the NumPy route, and the leakage float is bit for bit the same; only
+# where NumPy renumbers a code past 62 bits (Python integers never need
+# to) may its group order, and so the float's last bits, differ.  The
+# limit sits where the two routes' costs meet: a GF(3) check of 3^5 = 243
+# states costs about the same on both, the Python route is about 4x faster
+# at 2 to 8 states, and a GF(5) or GF(7) check of 5^4 or 7^3 states costs
+# it 2 to 3 times NumPy's.  The route depends only on the check's size.
+#
 # Every check runs block by block over the connected components of the
 # nonzero pattern of x_forms = [A | B_used], read without any rank.  Blocks
 # share no row, so a view is the tuple of its per-block views: a check
@@ -403,6 +422,7 @@ def oracle_cap() -> int:
 
 
 _CODE_BITS = 62   # state codes stay below 2^62
+SMALL_CHECK_STATES = 256   # checks of at most this many states are counted in Python integers
 
 
 def _slot_bits(p: int) -> int:
@@ -451,6 +471,32 @@ def _expand(p: int, m: int, forms: np.ndarray, low: int = 0,
             over *= p
             block -= over
         h *= p
+    return code
+
+
+def _expand_ints(p: int, columns: Sequence[Sequence[int]], low: int = 0,
+                 base: Optional[list[int]] = None, tagged: int = 0) -> list[int]:
+    """_expand in Python integers on the digits of `columns`, each the
+    forms' coefficients on one digit: the same codes in the same order, as
+    a list, and of any width.  The first `tagged` digits also add their
+    value times p^j (j their place among them) below bit `low`, so those
+    bits hold the number those digits spell; the slot-wise reduction never
+    touches them."""
+    w = _slot_bits(p)
+    shifts = [low + i * w for i in range(len(columns[0]) if columns else 0)]
+    g = w - 1
+    lift = sum(((1 << g) - p) << s for s in shifts)
+    guards = sum(1 << (s + g) for s in shifts)
+    code = [0] if base is None else list(base)
+    for j, column in enumerate(columns):
+        tag = p ** j if j < tagged else 0
+        units = [sum(map(lshift, [d * c % p for c in column], shifts)) + d * tag
+                 for d in range(1, p)]
+        if p == 2:
+            code += [c ^ units[0] for c in code]
+        else:
+            code += [t - (((t + lift) & guards) >> g) * p
+                     for u in units for t in [c + u for c in code]]
     return code
 
 
@@ -508,48 +554,79 @@ def _sizes(starts: np.ndarray) -> np.ndarray:
     return np.diff(np.flatnonzero(np.concatenate(([True], starts, [True]))))
 
 
+def _in_code_order(tally: Mapping[int, int]) -> np.ndarray:
+    return np.array([tally[c] for c in sorted(tally)], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class GroupCounts:
     """States grouped by view and by (view, message) over equally likely
-    states, messages uniform over `messages` values.  `step` is the XOR of
-    neighbours in the sorted joint code: a nonzero step starts a joint
-    group, and a step above `msg_mask`, the message bits, starts a view
-    group too.  Each sorted entry stands for `weight` states.  The group
-    sizes are built on first use; decodes() needs only counts."""
+    states, messages uniform over `messages` values.  A joint code holds
+    the message in its low bits, `msg_mask`, and the view above them; each
+    counted entry stands for `weight` states.  The NumPy route gives `step`,
+    the XOR of neighbours in the sorted joint code: a nonzero step starts a
+    joint group, and a step above `msg_mask` starts a view group too.  The
+    small route gives `tally`, the entry count of each joint code.  The
+    group sizes are built on first use; decodes() needs only counts, and
+    the independence verdict is decided once."""
 
-    step: np.ndarray
+    step: Optional[np.ndarray]
     msg_mask: int
     messages: int
     weight: int = 1
+    tally: Optional[Mapping[int, int]] = None
+
+    @cached_property
+    def _view_tally(self) -> dict[int, int]:
+        """Entry count of each view code (the small route)."""
+        views: dict[int, int] = {}
+        for c, n in self.tally.items():
+            v = c | self.msg_mask
+            views[v] = views.get(v, 0) + n
+        return views
 
     @cached_property
     def view(self) -> np.ndarray:
         """State count per view, in code order."""
+        if self.step is None:
+            return _in_code_order(self._view_tally) * self.weight
         return _sizes(self.step > self.msg_mask) * self.weight
 
     @cached_property
     def joint(self) -> np.ndarray:
         """State count per (view, message), each view's consecutively."""
+        if self.step is None:
+            return _in_code_order(self.tally) * self.weight
         return _sizes(self.step != 0) * self.weight
 
     def decodes(self) -> bool:
-        """Every view determines the message: every step that starts a
-        joint group starts a view group too."""
+        """Every view determines the message: there are as many joint
+        groups as view groups."""
+        if self.step is None:
+            return len(self.tally) == len({c | self.msg_mask for c in self.tally})
         return bool(np.count_nonzero(self.step) == np.count_nonzero(self.step > self.msg_mask))
+
+    @cached_property
+    def _independent(self) -> bool:
+        q = self.messages
+        if self.step is None:
+            views = self._view_tally
+            return (len(self.tally) == q * len(views)
+                    and all(n * q == views[c | self.msg_mask] for c, n in self.tally.items()))
+        return (len(self.joint) == q * len(self.view)
+                and bool(np.all(self.joint.reshape(-1, q) * q == self.view[:, None])))
 
     def independent(self) -> bool:
         """The view tells nothing about the message, decided on integers:
         every view group splits into one equal group per message value."""
-        q = self.messages
-        return (len(self.joint) == q * len(self.view)
-                and bool(np.all(self.joint.reshape(-1, q) * q == self.view[:, None])))
+        return self._independent
 
     def leakage_bits(self) -> float:
         """Mutual information of view and message in bits (display only);
         exactly 0.0 when independent()."""
         if self.independent():
             return 0.0
-        n = (len(self.step) + 1) * self.weight
+        n = int(self.view.sum())
         return (math.log2(self.messages) + _entropy_bits(self.view, n)
                 - _entropy_bits(self.joint, n))
 
@@ -562,24 +639,33 @@ def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
     digit.
 
     Only the other (free) digits count: every slice where the held digits
-    are fixed has the same (view, message) partition.  The message value
-    fills the spare low bits of the view's code.  With fewer live forms
-    than noise digits (free digits outside the message) the noise codes
-    repeat, so each distinct one is kept once and shifted by the forms'
-    values on each message value.  The forms are linear, so every distinct
-    code repeats equally often, p^len(noise) / (distinct codes) times, the
-    weight of each entry.  Otherwise every free state is coded, message
-    digits lowest, so a state's message value is its index mod
-    p^len(message)."""
+    are fixed has the same (view, message) partition, and only the live
+    forms, the rows nonzero on some free digit, tell states apart.  A check
+    of at most SMALL_CHECK_STATES free states is counted in Python
+    integers, any other in NumPy; both routes give the same group sizes."""
+    message = list(message)
     skip = set(held).union(message)
     noise = [j for j in range(x_forms.shape[1]) if j not in skip]
-    free = list(message) + noise
+    small = p ** (len(message) + len(noise)) <= SMALL_CHECK_STATES
+    return (_small_groups if small else _numpy_groups)(p, x_forms, message, noise)
+
+
+def _numpy_groups(p: int, x_forms: np.ndarray, message: list[int],
+                  noise: list[int]) -> GroupCounts:
+    """view_groups' counts in NumPy.  With fewer live forms than noise
+    digits the noise codes repeat, so each distinct one is kept once and
+    shifted by the forms' values on each message value.  The forms are
+    linear, so every distinct code repeats equally often, p^len(noise) /
+    (distinct codes) times, the weight of each entry.  Otherwise every free
+    state is coded, message digits lowest, so a state's message value is
+    its index mod p^len(message)."""
+    free = message + noise
     forms = x_forms[x_forms[:, free].any(axis=1)]
     q = p ** len(message)
     message_bits = (q - 1).bit_length()
     if len(forms) < len(noise) and _slot_bits(p) * len(forms) + message_bits <= _CODE_BITS:
         codes = np.unique(_expand(p, len(noise), forms[:, noise], message_bits))
-        joint = _expand(p, len(message), forms[:, list(message)], message_bits, codes)
+        joint = _expand(p, len(message), forms[:, message], message_bits, codes)
         by_message = joint.reshape(q, -1)   # a view of joint, one row per message value
         by_message |= np.arange(q, dtype=joint.dtype)[:, None]
         return group_stats(joint, message_bits, q, p ** len(noise) // len(codes))
@@ -587,6 +673,25 @@ def view_groups(p: int, x_forms: np.ndarray, held: Sequence[int],
     by_message = code.reshape(-1, q)   # a view of code
     by_message |= np.arange(q, dtype=code.dtype)
     return group_stats(code, message_bits, q)
+
+
+def _small_groups(p: int, x_forms: np.ndarray, message: list[int],
+                  noise: list[int]) -> GroupCounts:
+    """view_groups' counts in Python integers, by the rules of
+    _numpy_groups: the same joint codes, never renumbered, are tallied
+    rather than sorted."""
+    free = message + noise
+    forms = [row for row in x_forms.tolist() if any(map(row.__getitem__, free))]
+    columns = list(zip(*forms)) or [()] * x_forms.shape[1]
+    q = p ** len(message)
+    message_bits = (q - 1).bit_length()
+    mask = (1 << message_bits) - 1
+    if len(forms) < len(noise):
+        codes = list(set(_expand_ints(p, [columns[j] for j in noise], message_bits)))
+        joint = _expand_ints(p, [columns[j] for j in message], message_bits, codes, len(message))
+        return GroupCounts(None, mask, q, p ** len(noise) // len(codes), Counter(joint))
+    joint = _expand_ints(p, [columns[j] for j in free], message_bits, tagged=len(message))
+    return GroupCounts(None, mask, q, 1, Counter(joint))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from securegroupcast import (DecodeFailureError, Field, FMatrix, KeyConfig, LinearScheme,
                              NotDecodableError, TooLargeError, decoder_for,
@@ -466,6 +466,15 @@ def spanned_forms(rng, p, m, rows, rank):
     return np.array(out, dtype=np.int64).reshape(rows, m)
 
 
+def both_routes(p, forms, held, message):
+    """(NumPy route, small route) counts of one check, each called directly,
+    whatever its state count."""
+    message = list(message)
+    noise = [j for j in range(forms.shape[1]) if j not in held and j not in message]
+    return (scheme_module._numpy_groups(p, forms, message, noise),
+            scheme_module._small_groups(p, forms, message, noise))
+
+
 # (p, m, view form count, message digits lo..hi, joint code width): widths
 # of exactly 31 bits (int32), 32 bits (int64) and past 62 (renumbered)
 WIDTH_CASES = [
@@ -493,18 +502,20 @@ def test_message_groups_across_code_widths(p, m, rows, lo, hi, width):
             narrow, _ = state_code(p, m, forms)
             assert (code == narrow.astype(np.int64) << msg_bits).all()
 
-        groups = view_groups(p, forms, [], list(range(lo, hi)))
-        # a view drops zero forms, which only the blind rank-0 draw has
-        assert groups.step.dtype == (code.dtype if rank else np.int32)
-        decodes, independent = groups.decodes(), groups.independent()
         ref = reference_groups(p, m, forms.tolist(), lo, hi)
         want_decodes, want_independent, want_bits = reference_verdicts(ref, p ** (hi - lo))
-        assert (decodes, independent) == (want_decodes, want_independent)
-        assert sorted(groups.view.tolist()) == sorted(sum(c.values()) for c in ref.values())
-        assert sorted(groups.joint.tolist()) == sorted(v for c in ref.values()
-                                                       for v in c.values())
-        assert abs(groups.leakage_bits() - want_bits) < 1e-9
-        seen[decodes, independent] += 1
+        numpy_route, small_route = both_routes(p, forms, [], range(lo, hi))
+        # a view drops zero forms, which only the blind rank-0 draw has
+        assert numpy_route.step.dtype == (code.dtype if rank else np.int32)
+        assert small_route.step is None
+        for groups in (numpy_route, small_route):
+            decodes, independent = groups.decodes(), groups.independent()
+            assert (decodes, independent) == (want_decodes, want_independent)
+            assert sorted(groups.view.tolist()) == sorted(sum(c.values()) for c in ref.values())
+            assert sorted(groups.joint.tolist()) == sorted(v for c in ref.values()
+                                                           for v in c.values())
+            assert abs(groups.leakage_bits() - want_bits) < 1e-9
+        seen[want_decodes, want_independent] += 1
     assert seen[True, False] and seen[False, True], seen
 
 
@@ -524,15 +535,16 @@ def view_and_message(draw):
 @given(view_and_message())
 def test_group_counts_match_brute_force_grouping(case):
     p, m, forms, lo, hi = case
-    groups = view_groups(p, forms, [], list(range(lo, hi)))
-    decodes = groups.decodes()        # from counts alone: no size array built yet
-    assert "view" not in vars(groups) and "joint" not in vars(groups)
-    assert decodes == (len(groups.joint) == len(groups.view))
     ref = reference_groups(p, m, forms.tolist(), lo, hi)
     want_decodes, want_independent, want_bits = reference_verdicts(ref, p ** (hi - lo))
-    assert decodes == want_decodes
-    assert groups.independent() == want_independent
-    assert abs(groups.leakage_bits() - want_bits) < 1e-9
+    for groups in (view_groups(p, forms, [], list(range(lo, hi))),
+                   *both_routes(p, forms, [], range(lo, hi))):
+        decodes = groups.decodes()        # from counts alone: no size array built yet
+        assert "view" not in vars(groups) and "joint" not in vars(groups)
+        assert decodes == (len(groups.joint) == len(groups.view))
+        assert decodes == want_decodes
+        assert groups.independent() == want_independent
+        assert abs(groups.leakage_bits() - want_bits) < 1e-9
 
 
 def enumerated_groups(p, forms, held, message):
@@ -578,19 +590,19 @@ def test_message_shift_matches_enumeration(case):
     message value; the group sizes and the leakage float equal those of
     coding every free state."""
     p, forms, held, message = case
-    groups = view_groups(p, forms, held, message)
-    assert groups.weight > 1   # the compressed route ran
-    decodes = groups.decodes()
-    assert "view" not in vars(groups) and "joint" not in vars(groups)
     full = enumerated_groups(p, forms, held, message)
     assert full.weight == 1
-    for name in ("view", "joint"):
-        got, want = getattr(groups, name), getattr(full, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert (groups.msg_mask, groups.messages) == (full.msg_mask, full.messages)
-    assert decodes == full.decodes()
-    assert groups.independent() == full.independent()
-    assert groups.leakage_bits() == full.leakage_bits()   # bit for bit
+    for groups in (view_groups(p, forms, held, message), *both_routes(p, forms, held, message)):
+        assert groups.weight > 1   # the compressed rule ran
+        decodes = groups.decodes()
+        assert "view" not in vars(groups) and "joint" not in vars(groups)
+        for name in ("view", "joint"):
+            got, want = getattr(groups, name), getattr(full, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert (groups.msg_mask, groups.messages) == (full.msg_mask, full.messages)
+        assert decodes == full.decodes()
+        assert groups.independent() == full.independent()
+        assert groups.leakage_bits() == full.leakage_bits()   # bit for bit
 
     def observe(state):
         return (tuple(sum(c * d for c, d in zip(row, state)) % p for row in forms.tolist())
@@ -606,6 +618,121 @@ def test_message_shift_matches_enumeration(case):
         sum(c.values()) for c in ref.values())
     assert sorted(groups.joint.tolist() * p ** len(held)) == sorted(
         v for c in ref.values() for v in c.values())
+
+
+def free_digits_within(p, states):
+    """The most free digits whose p^digits states stay within `states`."""
+    digits = 0
+    while p ** (digits + 1) <= states:
+        digits += 1
+    return digits
+
+
+@st.composite
+def small_check(draw):
+    """A check of at most SMALL_CHECK_STATES free states: 0-6 forms over
+    held, message and noise digits in any order, each kind possibly
+    absent."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    free = draw(st.integers(0, free_digits_within(p, scheme_module.SMALL_CHECK_STATES)))
+    n_held = draw(st.integers(0, 3))
+    n_message = draw(st.integers(0, free))
+    order = draw(st.permutations(range(free + n_held)))
+    rows = draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 1]) | st.integers(0, p - 1)
+    forms = draw(st.lists(entry, min_size=rows * len(order), max_size=rows * len(order)))
+    return (p, np.array(forms, dtype=np.int64).reshape(rows, len(order)),
+            sorted(order[:n_held]), order[n_held:n_held + n_message])
+
+
+ONES = np.ones((2, 3), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_check())
+@example((3, np.zeros((0, 3), dtype=np.int64), [2], [0]))   # no forms
+@example((5, ONES, [], [0, 1, 2]))                           # no noise digits
+@example((2, ONES, [0], []))                                 # no message digits
+@example((7, ONES, [0, 1, 2], []))                           # every digit held
+@example((2, np.array([[1, 1, 1, 1], [1, 0, 0, 0]]), [], [0]))   # shifted noise codes decode
+def test_small_route_matches_numpy_route(case):
+    """Counted in Python integers or in NumPy, a check has the same weight,
+    verdicts and group sizes in the same order, so the same leakage float;
+    with at most 6 forms the NumPy code is never renumbered."""
+    p, forms, held, message = case
+    numpy_route, small_route = both_routes(p, forms, held, message)
+    assert small_route.step is None and numpy_route.tally is None
+    assert small_route.weight == numpy_route.weight
+    assert (small_route.msg_mask, small_route.messages) == (numpy_route.msg_mask,
+                                                            numpy_route.messages)
+    assert small_route.decodes() == numpy_route.decodes()
+    assert small_route.independent() == numpy_route.independent()
+    # the verdict is decided once and kept, for leakage_bits() to read
+    assert all("_independent" in vars(route) for route in (small_route, numpy_route))
+    for name in ("view", "joint"):
+        got, want = getattr(small_route, name), getattr(numpy_route, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert small_route.leakage_bits() == numpy_route.leakage_bits()   # bit for bit
+
+
+def test_small_route_matches_renumbered_numpy_route(monkeypatch):
+    """GF(5) checks with 16 live forms over 3 free digits and one held
+    digit: the NumPy code would take 16 * 4 + 3 bits, past 62, so it is
+    renumbered and its groups may come in another order.  Python integers
+    need no renumbering; the two routes agree on the weight, the verdicts
+    and the sizes, and on the leakage within 1e-12.  The forms combine
+    either the unit vectors, so the view determines the message digit 0,
+    or (1, 1, 0) and (0, 0, 1), so noise digit 1 hides it."""
+    renumbered = []
+    renumber = scheme_module._renumber
+
+    def recording(code):
+        renumbered.append(len(code))
+        return renumber(code)
+
+    monkeypatch.setattr(scheme_module, "_renumber", recording)
+    rng = random.Random(516)
+    seen = Counter()
+    for basis in ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 0), (0, 0, 1)]) * 2:
+        rows = []
+        while len(rows) < 16:
+            c = [rng.randrange(5) for _ in basis]
+            row = [sum(a * v[j] for a, v in zip(c, basis)) % 5 for j in range(3)]
+            if any(row):
+                rows.append(row + [rng.randrange(5)])   # digit 3 is held
+        renumbered.clear()
+        numpy_route, small_route = both_routes(5, np.array(rows), [3], [0])
+        assert renumbered
+        assert small_route.weight == numpy_route.weight == 1
+        assert small_route.decodes() == numpy_route.decodes()
+        assert small_route.independent() == numpy_route.independent()
+        for name in ("view", "joint"):
+            got, want = getattr(small_route, name), getattr(numpy_route, name)
+            assert sorted(got.tolist()) == sorted(want.tolist()), name
+        assert abs(small_route.leakage_bits() - numpy_route.leakage_bits()) < 1e-12
+        seen[small_route.decodes(), small_route.independent()] += 1
+    assert seen == {(True, False): 2, (False, True): 2}, seen
+
+
+def test_check_route_follows_its_state_count(monkeypatch):
+    """A check of exactly SMALL_CHECK_STATES free states is counted in
+    Python integers, one of p times as many in NumPy, whatever its held
+    digits."""
+    limit = scheme_module.SMALL_CHECK_STATES
+    free = free_digits_within(2, limit)
+    assert 2 ** free == limit
+    taken = []
+    for name in ("_small_groups", "_numpy_groups"):
+        route = getattr(scheme_module, name)
+        monkeypatch.setattr(scheme_module, name,
+                            lambda *args, route=route, name=name: taken.append(name) or route(*args))
+    rng = random.Random(256)
+    for digits, want in ((free, "_small_groups"), (free + 1, "_numpy_groups")):
+        forms = np.array([[rng.randrange(2) for _ in range(digits + 2)] for _ in range(3)])
+        taken.clear()
+        groups = view_groups(2, forms, [0, digits + 1], [1])
+        assert taken == [want]
+        assert (groups.step is None) == (want == "_small_groups")
 
 
 def cross_check_scheme(rng, p):
@@ -648,6 +775,17 @@ def one_block_scheme(rng, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_oracle_matches_state_by_state_reference(p, monkeypatch):
+    """The oracle's verdicts equal the reference's with each check's route
+    set by its state count, which counts nearly all of these in Python
+    integers, and again with every check counted in NumPy (a limit of 0
+    states)."""
+    for small_states in (scheme_module.SMALL_CHECK_STATES, 0):
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme_module, "SMALL_CHECK_STATES", small_states)
+            check_oracle_against_reference(p, patch)
+
+
+def check_oracle_against_reference(p, monkeypatch):
     rng = random.Random(p * 7919)
     seen = Counter()
 
@@ -702,16 +840,31 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
     block check with fewer live X forms than noise digits codes the noise
     digits and the message digits in two separate calls, never both at
     once; any other codes all of them in one call.  A block with equal
-    forms, held digits and message digits is coded once per call."""
+    forms, held digits and message digits is coded once per call.  Each
+    holds on both routes: with each check's route set by its state count,
+    with every check in NumPy (a limit of 0 states) and with every check
+    in Python integers."""
+    for small_states in (scheme_module.SMALL_CHECK_STATES, 0, 1 << 30):
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme_module, "SMALL_CHECK_STATES", small_states)
+            check_enumerated_digits(small_states, patch)
+
+
+def check_enumerated_digits(small_states, monkeypatch):
     rng = random.Random(2718)
     calls = []
-    expand = scheme_module._expand
+    expand, expand_ints = scheme_module._expand, scheme_module._expand_ints
 
     def recording(p, m, forms, low=0, base=None):
-        calls.append((m, base is not None))
+        calls.append(("numpy", m, base is not None))
         return expand(p, m, forms, low, base)
 
+    def recording_ints(p, columns, low=0, base=None, tagged=0):
+        calls.append(("small", len(columns), base is not None))
+        return expand_ints(p, columns, low, base, tagged)
+
     monkeypatch.setattr(scheme_module, "_expand", recording)
+    monkeypatch.setattr(scheme_module, "_expand_ints", recording_ints)
     seen = Counter()
     for _ in range(80):
         scheme = cross_check_scheme(rng, rng.choice([2, 3, 5]))
@@ -736,18 +889,23 @@ def test_oracle_enumerates_only_digits_a_receiver_does_not_hold(monkeypatch):
                     continue
                 coded.add(key)
                 noise = [i for i in range(len(digits)) if i not in kept and i not in message]
+                route = ("small" if scheme.p ** (len(message) + len(noise)) <= small_states
+                         else "numpy")
                 live = np.count_nonzero(forms[:, message + noise].any(axis=1))
                 if live < len(noise):
-                    want += [(len(noise), False), (len(message), True)]
+                    want += [(route, len(noise), False), (route, len(message), True)]
                     seen["compressed"] += 1
                 else:
-                    want.append((len(message) + len(noise), False))
+                    want.append((route, len(message) + len(noise), False))
                     seen["enumerated"] += 1
+                seen[route] += 1
                 seen["sliced"] += len(kept) > 0
         seen["split"] += len(digit_blocks(x_forms)) > 1
         assert calls == want, scheme
     assert all(seen[key] for key in ("compressed", "enumerated", "sliced", "split",
                                      "coded once")), seen
+    assert seen["numpy"] if small_states < 1 << 30 else not seen["numpy"], seen
+    assert seen["small"] if small_states else not seen["small"], seen
 
 
 def test_oracle_runs_no_elimination(fig4, monkeypatch):
